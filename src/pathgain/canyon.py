@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import surface
+from .reference import friis_gain
 from .result import (
     FLAG_FREE_SPACE_FLOOR,
     FLAG_NEAR_WALL,
@@ -36,7 +37,7 @@ class CanyonGeometry:
     tx_height_m: float
     rx_height_m: float
     wall: WallSurface | None = None
-    ground: Dielectric = Dielectric(surface.GROUND_INDEX_DEFAULT)
+    ground: Dielectric = surface.DEFAULT_GROUND
     tx_offset_m: float = 0.0
     rx_offset_m: float = 0.0
 
@@ -99,30 +100,32 @@ def breakpoint_range_m(link: LosLink) -> float:
     return 4.0 * g.tx_height_m * g.rx_height_m / link.wavelength_m
 
 
-def ground_reflection(link: LosLink,
-                      polarization: str = surface.PARALLEL) -> tuple[float, float]:
-    """Ground-bounce field coefficient and its path length.
+def ground_bounce(height_sum_m: float, horizontal_m: float,
+                  ground: Dielectric) -> float:
+    """Ground field reflection coefficient Gamma_g (vertical polarization).
 
-    Returns (Gamma_g, r_g) with Gamma_g from the low-grazing form at the
-    ground-image grazing angle asin((z_s + z)/r_g).  Vertical polarization
-    maps to the parallel form (the default).
+    The low-grazing parallel form at the ground-image grazing angle
+    asin((z_s + z)/r_g), r_g = hypot(horizontal, z_s + z).  Every law and
+    oracle that needs a default ground bounce calls this.
     """
-    g = link.geometry
-    r_g = link.ground_image_range_m
-    theta_g = math.asin((g.tx_height_m + g.rx_height_m) / r_g)
-    gamma = surface.fresnel_low_grazing(theta_g, link.geometry.ground, polarization)
-    return gamma, r_g
+    theta_g = math.asin(height_sum_m / math.hypot(horizontal_m, height_sum_m))
+    return surface.fresnel_low_grazing(theta_g, ground, surface.PARALLEL)
 
 
-def _regime_flags(link: LosLink) -> tuple[str, ...]:
+def ground_reflection(link: LosLink) -> tuple[float, float]:
+    """Ground-bounce field coefficient and its path length (Gamma_g, r_g)."""
     g = link.geometry
+    gamma = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_x_m, g.ground)
+    return gamma, link.ground_image_range_m
+
+
+def _regime_flags(g: CanyonGeometry, r: float, lam: float,
+                  wall_l: float) -> tuple[str, ...]:
     flags = []
-    r = link.slant_range_m
     if r < 2.0 * g.width_m:
         flags.append(FLAG_SHORT_RANGE)
-    if link.wall_loss <= g.width_m / r:
+    if wall_l <= g.width_m / r:
         flags.append(FLAG_SPREADING_REGIME)
-    lam = link.wavelength_m
     half = g.width_m / 2.0
     if min(half - abs(g.tx_offset_m), half - abs(g.rx_offset_m)) < lam:
         # incoherent summation breaks within a wavelength of a wall
@@ -134,10 +137,11 @@ def _waveguide_prefactor(link: LosLink, friis_floor: bool) -> tuple[float, tuple
     g = link.geometry
     r = link.slant_range_m
     lam = link.wavelength_m
-    guided = lam**2 / (16.0 * math.pi**1.5 * math.sqrt(g.width_m * link.wall_loss)
+    wall_l = link.wall_loss
+    guided = lam**2 / (16.0 * math.pi**1.5 * math.sqrt(g.width_m * wall_l)
                        * r**1.5)
-    flags = _regime_flags(link)
-    friis = (lam / (4.0 * math.pi * r)) ** 2
+    flags = _regime_flags(g, r, lam, wall_l)
+    friis = friis_gain(lam, r)
     if friis_floor and friis > guided:
         return friis, flags + (FLAG_FREE_SPACE_FLOOR,)
     return guided, flags

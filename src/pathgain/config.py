@@ -18,7 +18,7 @@ from .diffuse import PenetrationSpec
 from .morphology import FoliageLayer, IndoorClutter, Link, MacroGeometry, StreetScene
 from .reference import friis_gain
 from .result import FLAG_KAPPA_EXTRAPOLATED, GainResult
-from .surface import Dielectric, TelegraphRoughness, WallSurface
+from .surface import DEFAULT_GROUND, Dielectric, TelegraphRoughness, WallSurface
 from .units import wavelength_m
 
 
@@ -174,6 +174,12 @@ def load_config(path) -> EnvironmentConfig:
         values = _floats(path, "canyon", sections["canyon"])
         _require(path, "canyon", values,
                  ("width_m", "tx_height_m", "rx_height_m"))
+        if "ground_index" in values and values["ground_index"] <= math.sqrt(2.0):
+            # the parallel low-grazing ground reflection is singular there
+            raise ConfigError(
+                f"{path}: [canyon] ground_index must exceed sqrt(2), "
+                f"got {values['ground_index']:g}"
+            )
         canyon_dims = values
 
     foliage = None
@@ -261,42 +267,20 @@ def _build_penetration(values: dict) -> PenetrationSpec:
                                           values["t_wall2"])
 
 
-def _need(cfg: EnvironmentConfig, morphology_name: str, **blocks):
-    missing = [name for name, value in blocks.items() if value is None]
-    if missing:
-        raise ConfigError(
-            f"{cfg.path}: morphology {morphology_name!r} needs config "
-            f"block(s): {', '.join(missing)}"
-        )
-
-
-def _canyon_geometry(cfg: EnvironmentConfig, name: str,
-                     wall_required: bool = True) -> CanyonGeometry:
-    _need(cfg, name, canyon=cfg.canyon_dims)
-    if wall_required:
-        _need(cfg, name, wall=cfg.wall)
+def _canyon_geometry(cfg: EnvironmentConfig) -> CanyonGeometry:
     dims = cfg.canyon_dims
-    ground = Dielectric(dims["ground_index"]) if "ground_index" in dims else None
-    kwargs = {}
-    if ground is not None:
-        kwargs["ground"] = ground
+    ground = (Dielectric(dims["ground_index"]) if "ground_index" in dims
+              else DEFAULT_GROUND)
     return CanyonGeometry(
         dims["width_m"], dims["tx_height_m"], dims["rx_height_m"], cfg.wall,
-        tx_offset_m=dims.get("tx_offset_m", 0.0),
+        ground, tx_offset_m=dims.get("tx_offset_m", 0.0),
         rx_offset_m=dims.get("rx_offset_m", 0.0),
-        **kwargs,
     )
 
 
-def _street_scene(cfg: EnvironmentConfig, name: str,
-                  wall_required: bool) -> StreetScene:
-    _need(cfg, name, foliage=cfg.foliage, street=cfg.street)
-    geometry = _canyon_geometry(cfg, name, wall_required)
+def _street_scene(cfg: EnvironmentConfig) -> StreetScene:
+    geometry = _canyon_geometry(cfg)
     street = cfg.street
-    if "standoff_m" not in street:
-        raise ConfigError(
-            f"{cfg.path}: morphology {name!r} needs [street] standoff_m"
-        )
     kappa_extra = (street.get("kappa_ped_np_per_m", 0.0)
                    + street.get("kappa_scaff_np_per_m", 0.0))
     try:
@@ -310,12 +294,46 @@ def _street_scene(cfg: EnvironmentConfig, name: str,
         raise ConfigError(f"{cfg.path}: [street] {exc}") from exc
 
 
-def _frequency(cfg: EnvironmentConfig, name: str) -> float:
-    if cfg.frequency_hz is None:
-        raise ConfigError(
-            f"{cfg.path}: morphology {name!r} needs [link] frequency_hz"
-        )
-    return cfg.frequency_hz
+def _bind(law, f_hz: float, *scene):
+    """range -> law(*scene, Link(range, f_hz))."""
+    return lambda range_m: law(*scene, Link(range_m, f_hz))
+
+
+def _bind_los(law, f_hz: float, geometry: CanyonGeometry):
+    return lambda range_m: law(LosLink(geometry, range_m, f_hz))
+
+
+def _bind_friis(lam: float):
+    return lambda range_m: GainResult(friis_gain(lam, range_m), range_m)
+
+
+_STREET = ("foliage", "street", "canyon")
+
+# morphology -> (config blocks it needs, builder(cfg, frequency_hz) that
+# returns the range -> GainResult evaluator)
+MORPHOLOGIES = {
+    "los_corridor": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
+        los_gain_incoherent, f_hz, _canyon_geometry(cfg))),
+    "los_corridor_coherent": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
+        los_gain_coherent, f_hz, _canyon_geometry(cfg))),
+    "suburban_street": (_STREET, lambda cfg, f_hz: _bind(
+        morphology.suburban_street_gain, f_hz, _street_scene(cfg))),
+    "suburban_indoor": (_STREET + ("indoor", "penetration"), lambda cfg, f_hz: _bind(
+        morphology.suburban_indoor_gain, f_hz, _street_scene(cfg), cfg.indoor,
+        cfg.penetration)),
+    "over_top": (("macro", "foliage"), lambda cfg, f_hz: _bind(
+        morphology.overtop_gain, f_hz, cfg.macro, cfg.foliage.kappa_np_per_m)),
+    "rural": (("macro", "foliage"), lambda cfg, f_hz: _bind(
+        morphology.rural_gain, f_hz, cfg.macro, cfg.foliage)),
+    "outdoor_indoor": (("canyon", "wall", "penetration", "indoor"), lambda cfg, f_hz: _bind(
+        morphology.outdoor_indoor_canyon_gain, f_hz, _canyon_geometry(cfg),
+        cfg.penetration, cfg.indoor)),
+    "sidewalk_trees": (_STREET + ("wall",), lambda cfg, f_hz: _bind(
+        morphology.canyon_with_trees_gain, f_hz, _street_scene(cfg))),
+    "canyon_total": (_STREET + ("wall", "macro"), lambda cfg, f_hz: _bind(
+        morphology.canyon_total_gain, f_hz, _street_scene(cfg), cfg.macro)),
+    "friis": ((), lambda cfg, f_hz: _bind_friis(wavelength_m(f_hz))),
+}
 
 
 def make_evaluator(cfg: EnvironmentConfig, name: str):
@@ -327,8 +345,23 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         raise ConfigError(
             f"unknown morphology {name!r}; choose from {', '.join(MORPHOLOGIES)}"
         )
-    builder = MORPHOLOGIES[name]
-    evaluator = builder(cfg)
+    blocks, build = MORPHOLOGIES[name]
+    if cfg.frequency_hz is None:
+        raise ConfigError(
+            f"{cfg.path}: morphology {name!r} needs [link] frequency_hz"
+        )
+    missing = [block for block in blocks
+               if getattr(cfg, "canyon_dims" if block == "canyon" else block) is None]
+    if missing:
+        raise ConfigError(
+            f"{cfg.path}: morphology {name!r} needs config "
+            f"block(s): {', '.join(missing)}"
+        )
+    if "street" in blocks and "standoff_m" not in cfg.street:
+        raise ConfigError(
+            f"{cfg.path}: morphology {name!r} needs [street] standoff_m"
+        )
+    evaluator = build(cfg, cfg.frequency_hz)
     if cfg.flags:
         inner = evaluator
 
@@ -337,116 +370,3 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
 
         return flagged
     return evaluator
-
-
-def _build_los(cfg, name="los_corridor", coherent=False):
-    geometry = _canyon_geometry(cfg, name)
-    f_hz = _frequency(cfg, name)
-    gain = los_gain_coherent if coherent else los_gain_incoherent
-
-    def evaluate(range_m: float) -> GainResult:
-        return gain(LosLink(geometry, range_m, f_hz))
-
-    return evaluate
-
-
-def _build_suburban(cfg, name="suburban_street"):
-    f_hz = _frequency(cfg, name)
-    scene = _street_scene(cfg, name, wall_required=False)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.suburban_street_gain(scene, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_suburban_indoor(cfg, name="suburban_indoor"):
-    f_hz = _frequency(cfg, name)
-    scene = _street_scene(cfg, name, wall_required=False)
-    _need(cfg, name, indoor=cfg.indoor, penetration=cfg.penetration)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.suburban_indoor_gain(scene, cfg.indoor,
-                                               cfg.penetration,
-                                               Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_overtop(cfg, name="over_top"):
-    f_hz = _frequency(cfg, name)
-    _need(cfg, name, macro=cfg.macro, foliage=cfg.foliage)
-    kappa = cfg.foliage.kappa_np_per_m
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.overtop_gain(cfg.macro, kappa, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_rural(cfg, name="rural"):
-    f_hz = _frequency(cfg, name)
-    _need(cfg, name, macro=cfg.macro, foliage=cfg.foliage)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.rural_gain(cfg.macro, cfg.foliage, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_outdoor_indoor(cfg, name="outdoor_indoor"):
-    f_hz = _frequency(cfg, name)
-    geometry = _canyon_geometry(cfg, name)
-    _need(cfg, name, penetration=cfg.penetration, indoor=cfg.indoor)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.outdoor_indoor_canyon_gain(
-            geometry, cfg.penetration, cfg.indoor, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_sidewalk_trees(cfg, name="sidewalk_trees"):
-    f_hz = _frequency(cfg, name)
-    scene = _street_scene(cfg, name, wall_required=True)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.canyon_with_trees_gain(scene, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_canyon_total(cfg, name="canyon_total"):
-    f_hz = _frequency(cfg, name)
-    scene = _street_scene(cfg, name, wall_required=True)
-    _need(cfg, name, macro=cfg.macro)
-
-    def evaluate(range_m: float) -> GainResult:
-        return morphology.canyon_total_gain(scene, cfg.macro, Link(range_m, f_hz))
-
-    return evaluate
-
-
-def _build_friis(cfg, name="friis"):
-    f_hz = _frequency(cfg, name)
-    lam = wavelength_m(f_hz)
-
-    def evaluate(range_m: float) -> GainResult:
-        return GainResult(friis_gain(lam, range_m), range_m)
-
-    return evaluate
-
-
-MORPHOLOGIES = {
-    "los_corridor": _build_los,
-    "los_corridor_coherent": lambda cfg: _build_los(
-        cfg, "los_corridor_coherent", coherent=True),
-    "suburban_street": _build_suburban,
-    "suburban_indoor": _build_suburban_indoor,
-    "over_top": _build_overtop,
-    "rural": _build_rural,
-    "outdoor_indoor": _build_outdoor_indoor,
-    "sidewalk_trees": _build_sidewalk_trees,
-    "canyon_total": _build_canyon_total,
-    "friis": _build_friis,
-}

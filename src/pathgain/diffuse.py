@@ -129,6 +129,17 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 
+def quartic_gain(wavelength_m: float, standoff_m: float, range_m: float,
+                 factor: float) -> float:
+    """The quartic range law lambda^2 d_s^2 factor / (8 pi^2 r^4).
+
+    factor collects the transmission, absorption and bounce factors of the
+    scene; every quartic law in the package evaluates through here.
+    """
+    return (wavelength_m**2 * standoff_m**2 * factor
+            / (8.0 * math.pi**2 * range_m**4))
+
+
 def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     """Average path gain into the diffuse half-space (linear power ratio).
 
@@ -136,10 +147,9 @@ def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     law and the constant are validated against 2-D quadrature of the
     hot-wall integral by the oracles module.
     """
-    teff = t_eff(spec, link.depth_m)
-    return (link.wavelength_m**2 * link.standoff_m**2 * teff
-            * math.exp(-link.kappa_np_per_m * link.depth_m)
-            / (8.0 * math.pi**2 * link.range_m**4))
+    factor = (t_eff(spec, link.depth_m)
+              * math.exp(-link.kappa_np_per_m * link.depth_m))
+    return quartic_gain(link.wavelength_m, link.standoff_m, link.range_m, factor)
 
 
 def enhancement_factors(gamma_g2: float, gamma_w2: float) -> float:
@@ -148,7 +158,8 @@ def enhancement_factors(gamma_g2: float, gamma_w2: float) -> float:
     gamma_g2 and gamma_w2 are the ground and back-wall power reflection
     coefficients; the product lies in [1, 4].
     """
-    for name, value in (("gamma_g2", gamma_g2), ("gamma_w2", gamma_w2)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if not 0.0 <= gamma_g2 <= 1.0:
+        raise ValueError(f"gamma_g2 must be in [0, 1], got {gamma_g2}")
+    if not 0.0 <= gamma_w2 <= 1.0:
+        raise ValueError(f"gamma_w2 must be in [0, 1], got {gamma_w2}")
     return (1.0 + gamma_g2) * (1.0 + gamma_w2)

@@ -1,10 +1,9 @@
 """Measurement ingestion, slope-intercept fitting and model RMSE evaluation.
 
-Measured path gain is assumed pre-averaged over multipath fading; a median
-window utility is provided for raw traces.  RMSE against a model keeps any
-mean bias (bias counts as error), and fit residuals are population RMS, so
-an ordinary least squares fit is optimal among slope-intercept models under
-exactly the metric reported here.
+Measured path gain is assumed pre-averaged over multipath fading.  RMSE
+against a model keeps any mean bias (bias counts as error), and fit
+residuals are population RMS, so an ordinary least squares fit is optimal
+among slope-intercept models under exactly the metric reported here.
 """
 
 import csv
@@ -149,19 +148,6 @@ def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
                 f"{rec.range_m} m): {exc}"
             ) from exc
     return float(np.sqrt(np.mean(errors**2)))
-
-
-def median_window(values_db, window: int = 5) -> np.ndarray:
-    """Centered running median for raw (unaveraged) gain traces."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be a positive odd integer")
-    v = np.asarray(values_db, dtype=float)
-    half = window // 2
-    out = np.empty_like(v)
-    for i in range(len(v)):
-        lo, hi = max(0, i - half), min(len(v), i + half + 1)
-        out[i] = np.median(v[lo:hi])
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 from . import surface
-from .canyon import CanyonGeometry
-from .diffuse import PenetrationSpec, enhancement_factors, t_eff
+from .canyon import CanyonGeometry, ground_bounce
+from .diffuse import PenetrationSpec, enhancement_factors, quartic_gain, t_eff
+from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult
-from .surface import Dielectric
+from .surface import DEFAULT_GROUND, Dielectric
 from .units import wavelength_m, wavenumber_rad_m
 
 # Foliage absorption anchors for linear interpolation in frequency.
@@ -157,22 +158,6 @@ def tree_density_fraction(n_tree_per_m: float, tree_height_m: float,
     return min(max(frac, 0.0), 1.0)
 
 
-def ground_bounce_power(grazing_angle_rad: float,
-                        ground: Dielectric | None = None) -> float:
-    """Ground power reflection |Gamma_g|^2 at a grazing angle (vertical pol)."""
-    if ground is None:
-        ground = Dielectric(surface.GROUND_INDEX_DEFAULT)
-    gamma = surface.fresnel_low_grazing(grazing_angle_rad, ground, surface.PARALLEL)
-    return gamma * gamma
-
-
-def _scene_ground_bounce(scene_zs: float, scene_z: float, horizontal_m: float,
-                         ground: Dielectric) -> float:
-    zsum = scene_zs + scene_z
-    theta = math.asin(zsum / math.hypot(horizontal_m, zsum))
-    return ground_bounce_power(theta, ground)
-
-
 def _scene_rho(scene: StreetScene) -> float:
     if scene.rho_v is not None:
         return scene.rho_v
@@ -181,6 +166,63 @@ def _scene_rho(scene: StreetScene) -> float:
         f.n_tree_per_m, f.tree_height_m, scene.canyon.rx_height_m,
         scene.canyon.tx_height_m, f.tree_width_m, scene.canyon.width_m,
     )
+
+
+def _unguided_gain(scene: StreetScene, link: Link, rho: float,
+                   gamma_g2: float | None, gamma_w2: float) -> GainResult:
+    """Shared body of the suburban street (rho = 1) and unguided sidewalk
+    laws: the quartic law with foliage loss exp(-kappa_v rho d_v)."""
+    g = scene.canyon
+    dz = g.tx_height_m - g.rx_height_m
+    r = math.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
+    if gamma_g2 is None:
+        horizontal = math.hypot(link.range_m, scene.standoff_m)
+        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, horizontal,
+                                 g.ground) ** 2
+    factor = (math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
+              * enhancement_factors(gamma_g2, gamma_w2))
+    return GainResult(quartic_gain(link.wavelength_m, scene.standoff_m, r, factor), r)
+
+
+def _guided_gain(geometry: CanyonGeometry, link: Link, r: float, wall_l: float,
+                 factor: float, gamma_g2: float | None,
+                 gamma_w2: float) -> GainResult:
+    """Guided penetration law (exponent 2.5) at slant range r:
+
+        lambda^2 factor (1+|Gg|^2)(1+|Gw|^2) sqrt(w) / (32 pi^1.5 L^1.5 r^2.5)
+
+    factor carries the boundary transmission and absorption; the result is
+    flagged guided_range for r < L w.
+    """
+    g = geometry
+    if gamma_g2 is None:
+        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
+                                 g.ground) ** 2
+    gain = (link.wavelength_m**2 * factor * enhancement_factors(gamma_g2, gamma_w2)
+            * math.sqrt(g.width_m)
+            / (32.0 * math.pi**1.5 * wall_l**1.5 * r**2.5))
+    flags = (FLAG_GUIDED_RANGE,) if r < wall_l * g.width_m else ()
+    return GainResult(gain, r, flags)
+
+
+def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
+                 veg_path_m: float | None = None, cover: float = 1.0,
+                 veg_start_m: float = 0.0,
+                 kappa_extra: float = 0.0) -> tuple[float, float]:
+    """Friis term of the slant base-terminal path r, attenuated in clutter.
+
+    Returns (gain, r).  kappa_v acts over the vegetated length: veg_path_m
+    when given, otherwise cover (r - veg_start) (z_c - z_m) / (z_BS - z_m),
+    the below-clutter fraction of the path beyond any vegetation-free
+    stretch.  kappa_extra acts over the whole below-clutter segment.
+    """
+    drop = macro.base_height_m - macro.mobile_height_m
+    r = math.hypot(link.range_m, drop)
+    below_frac = (macro.clutter_height_m - macro.mobile_height_m) / drop
+    if veg_path_m is None:
+        veg_path_m = cover * max(r - veg_start_m, 0.0) * below_frac
+    attenuation = kappa_v * veg_path_m + kappa_extra * r * below_frac
+    return friis_gain(link.wavelength_m, r) * math.exp(-attenuation), r
 
 
 def suburban_street_gain(scene: StreetScene, link: Link,
@@ -192,18 +234,7 @@ def suburban_street_gain(scene: StreetScene, link: Link,
     factors, with r from the horizontal range, height difference and
     boundary standoff.
     """
-    g = scene.canyon
-    dz = g.tx_height_m - g.rx_height_m
-    r = math.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
-    if gamma_g2 is None:
-        horizontal = math.hypot(link.range_m, scene.standoff_m)
-        gamma_g2 = _scene_ground_bounce(g.tx_height_m, g.rx_height_m,
-                                        horizontal, g.ground)
-    gain = (link.wavelength_m**2 * scene.standoff_m**2
-            * math.exp(-scene.foliage.kappa_np_per_m * scene.foliage.depth_m)
-            / (8.0 * math.pi**2 * r**4)
-            * enhancement_factors(gamma_g2, gamma_w2))
-    return GainResult(gain, r)
+    return _unguided_gain(scene, link, 1.0, gamma_g2, gamma_w2)
 
 
 def suburban_indoor_gain(scene: StreetScene, indoor: IndoorClutter,
@@ -242,12 +273,11 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link,
     else:
         teff = t_eff(PenetrationSpec.street(macro.street_width_m), depth)
     if gamma_g2 is None:
-        drop = macro.base_height_m - macro.mobile_height_m
-        theta = math.atan(drop / link.range_m)
-        gamma_g2 = ground_bounce_power(min(theta, math.pi / 2.0), ground)
-    gain = (link.wavelength_m**2 * ds * ds * math.exp(-kappa_v * depth) * teff
-            * (1.0 + gamma_g2) / (8.0 * math.pi**2 * r**4))
-    return GainResult(gain, r)
+        gamma_g2 = ground_bounce(macro.base_height_m - macro.mobile_height_m,
+                                 link.range_m,
+                                 DEFAULT_GROUND if ground is None else ground) ** 2
+    factor = math.exp(-kappa_v * depth) * teff * (1.0 + gamma_g2)
+    return GainResult(quartic_gain(link.wavelength_m, ds, r, factor), r)
 
 
 def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link,
@@ -261,12 +291,7 @@ def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link,
     wide-street over-top quartic term takes over.
     """
     kv = foliage.kappa_np_per_m
-    r_direct = math.hypot(link.range_m,
-                          macro.base_height_m - macro.mobile_height_m)
-    r_v = (r_direct * (macro.clutter_height_m - macro.mobile_height_m)
-           / (macro.base_height_m - macro.mobile_height_m))
-    direct = ((link.wavelength_m / (4.0 * math.pi * r_direct)) ** 2
-              * math.exp(-kv * r_v))
+    direct, r_direct = _direct_gain(macro, link, kv)
     over = overtop_gain(macro, kv, link, gamma_g2, wide_street=True,
                         ground=ground)
     return GainResult(direct + over.gain, r_direct,
@@ -286,20 +311,11 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
         lambda^2 T_eff (1+|Gg|^2)(1+|Gw|^2) exp(-k_in d_in) sqrt(w)
             / (32 pi^1.5 L^1.5 r^2.5)
     """
-    lam = wavelength_m(link.frequency_hz)
     wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
-    dz = geometry.tx_height_m - geometry.rx_height_m
-    r = math.hypot(link.range_m, dz)
-    if gamma_g2 is None:
-        gamma_g2 = _scene_ground_bounce(geometry.tx_height_m, geometry.rx_height_m,
-                                        link.range_m, geometry.ground)
-    gain = (lam**2 * t_eff(pen, indoor.depth_m)
-            * enhancement_factors(gamma_g2, gamma_w2)
-            * math.exp(-indoor.kappa_np_per_m * indoor.depth_m)
-            * math.sqrt(geometry.width_m)
-            / (32.0 * math.pi**1.5 * wall_l**1.5 * r**2.5))
-    flags = (FLAG_GUIDED_RANGE,) if r < wall_l * geometry.width_m else ()
-    return GainResult(gain, r, flags)
+    r = math.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
+    factor = (t_eff(pen, indoor.depth_m)
+              * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
+    return _guided_gain(geometry, link, r, wall_l, factor, gamma_g2, gamma_w2)
 
 
 def sidewalk_guided_gain(scene: StreetScene, link: Link,
@@ -313,22 +329,12 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link,
     reflections crossing the trees.
     """
     g = scene.canyon
-    lam = wavelength_m(link.frequency_hz)
-    rho = _scene_rho(scene)
-    k_rho = scene.foliage.kappa_np_per_m * rho
+    k_rho = scene.foliage.kappa_np_per_m * _scene_rho(scene)
     wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
     l1 = wall_l + k_rho * g.width_m / 2.0
-    dz = g.tx_height_m - g.rx_height_m
-    r = math.hypot(link.range_m, dz)
-    if gamma_g2 is None:
-        gamma_g2 = _scene_ground_bounce(g.tx_height_m, g.rx_height_m,
-                                        link.range_m, g.ground)
-    gain = (lam**2 * enhancement_factors(gamma_g2, gamma_w2)
-            * math.exp(-k_rho * (scene.foliage.depth_m + r))
-            * math.sqrt(g.width_m)
-            / (32.0 * math.pi**1.5 * l1**1.5 * r**2.5))
-    flags = (FLAG_GUIDED_RANGE,) if r < l1 * g.width_m else ()
-    return GainResult(gain, r, flags)
+    r = math.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
+    factor = math.exp(-k_rho * (scene.foliage.depth_m + r))
+    return _guided_gain(g, link, r, l1, factor, gamma_g2, gamma_w2)
 
 
 def sidewalk_unguided_gain(scene: StreetScene, link: Link,
@@ -340,19 +346,7 @@ def sidewalk_unguided_gain(scene: StreetScene, link: Link,
     by the tree volume fraction: exp(-kappa_v rho_v d_v).  Set the scene
     standoff to the street width for a base near the middle of the street.
     """
-    g = scene.canyon
-    rho = _scene_rho(scene)
-    dz = g.tx_height_m - g.rx_height_m
-    r = math.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
-    if gamma_g2 is None:
-        horizontal = math.hypot(link.range_m, scene.standoff_m)
-        gamma_g2 = _scene_ground_bounce(g.tx_height_m, g.rx_height_m,
-                                        horizontal, g.ground)
-    gain = (link.wavelength_m**2 * scene.standoff_m**2
-            * math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
-            / (8.0 * math.pi**2 * r**4)
-            * enhancement_factors(gamma_g2, gamma_w2))
-    return GainResult(gain, r)
+    return _unguided_gain(scene, link, _scene_rho(scene), gamma_g2, gamma_w2)
 
 
 def canyon_with_trees_gain(scene: StreetScene, link: Link,
@@ -373,45 +367,25 @@ def canyon_with_trees_gain(scene: StreetScene, link: Link,
                                   "unguided": unguided.gain})
 
 
-def direct_vegetated_path_m(scene: StreetScene, macro: MacroGeometry,
-                            range_m: float) -> float:
-    """Vegetated length of the direct base-terminal path.
-
-    Uses the supplied per-street value when given; otherwise the
-    below-clutter fraction of the slant path beyond any vegetation-free
-    stretch, scaled by the along-street tree coverage.
-    """
-    if scene.direct_veg_path_m is not None:
-        return scene.direct_veg_path_m
-    f = scene.foliage
-    cover = min(1.0, f.n_tree_per_m * f.tree_width_m)
-    below_frac = ((macro.clutter_height_m - macro.mobile_height_m)
-                  / (macro.base_height_m - macro.mobile_height_m))
-    return cover * max(range_m - f.veg_start_m, 0.0) * below_frac
-
-
 def canyon_total_gain(scene: StreetScene, macro: MacroGeometry, link: Link,
                       gamma_g2: float | None = None,
                       gamma_w2: float = 1.0) -> GainResult:
     """Total urban-canyon model: sidewalk term + over-top + attenuated direct.
 
-    The direct Friis path is attenuated through its vegetated length and,
-    over the below-clutter segment, through any declared pedestrian or
-    scaffolding absorption.  Components are returned for diagnostics and
-    always sum to the total.
+    The direct Friis path is attenuated through its vegetated length (the
+    per-street value when given, otherwise estimated from the along-street
+    tree coverage) and, over the below-clutter segment, through any
+    declared pedestrian or scaffolding absorption.  Components are returned
+    for diagnostics and always sum to the total.
     """
     trees = canyon_with_trees_gain(scene, link, gamma_g2, gamma_w2)
     over = overtop_gain(macro, scene.foliage.kappa_np_per_m, link, gamma_g2,
                         wide_street=True, ground=scene.canyon.ground)
-    r_direct = math.hypot(link.range_m,
-                          macro.base_height_m - macro.mobile_height_m)
-    below_frac = ((macro.clutter_height_m - macro.mobile_height_m)
-                  / (macro.base_height_m - macro.mobile_height_m))
-    r_v = direct_vegetated_path_m(scene, macro, r_direct)
-    attenuation = (scene.foliage.kappa_np_per_m * r_v
-                   + scene.kappa_extra_np_per_m * r_direct * below_frac)
-    direct = ((link.wavelength_m / (4.0 * math.pi * r_direct)) ** 2
-              * math.exp(-attenuation))
+    f = scene.foliage
+    direct, r_direct = _direct_gain(
+        macro, link, f.kappa_np_per_m, scene.direct_veg_path_m,
+        min(1.0, f.n_tree_per_m * f.tree_width_m), f.veg_start_m,
+        scene.kappa_extra_np_per_m)
     total = trees.gain + over.gain + direct
     components = dict(trees.components)
     components.update({"canyon_trees": trees.gain, "over_top": over.gain,

@@ -16,17 +16,16 @@ import numpy as np
 from scipy import integrate
 
 from . import surface
-from .canyon import LosLink
+from .canyon import LosLink, ground_bounce
 from .diffuse import (
     APERTURE,
-    STREET,
     UNBOUNDED,
     DiffuseLink,
     PenetrationSpec,
     enhancement_factors,
     t_eff,
 )
-from .morphology import IndoorClutter, Link, StreetScene, _scene_ground_bounce, _scene_rho
+from .morphology import IndoorClutter, Link, StreetScene, _scene_rho
 from .units import wavelength_m, wavenumber_rad_m
 
 
@@ -77,11 +76,6 @@ class OracleConvergenceError(RuntimeError):
     """A truncated sum or quadrature failed to meet its tolerance."""
 
 
-def _ground_gamma_coefficient(ground: surface.Dielectric) -> float:
-    n2 = ground.refraction_index**2
-    return 2.0 * n2 / math.sqrt(n2 - 2.0)
-
-
 def _canyon_image_total(link: LosLink, k_max: int, coherent: bool,
                         include_ground: bool, wall_loss_value: float):
     """Image sum at a fixed truncation order (2*k_max bounces)."""
@@ -95,22 +89,22 @@ def _canyon_image_total(link: LosLink, k_max: int, coherent: bool,
     pos = np.concatenate([2.0 * k * w + y_s, 2.0 * k * w - y_s])
     refl = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
     dy = pos - y_r
-    g_coef = _ground_gamma_coefficient(g.ground)
+    g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
 
-    def image_set(dz: float, ground_bounce: bool):
+    def image_set(dz: float, via_ground: bool):
         dist = np.sqrt(x * x + dy * dy + dz * dz)
         theta_wall = np.arcsin(np.abs(dy) / dist)
         amp = np.exp(-0.5 * wall_loss_value * theta_wall) ** refl
-        if ground_bounce:
+        if via_ground:
             theta_ground = np.arcsin(abs(dz) / dist)
             gamma_g = -np.exp(-g_coef * theta_ground)
         if coherent:
             fields = (-1.0) ** refl * amp * np.exp(1j * link.wavenumber_rad_m * dist) / dist
-            if ground_bounce:
+            if via_ground:
                 fields = fields * gamma_g
             return np.sum(fields)
         powers = amp * amp / (dist * dist)
-        if ground_bounce:
+        if via_ground:
             powers = powers * gamma_g * gamma_g
         return np.sum(powers)
 
@@ -203,8 +197,8 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
     dz = geometry.tx_height_m - geometry.rx_height_m
     r = math.hypot(link.range_m, dz)
     if gamma_g2 is None:
-        gamma_g2 = _scene_ground_bounce(geometry.tx_height_m, geometry.rx_height_m,
-                                        link.range_m, geometry.ground)
+        gamma_g2 = ground_bounce(geometry.tx_height_m + geometry.rx_height_m,
+                                 link.range_m, geometry.ground) ** 2
     series = _standoff_series(r, geometry.width_m, wall_l, d, ctl)
     return (lam**2 * t_eff(pen, indoor.depth_m)
             * enhancement_factors(gamma_g2, gamma_w2)
@@ -229,8 +223,8 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
     dz = g.tx_height_m - g.rx_height_m
     r = math.hypot(link.range_m, dz)
     if gamma_g2 is None:
-        gamma_g2 = _scene_ground_bounce(g.tx_height_m, g.rx_height_m,
-                                        link.range_m, g.ground)
+        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
+                                 g.ground) ** 2
 
     def vegetation(d_m):
         return np.exp(-k_rho * np.sqrt(r * r + d_m * d_m))
@@ -259,7 +253,10 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
 
     Integrates the hot-wall surface flux over the radiating boundary region
     (full plane in polar coordinates, rectangular aperture in cartesian) and
-    applies the free-space spreading prefactor.  approximate_kappa freezes
+    applies the free-space spreading prefactor.  The street strip and
+    the facade mixture have no boundary integral here (the strip, integrated
+    as a very long aperture, does not converge); the street T_eff is checked
+    through the aperture-to-street limit instead.  approximate_kappa freezes
     the absorption at exp(-kappa d_in), the approximation the closed-form
     aperture expression makes; the default integrates the exact
     exp(-kappa r') kernel.
@@ -277,9 +274,8 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
                 math.hypot(d_in, rho), kappa, d_in, approximate_kappa),
             0.0, 2.0 * math.pi, 0.0, radius, epsabs=ctl.abs_tol, epsrel=rel,
         )
-    elif spec.variant in (STREET, APERTURE):
-        w1 = spec.width1_m
-        w2 = spec.width2_m if spec.variant == APERTURE else 1e6 * d_in
+    elif spec.variant == APERTURE:
+        w1, w2 = spec.width1_m, spec.width2_m
 
         def integrand(y: float, x_: float) -> float:
             r_in = math.sqrt(d_in * d_in + x_ * x_ + y * y)

@@ -36,6 +36,9 @@ class Dielectric:
             )
 
 
+DEFAULT_GROUND = Dielectric(GROUND_INDEX_DEFAULT)
+
+
 @dataclass(frozen=True)
 class TelegraphRoughness:
     """Two-state telegraph description of a corrugated wall surface.
@@ -127,18 +130,26 @@ def fresnel_low_grazing(theta_rad: float, dielectric: Dielectric,
     grazing angle and an index well above unity; compare against
     fresnel_exact to quantify the truncation for a given index.
     """
-    _check_polarization(polarization)
     _check_grazing(theta_rad)
+    return -math.exp(-low_grazing_rate(dielectric, polarization) * theta_rad)
+
+
+def low_grazing_rate(dielectric: Dielectric,
+                     polarization: str = PERPENDICULAR) -> float:
+    """Rate a of the low-grazing form -exp(-a theta).
+
+    2/n for perpendicular polarization, 2 n^2 / sqrt(n^2 - 2) for parallel;
+    the parallel rate is singular for n^2 <= 2.
+    """
+    _check_polarization(polarization)
     n = dielectric.refraction_index
     if polarization == PERPENDICULAR:
-        rate = 2.0 / n
-    else:
-        if n * n <= 2.0:
-            raise ValueError(
-                f"parallel low-grazing form is singular for n^2 <= 2 (n={n})"
-            )
-        rate = 2.0 * n * n / math.sqrt(n * n - 2.0)
-    return -math.exp(-rate * theta_rad)
+        return 2.0 / n
+    if n * n <= 2.0:
+        raise ValueError(
+            f"parallel low-grazing form is singular for n^2 <= 2 (n={n})"
+        )
+    return 2.0 * n * n / math.sqrt(n * n - 2.0)
 
 
 def roughness_spectrum(roughness: TelegraphRoughness, chi_x_per_m: float) -> float:

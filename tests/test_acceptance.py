@@ -107,7 +107,8 @@ def test_criterion_01_fresnel_approximation():
             "n=1.5, theta=0.1 rad.  The bounds do hold for n >= 2.0 / "
             "n >= 2.25 respectively (see test_surface.py).  The forms are "
             "implemented verbatim by design, so this criterion cannot pass "
-            "as stated; see the decisions ledger for the full analysis."
+            "as stated; the analysis is in the README's \"Note on the "
+            "acceptance gate\" and in tests/test_surface.py."
         )
 
 

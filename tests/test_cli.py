@@ -83,6 +83,41 @@ class TestPredict:
         assert code == 1
         assert "unknown morphology" in err
 
+    def test_ground_index_below_sqrt2_is_one_line_error(self, capsys,
+                                                         tmp_path):
+        # the corridor scene with a ground index whose parallel low-grazing
+        # reflection is singular (n^2 <= 2)
+        path = tmp_path / "ground.ini"
+        path.write_text(
+            "[link]\nfrequency_hz = 28.0e9\n"
+            "[canyon]\nwidth_m = 1.6\ntx_height_m = 2.2\nrx_height_m = 1.0\n"
+            "ground_index = 1.2\n"
+            "[wall]\nn_eff = 1.7\nA_m = 0.035\np1 = 0.25\np2 = 0.75\n"
+            "mean_width_m = 1.0\nmean_gap_m = 3.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "predict", str(path), "los_corridor",
+                                 "20:500:20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: ")
+        assert err.count("\n") == 1
+        assert "ground_index" in err
+
+    def test_underflowing_gain_is_one_line_error(self, capsys, tmp_path):
+        # foliage absorption strong enough to underflow the rural gain to 0
+        path = tmp_path / "rural.ini"
+        path.write_text(
+            "[link]\nfrequency_hz = 28.0e9\n"
+            "[macro]\nz_bs_m = 14.0\nz_c_m = 10.0\nz_m_m = 1.5\n"
+            "street_width_m = 30.0\n"
+            "[foliage]\ndepth_m = 0.0\nkappa_np_per_m = 1e4\n",
+            encoding="utf-8")
+        code, out, err = run_cli(capsys, "predict", str(path), "rural",
+                                 "20:500:20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: ")
+        assert err.count("\n") == 1
+
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
                                "canyon_total", "5:70:10")

@@ -11,7 +11,6 @@ from pathgain.fitting import (
     StreetEvaluation,
     fit_slope_intercept,
     load_dataset,
-    median_window,
     model_error_table,
     rmse_against_model,
 )
@@ -215,9 +214,3 @@ class TestIngestion:
         with pytest.raises(DatasetError):
             MeasurementRecord(10.0, 25.0)
 
-    def test_median_window(self):
-        trace = np.array([-60.0, -61.0, -30.0, -62.0, -63.0])
-        smoothed = median_window(trace, 3)
-        assert smoothed[2] == -61.0
-        with pytest.raises(ValueError):
-            median_window(trace, 4)

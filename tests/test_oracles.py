@@ -292,10 +292,14 @@ class TestHotwallQuadrature:
         oracle = hotwall_quadrature(link, spec, STRICT_QUAD)
         assert abs(db(closed) - db(oracle)) < 0.1
 
-    def test_facade_variant_has_no_boundary_integral(self):
+    @pytest.mark.parametrize("spec", [
+        PenetrationSpec.facade_mixture(0.3, 1.0, 0.1),
+        PenetrationSpec.street(3.0),
+    ], ids=["facade", "street"])
+    def test_variant_has_no_boundary_integral(self, spec):
         link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
-        with pytest.raises(ValueError):
-            hotwall_quadrature(link, PenetrationSpec.facade_mixture(0.3, 1.0, 0.1))
+        with pytest.raises(ValueError, match="no boundary integral"):
+            hotwall_quadrature(link, spec)
 
 
 class TestRoughnessIntegral:
