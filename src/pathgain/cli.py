@@ -15,7 +15,7 @@ import numpy as np
 
 from . import verify
 from .config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
-from .fitting import fit_slope_intercept, load_dataset, rmse_against_model
+from .fitting import fit_slope_intercept, load_dataset, model_predictions_db, rms_db
 from .reference import ThreeGppScenario, tr38901_pathloss, uma_nlos_36814
 
 EXIT_OK = 0
@@ -200,16 +200,15 @@ def cmd_evaluate(args) -> int:
         raise CliError("dataset frequency unknown: set [link] frequency_hz "
                        "in the config or pass --frequency-hz")
     dataset = load_dataset(args.dataset, frequency_hz=frequency)
-    predictor = _model_predictor(cfg, args.model)
-    rmse = rmse_against_model(dataset, predictor)
-    sys.stdout.write(f"rmse_db={rmse:.2f} n_points={len(dataset)}\n")
+    predicted = model_predictions_db(dataset, _model_predictor(cfg, args.model))
+    residual = dataset.gains_db - predicted
+    sys.stdout.write(f"rmse_db={rms_db(residual):.2f} n_points={len(dataset)}\n")
     if args.output:
         buf = io.StringIO()
         buf.write("range_m,path_gain_db,predicted_db,residual_db\n")
-        for rec in dataset.records:
-            predicted = predictor(rec.range_m)
+        for rec, value, res in zip(dataset.records, predicted, residual):
             buf.write(f"{rec.range_m:.6g},{rec.path_gain_db:.2f},"
-                      f"{predicted:.2f},{rec.path_gain_db - predicted:.2f}\n")
+                      f"{value:.2f},{res:.2f}\n")
         _write(args.output, buf.getvalue())
     return EXIT_OK
 

@@ -5,7 +5,8 @@ corrugation, `[canyon]` cross-section, `[foliage]`, `[penetration]`,
 `[macro]`, `[indoor]` and `[street]` blocks as needed by the chosen
 morphology.  Keys are case-sensitive and unknown sections or keys are
 rejected, so a config is an auditable record of a scenario.  `#` starts a
-comment.
+comment.  Every block is validated and built into its scene object at load;
+errors name the file and the block.
 """
 
 import configparser
@@ -26,48 +27,129 @@ class ConfigError(ValueError):
     """Invalid or insufficient configuration content."""
 
 
-_FLOAT = "float"
-_CHOICE_VARIANT = ("unbounded", "street", "aperture", "facade")
-
-# section -> {key: kind}; kind "float", "float_or_auto", or a choice tuple
-SCHEMA = {
-    "link": {"frequency_hz": _FLOAT},
-    "wall": {"n_eff": _FLOAT, "A_m": _FLOAT, "p1": _FLOAT, "p2": _FLOAT,
-             "mean_width_m": _FLOAT, "mean_gap_m": _FLOAT},
-    "canyon": {"width_m": _FLOAT, "tx_height_m": _FLOAT, "rx_height_m": _FLOAT,
-               "ground_index": _FLOAT, "tx_offset_m": _FLOAT,
-               "rx_offset_m": _FLOAT},
-    "foliage": {"depth_m": _FLOAT, "kappa_np_per_m": "float_or_auto",
-                "n_tree_per_m": _FLOAT, "tree_width_m": _FLOAT,
-                "tree_height_m": _FLOAT, "veg_start_m": _FLOAT},
-    "penetration": {"variant": _CHOICE_VARIANT, "material_t2": _FLOAT,
-                    "w1_m": _FLOAT, "w2_m": _FLOAT, "p_window": _FLOAT,
-                    "t_window2": _FLOAT, "t_wall2": _FLOAT},
-    "macro": {"z_bs_m": _FLOAT, "z_c_m": _FLOAT, "z_m_m": _FLOAT,
-              "street_width_m": _FLOAT},
-    "indoor": {"kappa_np_per_m": _FLOAT, "depth_m": _FLOAT},
-    "street": {"standoff_m": _FLOAT, "rho_v": _FLOAT,
-               "kappa_ped_np_per_m": _FLOAT, "kappa_scaff_np_per_m": _FLOAT,
-               "direct_veg_path_m": _FLOAT},
-}
-
-_WALL_ROUGHNESS_KEYS = ("A_m", "p1", "p2", "mean_width_m", "mean_gap_m")
-
-
 @dataclass(frozen=True)
 class EnvironmentConfig:
-    """Parsed scene description; blocks not present in the file are None."""
+    """Scene built at load: one object per block, None where a block is absent."""
 
     path: str
     frequency_hz: float | None = None
     wall: WallSurface | None = None
-    canyon_dims: dict | None = None
+    canyon: CanyonGeometry | None = None
     foliage: FoliageLayer | None = None
     penetration: PenetrationSpec | None = None
     macro: MacroGeometry | None = None
     indoor: IndoorClutter | None = None
-    street: dict | None = None
+    street: StreetScene | None = None
     flags: tuple[str, ...] = field(default=())
+
+
+_FLOAT = "float"
+_AUTO = "float_or_auto"
+_WALL_ROUGHNESS_KEYS = ("A_m", "p1", "p2", "mean_width_m", "mean_gap_m")
+
+# penetration variant -> (keys its constructor takes, in order, constructor)
+_VARIANTS = {
+    "unbounded": ((), PenetrationSpec.unbounded),
+    "street": (("w1_m",), PenetrationSpec.street),
+    "aperture": (("w1_m", "w2_m"), PenetrationSpec.aperture),
+    "facade": (("p_window", "t_window2", "t_wall2"), PenetrationSpec.facade_mixture),
+}
+
+
+def _link(v: dict, built: dict, flags: list) -> float:
+    if v["frequency_hz"] <= 0.0:
+        raise ValueError("frequency_hz must be positive")
+    return v["frequency_hz"]
+
+
+def _wall(v: dict, built: dict, flags: list) -> WallSurface:
+    present = [k for k in _WALL_ROUGHNESS_KEYS if k in v]
+    if present and len(present) != len(_WALL_ROUGHNESS_KEYS):
+        raise ValueError(f"roughness needs all of {', '.join(_WALL_ROUGHNESS_KEYS)} "
+                         f"(got {', '.join(present)})")
+    roughness = (TelegraphRoughness(v["A_m"], v["p1"], v["p2"], 1.0 / v["mean_width_m"],
+                                    1.0 / v["mean_gap_m"]) if present else None)
+    return WallSurface(Dielectric(v["n_eff"]), roughness)
+
+
+def _canyon(v: dict, built: dict, flags: list) -> CanyonGeometry:
+    ground = DEFAULT_GROUND
+    if "ground_index" in v:
+        if v["ground_index"] <= math.sqrt(2.0):
+            # the parallel low-grazing ground reflection is singular there
+            raise ValueError(f"ground_index must exceed sqrt(2), got {v['ground_index']:g}")
+        ground = Dielectric(v["ground_index"])
+    return CanyonGeometry(v["width_m"], v["tx_height_m"], v["rx_height_m"],
+                          built.get("wall"), ground,
+                          tx_offset_m=v.get("tx_offset_m", 0.0),
+                          rx_offset_m=v.get("rx_offset_m", 0.0))
+
+
+def _foliage(v: dict, built: dict, flags: list) -> FoliageLayer:
+    kappa = v["kappa_np_per_m"]
+    if kappa == "auto":
+        if "link" not in built:
+            raise ValueError("kappa_np_per_m=auto needs [link] frequency_hz")
+        kappa = morphology.kappa_v_at_frequency(built["link"])
+        if not 1e9 <= built["link"] <= 100e9:
+            flags.append(FLAG_KAPPA_EXTRAPOLATED)
+    # the block's keys are the FoliageLayer fields
+    return FoliageLayer(**{**v, "kappa_np_per_m": kappa})
+
+
+def _penetration(v: dict, built: dict, flags: list) -> PenetrationSpec:
+    keys, make = _VARIANTS[v["variant"]]
+    missing = [k for k in keys if k not in v]
+    if missing:
+        raise ValueError(f"{v['variant']} variant needs {', '.join(missing)}")
+    args = [v[k] for k in keys]
+    if v["variant"] != "facade":  # the mixture carries its own transmissions
+        args.append(v.get("material_t2", 1.0))
+    return make(*args)
+
+
+def _street(v: dict, built: dict, flags: list) -> StreetScene:
+    if "canyon" not in built or "foliage" not in built:
+        raise ValueError("needs the [canyon] and [foliage] blocks")
+    return StreetScene(
+        built["canyon"], built["foliage"], v["standoff_m"], rho_v=v.get("rho_v"),
+        kappa_extra_np_per_m=(v.get("kappa_ped_np_per_m", 0.0)
+                              + v.get("kappa_scaff_np_per_m", 0.0)),
+        direct_veg_path_m=v.get("direct_veg_path_m"),
+    )
+
+
+# section -> ({key: kind}, required keys, builder(values, built, flags)).
+# kind is _FLOAT, _AUTO (a number or "auto") or a tuple of choices.  Blocks
+# are built in this order, so a builder may read the blocks above it from
+# `built`; it raises ValueError, which load_config names with the block.
+BLOCKS = {
+    "link": ({"frequency_hz": _FLOAT}, ("frequency_hz",), _link),
+    "wall": ({"n_eff": _FLOAT, "A_m": _FLOAT, "p1": _FLOAT, "p2": _FLOAT,
+              "mean_width_m": _FLOAT, "mean_gap_m": _FLOAT}, ("n_eff",), _wall),
+    "canyon": ({"width_m": _FLOAT, "tx_height_m": _FLOAT, "rx_height_m": _FLOAT,
+                "ground_index": _FLOAT, "tx_offset_m": _FLOAT,
+                "rx_offset_m": _FLOAT},
+               ("width_m", "tx_height_m", "rx_height_m"), _canyon),
+    "foliage": ({"depth_m": _FLOAT, "kappa_np_per_m": _AUTO,
+                 "n_tree_per_m": _FLOAT, "tree_width_m": _FLOAT,
+                 "tree_height_m": _FLOAT, "veg_start_m": _FLOAT},
+                ("depth_m", "kappa_np_per_m"), _foliage),
+    "penetration": ({"variant": tuple(_VARIANTS), "material_t2": _FLOAT,
+                     "w1_m": _FLOAT, "w2_m": _FLOAT, "p_window": _FLOAT,
+                     "t_window2": _FLOAT, "t_wall2": _FLOAT},
+                    ("variant",), _penetration),
+    "macro": ({"z_bs_m": _FLOAT, "z_c_m": _FLOAT, "z_m_m": _FLOAT,
+               "street_width_m": _FLOAT},
+              ("z_bs_m", "z_c_m", "z_m_m", "street_width_m"),
+              lambda v, *_: MacroGeometry(v["z_bs_m"], v["z_c_m"], v["z_m_m"],
+                                          v["street_width_m"])),
+    "indoor": ({"kappa_np_per_m": _FLOAT, "depth_m": _FLOAT},
+               ("kappa_np_per_m", "depth_m"), lambda v, *_: IndoorClutter(**v)),
+    "street": ({"standoff_m": _FLOAT, "rho_v": _FLOAT,
+                "kappa_ped_np_per_m": _FLOAT, "kappa_scaff_np_per_m": _FLOAT,
+                "direct_veg_path_m": _FLOAT}, ("standoff_m",), _street),
+}
 
 
 def _parse_sections(path) -> dict[str, dict[str, str]]:
@@ -82,12 +164,12 @@ def _parse_sections(path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"{path}: cannot read config file")
     out = {}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in BLOCKS:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; known: "
-                + ", ".join(sorted(SCHEMA))
+                + ", ".join(sorted(BLOCKS))
             )
-        allowed = SCHEMA[section]
+        allowed = BLOCKS[section][0]
         values = {}
         for key, raw in parser[section].items():
             if key not in allowed:
@@ -100,198 +182,46 @@ def _parse_sections(path) -> dict[str, dict[str, str]]:
     return out
 
 
-def _floats(path, section: str, values: dict[str, str],
-            allow_auto: tuple[str, ...] = ()) -> dict:
+def _convert(kinds: dict, raw_values: dict[str, str]) -> dict:
     out = {}
-    for key, raw in values.items():
-        kind = SCHEMA[section][key]
+    for key, raw in raw_values.items():
+        kind = kinds[key]
         if isinstance(kind, tuple):
             if raw not in kind:
-                raise ConfigError(
-                    f"{path}: [{section}] {key} must be one of {kind}, got {raw!r}"
-                )
+                raise ValueError(f"{key} must be one of {kind}, got {raw!r}")
             out[key] = raw
-            continue
-        if kind == "float_or_auto" and raw == "auto":
-            out[key] = "auto"
-            continue
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: [{section}] {key} must be a number, got {raw!r}"
-            ) from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: [{section}] {key} must be finite")
-        out[key] = value
+        elif kind == _AUTO and raw == "auto":
+            out[key] = raw
+        else:
+            try:
+                out[key] = float(raw)
+            except ValueError:
+                raise ValueError(f"{key} must be a number, got {raw!r}") from None
+            if not math.isfinite(out[key]):
+                raise ValueError(f"{key} must be finite")
     return out
 
 
-def _require(path, section: str, values: dict, keys: tuple[str, ...]):
-    missing = [k for k in keys if k not in values]
-    if missing:
-        raise ConfigError(
-            f"{path}: [{section}] missing required key(s): {', '.join(missing)}"
-        )
-
-
 def load_config(path) -> EnvironmentConfig:
-    """Parse and validate an environment config file."""
+    """Parse an environment config file and build each of its blocks.
+
+    Raises ConfigError naming the file and the block.
+    """
     sections = _parse_sections(path)
-    flags: list[str] = []
-
-    frequency_hz = None
-    if "link" in sections:
-        values = _floats(path, "link", sections["link"])
-        _require(path, "link", values, ("frequency_hz",))
-        frequency_hz = values["frequency_hz"]
-        if frequency_hz <= 0.0:
-            raise ConfigError(f"{path}: [link] frequency_hz must be positive")
-
-    wall = None
-    if "wall" in sections:
-        values = _floats(path, "wall", sections["wall"])
-        _require(path, "wall", values, ("n_eff",))
-        present = [k for k in _WALL_ROUGHNESS_KEYS if k in values]
-        if present and len(present) != len(_WALL_ROUGHNESS_KEYS):
-            raise ConfigError(
-                f"{path}: [wall] roughness needs all of "
-                f"{', '.join(_WALL_ROUGHNESS_KEYS)} (got {', '.join(present)})"
-            )
+    built, flags = {}, []
+    for section, (kinds, required, build) in BLOCKS.items():
+        if section not in sections:
+            continue
         try:
-            roughness = None
-            if present:
-                roughness = TelegraphRoughness(
-                    values["A_m"], values["p1"], values["p2"],
-                    1.0 / values["mean_width_m"], 1.0 / values["mean_gap_m"],
-                )
-            wall = WallSurface(Dielectric(values["n_eff"]), roughness)
+            values = _convert(kinds, sections[section])
+            missing = [k for k in required if k not in values]
+            if missing:
+                raise ValueError(f"missing required key(s): {', '.join(missing)}")
+            built[section] = build(values, built, flags)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{path}: [wall] {exc}") from exc
-
-    canyon_dims = None
-    if "canyon" in sections:
-        values = _floats(path, "canyon", sections["canyon"])
-        _require(path, "canyon", values,
-                 ("width_m", "tx_height_m", "rx_height_m"))
-        if "ground_index" in values and values["ground_index"] <= math.sqrt(2.0):
-            # the parallel low-grazing ground reflection is singular there
-            raise ConfigError(
-                f"{path}: [canyon] ground_index must exceed sqrt(2), "
-                f"got {values['ground_index']:g}"
-            )
-        canyon_dims = values
-
-    foliage = None
-    if "foliage" in sections:
-        values = _floats(path, "foliage", sections["foliage"])
-        _require(path, "foliage", values, ("depth_m", "kappa_np_per_m"))
-        kappa = values["kappa_np_per_m"]
-        if kappa == "auto":
-            if frequency_hz is None:
-                raise ConfigError(
-                    f"{path}: [foliage] kappa_np_per_m=auto needs [link] frequency_hz"
-                )
-            kappa = morphology.kappa_v_at_frequency(frequency_hz)
-            if not 1e9 <= frequency_hz <= 100e9:
-                flags.append(FLAG_KAPPA_EXTRAPOLATED)
-        try:
-            foliage = FoliageLayer(
-                values["depth_m"], kappa,
-                n_tree_per_m=values.get("n_tree_per_m", 0.0),
-                tree_width_m=values.get("tree_width_m", 0.0),
-                tree_height_m=values.get("tree_height_m", 0.0),
-                veg_start_m=values.get("veg_start_m", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [foliage] {exc}") from exc
-
-    penetration = None
-    if "penetration" in sections:
-        values = _floats(path, "penetration", sections["penetration"])
-        _require(path, "penetration", values, ("variant",))
-        try:
-            penetration = _build_penetration(values)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [penetration] {exc}") from exc
-
-    macro = None
-    if "macro" in sections:
-        values = _floats(path, "macro", sections["macro"])
-        _require(path, "macro", values,
-                 ("z_bs_m", "z_c_m", "z_m_m", "street_width_m"))
-        try:
-            macro = MacroGeometry(values["z_bs_m"], values["z_c_m"],
-                                  values["z_m_m"], values["street_width_m"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [macro] {exc}") from exc
-
-    indoor = None
-    if "indoor" in sections:
-        values = _floats(path, "indoor", sections["indoor"])
-        _require(path, "indoor", values, ("kappa_np_per_m", "depth_m"))
-        try:
-            indoor = IndoorClutter(values["kappa_np_per_m"], values["depth_m"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [indoor] {exc}") from exc
-
-    street = None
-    if "street" in sections:
-        street = _floats(path, "street", sections["street"])
-
-    return EnvironmentConfig(str(path), frequency_hz, wall, canyon_dims,
-                             foliage, penetration, macro, indoor, street,
-                             tuple(flags))
-
-
-def _build_penetration(values: dict) -> PenetrationSpec:
-    variant = values["variant"]
-    t2 = values.get("material_t2", 1.0)
-    if variant == "unbounded":
-        return PenetrationSpec.unbounded(t2)
-    if variant == "street":
-        if "w1_m" not in values:
-            raise ValueError("street variant needs w1_m")
-        return PenetrationSpec.street(values["w1_m"], t2)
-    if variant == "aperture":
-        missing = [k for k in ("w1_m", "w2_m") if k not in values]
-        if missing:
-            raise ValueError(f"aperture variant needs {', '.join(missing)}")
-        return PenetrationSpec.aperture(values["w1_m"], values["w2_m"], t2)
-    missing = [k for k in ("p_window", "t_window2", "t_wall2")
-               if k not in values]
-    if missing:
-        raise ValueError(f"facade variant needs {', '.join(missing)}")
-    return PenetrationSpec.facade_mixture(values["p_window"],
-                                          values["t_window2"],
-                                          values["t_wall2"])
-
-
-def _canyon_geometry(cfg: EnvironmentConfig) -> CanyonGeometry:
-    dims = cfg.canyon_dims
-    ground = (Dielectric(dims["ground_index"]) if "ground_index" in dims
-              else DEFAULT_GROUND)
-    return CanyonGeometry(
-        dims["width_m"], dims["tx_height_m"], dims["rx_height_m"], cfg.wall,
-        ground, tx_offset_m=dims.get("tx_offset_m", 0.0),
-        rx_offset_m=dims.get("rx_offset_m", 0.0),
-    )
-
-
-def _street_scene(cfg: EnvironmentConfig) -> StreetScene:
-    geometry = _canyon_geometry(cfg)
-    street = cfg.street
-    kappa_extra = (street.get("kappa_ped_np_per_m", 0.0)
-                   + street.get("kappa_scaff_np_per_m", 0.0))
-    try:
-        return StreetScene(
-            geometry, cfg.foliage, street["standoff_m"],
-            rho_v=street.get("rho_v"),
-            kappa_extra_np_per_m=kappa_extra,
-            direct_veg_path_m=street.get("direct_veg_path_m"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [street] {exc}") from exc
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    frequency_hz = built.pop("link", None)
+    return EnvironmentConfig(str(path), frequency_hz, flags=tuple(flags), **built)
 
 
 def _bind(law, f_hz: float, *scene):
@@ -310,28 +240,28 @@ def _bind_friis(lam: float):
 _STREET = ("foliage", "street", "canyon")
 
 # morphology -> (config blocks it needs, builder(cfg, frequency_hz) that
-# returns the range -> GainResult evaluator)
+# returns the range -> GainResult law)
 MORPHOLOGIES = {
     "los_corridor": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
-        los_gain_incoherent, f_hz, _canyon_geometry(cfg))),
+        los_gain_incoherent, f_hz, cfg.canyon)),
     "los_corridor_coherent": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
-        los_gain_coherent, f_hz, _canyon_geometry(cfg))),
+        los_gain_coherent, f_hz, cfg.canyon)),
     "suburban_street": (_STREET, lambda cfg, f_hz: _bind(
-        morphology.suburban_street_gain, f_hz, _street_scene(cfg))),
+        morphology.suburban_street_gain, f_hz, cfg.street)),
     "suburban_indoor": (_STREET + ("indoor", "penetration"), lambda cfg, f_hz: _bind(
-        morphology.suburban_indoor_gain, f_hz, _street_scene(cfg), cfg.indoor,
+        morphology.suburban_indoor_gain, f_hz, cfg.street, cfg.indoor,
         cfg.penetration)),
     "over_top": (("macro", "foliage"), lambda cfg, f_hz: _bind(
         morphology.overtop_gain, f_hz, cfg.macro, cfg.foliage.kappa_np_per_m)),
     "rural": (("macro", "foliage"), lambda cfg, f_hz: _bind(
         morphology.rural_gain, f_hz, cfg.macro, cfg.foliage)),
     "outdoor_indoor": (("canyon", "wall", "penetration", "indoor"), lambda cfg, f_hz: _bind(
-        morphology.outdoor_indoor_canyon_gain, f_hz, _canyon_geometry(cfg),
-        cfg.penetration, cfg.indoor)),
+        morphology.outdoor_indoor_canyon_gain, f_hz, cfg.canyon, cfg.penetration,
+        cfg.indoor)),
     "sidewalk_trees": (_STREET + ("wall",), lambda cfg, f_hz: _bind(
-        morphology.canyon_with_trees_gain, f_hz, _street_scene(cfg))),
+        morphology.canyon_with_trees_gain, f_hz, cfg.street)),
     "canyon_total": (_STREET + ("wall", "macro"), lambda cfg, f_hz: _bind(
-        morphology.canyon_total_gain, f_hz, _street_scene(cfg), cfg.macro)),
+        morphology.canyon_total_gain, f_hz, cfg.street, cfg.macro)),
     "friis": ((), lambda cfg, f_hz: _bind_friis(wavelength_m(f_hz))),
 }
 
@@ -339,7 +269,9 @@ MORPHOLOGIES = {
 def make_evaluator(cfg: EnvironmentConfig, name: str):
     """Build range -> GainResult for a morphology from a config.
 
-    Raises ConfigError naming any missing blocks or fields.
+    Raises ConfigError naming any missing blocks.  The evaluator raises
+    ValueError naming the morphology and the range where the gain
+    underflows to 0.
     """
     if name not in MORPHOLOGIES:
         raise ConfigError(
@@ -350,23 +282,18 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         raise ConfigError(
             f"{cfg.path}: morphology {name!r} needs [link] frequency_hz"
         )
-    missing = [block for block in blocks
-               if getattr(cfg, "canyon_dims" if block == "canyon" else block) is None]
+    missing = [block for block in blocks if getattr(cfg, block) is None]
     if missing:
         raise ConfigError(
             f"{cfg.path}: morphology {name!r} needs config "
             f"block(s): {', '.join(missing)}"
         )
-    if "street" in blocks and "standoff_m" not in cfg.street:
-        raise ConfigError(
-            f"{cfg.path}: morphology {name!r} needs [street] standoff_m"
-        )
-    evaluator = build(cfg, cfg.frequency_hz)
-    if cfg.flags:
-        inner = evaluator
+    law = build(cfg, cfg.frequency_hz)
 
-        def flagged(range_m: float) -> GainResult:
-            return inner(range_m).with_flags(*cfg.flags)
+    def evaluate(range_m: float) -> GainResult:
+        result = law(range_m)
+        if result.gain <= 0.0:
+            raise ValueError(f"{name} gain underflows to 0 at range {range_m:g} m")
+        return result.with_flags(*cfg.flags) if cfg.flags else result
 
-        return flagged
-    return evaluator
+    return evaluate

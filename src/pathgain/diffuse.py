@@ -120,13 +120,18 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     if depth_m is None or depth_m <= 0.0:
         raise ValueError(f"{spec.variant} variant needs a positive depth")
     if spec.variant == STREET:
-        angle = math.atan(spec.width1_m / (2.0 * depth_m))
-    else:
-        w1, w2 = spec.width1_m, spec.width2_m
-        angle = math.atan(
-            w1 * w2 / (2.0 * depth_m * math.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
-        )
+        return strip_t_eff(spec.width1_m, depth_m, spec.material_t2)
+    w1, w2 = spec.width1_m, spec.width2_m
+    angle = math.atan(
+        w1 * w2 / (2.0 * depth_m * math.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
+    )
     return spec.material_t2 * (2.0 / math.pi) * angle
+
+
+def strip_t_eff(width_m: float, depth_m: float, material_t2: float = 1.0) -> float:
+    """T_eff of a street opening of width w1 at depth d > 0 behind it:
+    |T|^2 (2/pi) atan(w1 / (2 d)), without building a PenetrationSpec."""
+    return material_t2 * (2.0 / math.pi) * math.atan(width_m / (2.0 * depth_m))
 
 
 def quartic_gain(wavelength_m: float, standoff_m: float, range_m: float,

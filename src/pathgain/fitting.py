@@ -125,8 +125,33 @@ def fit_slope_intercept(dataset: MeasurementDataset) -> FitResult:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     residual = y - (intercept + slope * x)
-    rmse = float(np.sqrt(np.mean(residual**2)))
-    return FitResult(SlopeIntercept(intercept, -slope / 10.0), rmse, len(dataset))
+    return FitResult(SlopeIntercept(intercept, -slope / 10.0), rms_db(residual),
+                     len(dataset))
+
+
+def rms_db(residual_db: np.ndarray) -> float:
+    """Root mean square of residuals in dB."""
+    return float(np.sqrt(np.mean(residual_db**2)))
+
+
+def model_predictions_db(dataset: MeasurementDataset, predict_db) -> np.ndarray:
+    """predict_db (range in meters -> path gain in dB) at every record's
+    range, called once per record.
+
+    Evaluation failures are reported with the record index.
+    """
+    if len(dataset) == 0:
+        raise DatasetError("dataset is empty")
+    predicted = np.empty(len(dataset))
+    for i, rec in enumerate(dataset.records):
+        try:
+            predicted[i] = predict_db(rec.range_m)
+        except Exception as exc:
+            raise DatasetError(
+                f"model evaluation failed on record {i} (range "
+                f"{rec.range_m} m): {exc}"
+            ) from exc
+    return predicted
 
 
 def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
@@ -136,18 +161,7 @@ def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
     mean-bias removal: a constant model offset shows up in full.
     Evaluation failures are reported with the record index.
     """
-    if len(dataset) == 0:
-        raise DatasetError("dataset is empty")
-    errors = np.empty(len(dataset))
-    for i, rec in enumerate(dataset.records):
-        try:
-            errors[i] = rec.path_gain_db - predict_db(rec.range_m)
-        except Exception as exc:
-            raise DatasetError(
-                f"model evaluation failed on record {i} (range "
-                f"{rec.range_m} m): {exc}"
-            ) from exc
-    return float(np.sqrt(np.mean(errors**2)))
+    return rms_db(dataset.gains_db - model_predictions_db(dataset, predict_db))
 
 
 @dataclass(frozen=True)

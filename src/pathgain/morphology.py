@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import surface
 from .canyon import CanyonGeometry, ground_bounce
-from .diffuse import PenetrationSpec, enhancement_factors, quartic_gain, t_eff
+from .diffuse import (PenetrationSpec, enhancement_factors, quartic_gain,
+                      strip_t_eff, t_eff)
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult
 from .surface import DEFAULT_GROUND, Dielectric
@@ -268,10 +269,7 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link,
     ds = macro.base_height_m - macro.clutter_height_m
     depth = macro.clutter_height_m - macro.mobile_height_m
     r = math.hypot(link.range_m, ds)
-    if wide_street:
-        teff = 1.0
-    else:
-        teff = t_eff(PenetrationSpec.street(macro.street_width_m), depth)
+    teff = 1.0 if wide_street else strip_t_eff(macro.street_width_m, depth)
     if gamma_g2 is None:
         gamma_g2 = ground_bounce(macro.base_height_m - macro.mobile_height_m,
                                  link.range_m,

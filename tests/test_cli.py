@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ class TestPredict:
         assert out == ""
         assert err.startswith("pathgain: error: ")
         assert err.count("\n") == 1
+        assert "rural" in err and "range 20 m" in err
 
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
@@ -257,6 +259,23 @@ class TestEvaluateCommand:
         assert len(rows) == 40
         assert float(rows[0]["residual_db"]) == pytest.approx(2.0, abs=0.02)
 
+    def test_predictor_called_once_per_record(self, capsys, tmp_path,
+                                              monkeypatch):
+        data = self.make_synthetic(tmp_path, capsys)
+        calls = []
+
+        def counting_make_evaluator(cfg, name):
+            evaluator = make_evaluator(cfg, name)
+            return lambda r: calls.append(r) or evaluator(r)
+
+        monkeypatch.setattr(cli, "make_evaluator", counting_make_evaluator)
+        code, _, _ = run_cli(capsys, "evaluate", str(data),
+                             "configs/sidewalk_sparse_trees_28ghz.ini",
+                             "canyon_total", "--output",
+                             str(tmp_path / "residuals.csv"))
+        assert code == 0
+        assert len(calls) == 40
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
@@ -280,6 +299,10 @@ class TestDeterminism:
             assert code == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+
+_CANYON = "[canyon]\nwidth_m = 20\ntx_height_m = 3\nrx_height_m = 1\n"
+_FOLIAGE = "[foliage]\ndepth_m = 5\nkappa_np_per_m = 0.3\n"
 
 
 class TestConfigValidation:
@@ -339,4 +362,25 @@ class TestConfigValidation:
         path = tmp_path / "bad.ini"
         path.write_text("[link]\nfrequency_hz = fast\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="must be a number"):
+            load_config(path)
+
+    def test_canyon_error_names_file_and_block(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[canyon]\nwidth_m = 1.6\ntx_height_m = 2.2\n"
+                        "rx_height_m = 1.0\ntx_offset_m = 0.9\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                           r"\[canyon\] antenna offsets"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        _CANYON + _FOLIAGE + "[street]\nrho_v = 0.5\n",
+        _FOLIAGE + "[street]\nstandoff_m = 20\n",
+        _CANYON + "[street]\nstandoff_m = 20\n",
+    ], ids=["no_standoff", "no_canyon", "no_foliage"])
+    def test_street_needs_standoff_canyon_and_foliage(self, tmp_path, text):
+        path = tmp_path / "street.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(str(path))}: \[street\] "):
             load_config(path)
