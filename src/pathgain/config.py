@@ -98,14 +98,17 @@ def _foliage(v: dict, built: dict, flags: list) -> FoliageLayer:
 
 
 def _penetration(v: dict, built: dict, flags: list) -> PenetrationSpec:
-    keys, make = _VARIANTS[v["variant"]]
+    variant = v["variant"]
+    keys, make = _VARIANTS[variant]
+    # the mixture carries its own transmissions; the others default to 1
+    optional = () if variant == "facade" else ("material_t2",)
+    extra = [k for k in v if k not in ("variant", *keys, *optional)]
+    if extra:
+        raise ValueError(f"{variant} variant does not take {', '.join(extra)}")
     missing = [k for k in keys if k not in v]
     if missing:
-        raise ValueError(f"{v['variant']} variant needs {', '.join(missing)}")
-    args = [v[k] for k in keys]
-    if v["variant"] != "facade":  # the mixture carries its own transmissions
-        args.append(v.get("material_t2", 1.0))
-    return make(*args)
+        raise ValueError(f"{variant} variant needs {', '.join(missing)}")
+    return make(*(v[k] for k in keys + optional if k in v))
 
 
 def _street(v: dict, built: dict, flags: list) -> StreetScene:

@@ -5,7 +5,8 @@ sharing the approximation under test: image sums use exact image distances
 and per-bounce angles (no small-offset expansion), reflection-order series
 are summed term by term with exact image standoffs, and the hot-wall and
 roughness integrals are evaluated by adaptive quadrature with the
-unapproximated kernels.
+unapproximated kernels.  scipy.integrate is imported inside the three
+quadrature oracles only, so the closed-form commands never pay its start-up.
 """
 
 import math
@@ -13,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import surface
 from .canyon import LosLink, ground_bounce
@@ -261,6 +261,8 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     aperture expression makes; the default integrates the exact
     exp(-kappa r') kernel.
     """
+    from scipy import integrate
+
     d_in = link.depth_m
     kappa = link.kappa_np_per_m
     rel = max(ctl.rel_tol, 1e-11)
@@ -298,6 +300,8 @@ def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
     r' dr' = rho' drho' collapses the polar integral exactly; must agree
     with the 2-D quadrature and with the closed form.
     """
+    from scipy import integrate
+
     d_in, kappa = link.depth_m, link.kappa_np_per_m
     value, _ = integrate.quad(
         lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, False),
@@ -322,6 +326,8 @@ def roughness_loss_integral(theta_rad: float,
     the band where it is real.  Returns the loss term; the closed-form
     counterpart is surface.roughness_loss_rate(...) * theta.
     """
+    from scipy import integrate
+
     k = wavenumber
     if general_bracket:
         chi_max = k * (1.0 + math.cos(theta_rad))

@@ -63,22 +63,6 @@ def uma_nlos_36814(street_width_m: float, building_height_m: float,
             - (3.2 * math.log10(11.75 * z_m) ** 2 - 4.97))
 
 
-def uma_nlos_36814_applicability(street_width_m: float, building_height_m: float,
-                                 base_height_m: float,
-                                 mobile_height_m: float) -> tuple[str, ...]:
-    """Out-of-range flags for the TR 36.814 model (flag, don't reject)."""
-    flags = []
-    if not 5.0 < street_width_m < 50.0:
-        flags.append("street_width_outside_5_50m")
-    if not 5.0 < building_height_m < 50.0:
-        flags.append("building_height_outside_5_50m")
-    if not 10.0 < base_height_m < 150.0:
-        flags.append("base_height_outside_10_150m")
-    if not 1.0 < mobile_height_m < 10.0:
-        flags.append("mobile_height_outside_1_10m")
-    return tuple(flags)
-
-
 # TR 38.901 V16.1.0 Table 7.4.1-1 pathloss coefficients.  Breakpoint models:
 # PL1 = a + b log10(d3D) + 20 log10(fc); beyond the breakpoint
 # PL2 = a + 40 log10(d3D) + 20 log10(fc) - c log10(dBP'^2 + (hBS-hUT)^2),
@@ -86,23 +70,18 @@ def uma_nlos_36814_applicability(street_width_m: float, building_height_m: float
 # NLOS rows give PL' and the standard takes max(PL_LOS, PL').
 TR38901 = {
     "UMa": {  # Table 7.4.1-1 UMa rows
-        "los": {"a": 28.0, "b": 22.0, "c": 9.0, "h_e": 1.0,
-                "d2d_max": 5000.0},
-        "nlos": {"a": 13.54, "b": 39.08, "f": 20.0, "hut": 0.6,
-                 "d2d_max": 5000.0},
+        "los": {"a": 28.0, "b": 22.0, "c": 9.0, "h_e": 1.0},
+        "nlos": {"a": 13.54, "b": 39.08, "f": 20.0, "hut": 0.6},
         "default_h_bs": 25.0,
     },
     "UMi": {  # Table 7.4.1-1 UMi street-canyon rows
-        "los": {"a": 32.4, "b": 21.0, "c": 9.5, "h_e": 1.0,
-                "d2d_max": 5000.0},
-        "nlos": {"a": 22.4, "b": 35.3, "f": 21.3, "hut": 0.3,
-                 "d2d_max": 5000.0},
+        "los": {"a": 32.4, "b": 21.0, "c": 9.5, "h_e": 1.0},
+        "nlos": {"a": 22.4, "b": 35.3, "f": 21.3, "hut": 0.3},
         "default_h_bs": 10.0,
     },
     "InH": {  # Table 7.4.1-1 InH office rows (no breakpoint)
-        "los": {"a": 32.4, "b": 17.3, "d3d_max": 150.0},
-        "nlos": {"a": 17.30, "b": 38.3, "f": 24.9, "hut": 0.0,
-                 "d3d_max": 86.0},
+        "los": {"a": 32.4, "b": 17.3},
+        "nlos": {"a": 17.30, "b": 38.3, "f": 24.9, "hut": 0.0},
         "default_h_bs": 3.0,
     },
 }
@@ -199,18 +178,3 @@ def o2i_low_loss_db(f_ghz: float, indoor_depth_m: float) -> float:
     )
     return through_wall + t["indoor_slope_db_per_m"] * indoor_depth_m
 
-
-def tr38901_applicability(scenario: ThreeGppScenario,
-                          distance_m: float) -> tuple[str, ...]:
-    """Distance-range flags for a 38.901 evaluation (flag, don't reject)."""
-    fam = scenario.family
-    flags = []
-    if fam == "InH":
-        cond = scenario.condition.lower()
-        d_max = TR38901[fam][cond]["d3d_max"]
-        if not 1.0 <= distance_m <= d_max:
-            flags.append(f"inh_distance_outside_1_{d_max:g}m")
-    else:
-        if not 10.0 <= distance_m <= TR38901[fam]["los"]["d2d_max"]:
-            flags.append("distance_outside_10_5000m")
-    return tuple(flags)

@@ -384,3 +384,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError,
                            match=rf"^{re.escape(str(path))}: \[street\] "):
             load_config(path)
+
+    @pytest.mark.parametrize("variant, extra", [
+        ("facade\np_window = 0.1\nt_window2 = 1.0\nt_wall2 = 0.0",
+         "material_t2 = 0.01"),
+        ("unbounded", "w1_m = 3.0"),
+        ("unbounded", "w2_m = 2.0"),
+        ("street\nw1_m = 3.0", "w2_m = 2.0"),
+        ("aperture\nw1_m = 3.0\nw2_m = 2.0", "p_window = 0.1"),
+    ], ids=["facade_material_t2", "unbounded_w1", "unbounded_w2",
+            "street_w2", "aperture_p_window"])
+    def test_penetration_key_the_variant_does_not_take(self, tmp_path,
+                                                        variant, extra):
+        path = tmp_path / "pen.ini"
+        path.write_text(f"[penetration]\nvariant = {variant}\n{extra}\n",
+                        encoding="utf-8")
+        name, key = variant.split()[0], extra.split()[0]
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(str(path))}: \[penetration\] {name} variant "
+                rf"does not take {key}$")):
+            load_config(path)
+
+    def test_penetration_material_t2_optional(self, tmp_path):
+        path = tmp_path / "pen.ini"
+        path.write_text("[penetration]\nvariant = aperture\nw1_m = 3.0\n"
+                        "w2_m = 2.0\nmaterial_t2 = 0.5\n", encoding="utf-8")
+        assert load_config(path).penetration.material_t2 == 0.5
+        path.write_text("[penetration]\nvariant = unbounded\n", encoding="utf-8")
+        assert load_config(path).penetration.material_t2 == 1.0

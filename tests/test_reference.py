@@ -11,10 +11,8 @@ from pathgain.reference import (
     friis_gain,
     o2i_low_loss_db,
     slope_intercept_eval,
-    tr38901_applicability,
     tr38901_pathloss,
     uma_nlos_36814,
-    uma_nlos_36814_applicability,
 )
 from pathgain.units import wavelength_m
 
@@ -94,12 +92,6 @@ class TestUmaNlos36814:
         with pytest.raises(ValueError):
             uma_nlos_36814(0.0, 10.0, 14.0, 1.5, 28.0, 100.0)
 
-    def test_applicability_flags(self):
-        assert uma_nlos_36814_applicability(20.0, 10.0, 14.0, 1.5) == ()
-        flags = uma_nlos_36814_applicability(60.0, 10.0, 5.0, 1.5)
-        assert any("street_width" in f for f in flags)
-        assert any("base_height" in f for f in flags)
-
 
 class TestTr38901:
     def test_uma_los_before_breakpoint(self):
@@ -138,13 +130,6 @@ class TestTr38901:
         extra = tr38901_pathloss(o2i, 50.0) - tr38901_pathloss(base, 50.0)
         assert extra == pytest.approx(o2i_low_loss_db(3.5, 4.0), rel=1e-12)
         assert o2i_low_loss_db(3.5, 6.0) > o2i_low_loss_db(3.5, 2.0)
-
-    def test_applicability_flags(self):
-        scenario = ThreeGppScenario("UMa", "LOS", 28.0)
-        assert tr38901_applicability(scenario, 100.0) == ()
-        assert tr38901_applicability(scenario, 2.0) != ()
-        inh = ThreeGppScenario("InH", "NLOS", 28.0)
-        assert tr38901_applicability(inh, 100.0) != ()
 
     def test_unsupported_scenario_rejected(self):
         with pytest.raises(ValueError):
