@@ -8,9 +8,10 @@ bounded below by its direct term, so the law floors at free space and the
 result is flagged.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import surface
 from .reference import friis_gain
@@ -20,9 +21,10 @@ from .result import (
     FLAG_SHORT_RANGE,
     FLAG_SPREADING_REGIME,
     GainResult,
+    regime_flags,
 )
 from .surface import Dielectric, WallSurface
-from .units import wavelength_m, wavenumber_rad_m
+from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
 
 
 @dataclass(frozen=True)
@@ -42,40 +44,44 @@ class CanyonGeometry:
     rx_offset_m: float = 0.0
 
     def __post_init__(self):
-        if self.width_m <= 0.0:
-            raise ValueError("canyon width must be positive")
-        if self.tx_height_m <= 0.0 or self.rx_height_m <= 0.0:
-            raise ValueError("antenna heights must be positive")
+        require(self.width_m > 0.0, "canyon width must be positive", self.width_m)
+        require(self.tx_height_m > 0.0 and self.rx_height_m > 0.0,
+                "antenna heights must be positive",
+                self.tx_height_m, self.rx_height_m)
         half = self.width_m / 2.0
-        if abs(self.tx_offset_m) >= half or abs(self.rx_offset_m) >= half:
-            raise ValueError("antenna offsets must stay inside the canyon")
+        require(abs(self.tx_offset_m) < half and abs(self.rx_offset_m) < half,
+                "antenna offsets must stay inside the canyon")
 
 
 @dataclass(frozen=True)
 class LosLink:
-    """One transmitter-receiver placement in a canyon at a given frequency."""
+    """Transmitter-receiver placements in a canyon at a given frequency.
+
+    range_x_m is one horizontal range or an array of them, stored as a
+    float or a float array; every range-dependent quantity follows it.
+    """
 
     geometry: CanyonGeometry
-    range_x_m: float
+    range_x_m: float | np.ndarray
     frequency_hz: float
 
     def __post_init__(self):
-        if self.range_x_m <= 0.0:
-            raise ValueError("horizontal range must be positive")
-        if self.frequency_hz <= 0.0:
-            raise ValueError("frequency must be positive")
+        object.__setattr__(self, "range_x_m", positive_ranges(
+            self.range_x_m, "horizontal range must be positive"))
+        require(self.frequency_hz > 0.0, "frequency must be positive",
+                self.frequency_hz)
 
     @property
-    def slant_range_m(self) -> float:
+    def slant_range_m(self) -> np.ndarray:
         """Direct source-receiver distance r."""
         dz = self.geometry.tx_height_m - self.geometry.rx_height_m
-        return math.hypot(self.range_x_m, dz)
+        return np.hypot(self.range_x_m, dz)
 
     @property
-    def ground_image_range_m(self) -> float:
+    def ground_image_range_m(self) -> np.ndarray:
         """Distance r_g from the ground image of the source to the receiver."""
         zsum = self.geometry.tx_height_m + self.geometry.rx_height_m
-        return math.hypot(self.range_x_m, zsum)
+        return np.hypot(self.range_x_m, zsum)
 
     @property
     def wavelength_m(self) -> float:
@@ -100,51 +106,43 @@ def breakpoint_range_m(link: LosLink) -> float:
     return 4.0 * g.tx_height_m * g.rx_height_m / link.wavelength_m
 
 
-def ground_bounce(height_sum_m: float, horizontal_m: float,
-                  ground: Dielectric) -> float:
+def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
     """Ground field reflection coefficient Gamma_g (vertical polarization).
 
     The low-grazing parallel form at the ground-image grazing angle
-    asin((z_s + z)/r_g), r_g = hypot(horizontal, z_s + z).  Every law and
-    oracle that needs a default ground bounce calls this.
+    asin((z_s + z)/r_g), r_g = hypot(horizontal, z_s + z), for one
+    horizontal distance or an array of them.  Every law and oracle that
+    needs a default ground bounce calls this.
     """
-    theta_g = math.asin(height_sum_m / math.hypot(horizontal_m, height_sum_m))
+    theta_g = np.arcsin(height_sum_m / np.hypot(horizontal_m, height_sum_m))
     return surface.fresnel_low_grazing(theta_g, ground, surface.PARALLEL)
 
 
-def ground_reflection(link: LosLink) -> tuple[float, float]:
+def ground_reflection(link: LosLink) -> tuple[np.ndarray, np.ndarray]:
     """Ground-bounce field coefficient and its path length (Gamma_g, r_g)."""
     g = link.geometry
     gamma = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_x_m, g.ground)
     return gamma, link.ground_image_range_m
 
 
-def _regime_flags(g: CanyonGeometry, r: float, lam: float,
-                  wall_l: float) -> tuple[str, ...]:
-    flags = []
-    if r < 2.0 * g.width_m:
-        flags.append(FLAG_SHORT_RANGE)
-    if wall_l <= g.width_m / r:
-        flags.append(FLAG_SPREADING_REGIME)
-    half = g.width_m / 2.0
-    if min(half - abs(g.tx_offset_m), half - abs(g.rx_offset_m)) < lam:
-        # incoherent summation breaks within a wavelength of a wall
-        flags.append(FLAG_NEAR_WALL)
-    return tuple(flags)
-
-
-def _waveguide_prefactor(link: LosLink, friis_floor: bool) -> tuple[float, tuple[str, ...]]:
+def _waveguide_prefactor(link: LosLink, friis_floor: bool) -> tuple[np.ndarray, dict]:
     g = link.geometry
     r = link.slant_range_m
     lam = link.wavelength_m
     wall_l = link.wall_loss
     guided = lam**2 / (16.0 * math.pi**1.5 * math.sqrt(g.width_m * wall_l)
                        * r**1.5)
-    flags = _regime_flags(g, r, lam, wall_l)
-    friis = friis_gain(lam, r)
-    if friis_floor and friis > guided:
-        return friis, flags + (FLAG_FREE_SPACE_FLOOR,)
-    return guided, flags
+    half = g.width_m / 2.0
+    flags = [(FLAG_SHORT_RANGE, r < 2.0 * g.width_m),
+             (FLAG_SPREADING_REGIME, wall_l <= g.width_m / r),
+             # incoherent summation breaks within a wavelength of a wall
+             (FLAG_NEAR_WALL,
+              min(half - abs(g.tx_offset_m), half - abs(g.rx_offset_m)) < lam)]
+    if friis_floor:
+        friis = friis_gain(lam, r)
+        flags.append((FLAG_FREE_SPACE_FLOOR, friis > guided))
+        guided = np.maximum(friis, guided)
+    return guided, regime_flags(np.shape(r), *flags)
 
 
 def los_canyon_gain(link: LosLink, friis_floor: bool = True) -> GainResult:
@@ -179,5 +177,5 @@ def los_gain_coherent(link: LosLink, friis_floor: bool = True) -> GainResult:
     gamma, r_g = ground_reflection(link)
     k = link.wavenumber_rad_m
     r = link.slant_range_m
-    two_ray = abs(cmath.exp(1j * k * r) + gamma * cmath.exp(1j * k * r_g)) ** 2
+    two_ray = np.abs(np.exp(1j * k * r) + gamma * np.exp(1j * k * r_g)) ** 2
     return GainResult(prefactor * two_ray, r, flags)

@@ -8,7 +8,6 @@ inputs; all dB values are printed with two decimals.
 
 import argparse
 import io
-import math
 import sys
 
 import numpy as np
@@ -90,26 +89,44 @@ def _write(path, text: str):
             handle.write(text)
 
 
+def _flag_labels(flags: dict[str, np.ndarray], n: int) -> list[str]:
+    """The ';'-joined names of the flags set at each of n ranges."""
+    codes = np.zeros(n, dtype=np.int64)
+    for bit, mask in enumerate(flags.values()):
+        codes |= mask.astype(np.int64) << bit
+    labels = {code: ";".join(name for bit, name in enumerate(flags) if code >> bit & 1)
+              for code in np.unique(codes).tolist()}
+    return [labels[code] for code in codes.tolist()]
+
+
 def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     evaluator = make_evaluator(cfg, args.morphology)
     ranges = _parse_sweep(args.ranges)
-    results = [evaluator(float(r)) for r in ranges]
-    component_names = sorted({name for res in results for name in res.components})
-    buf = io.StringIO()
+    result = evaluator(ranges)
+    component_names = sorted(result.components)
     header = ["range_m", "path_gain_db"]
     header += [f"component_{name}_db" for name in component_names]
     header.append("flags")
-    buf.write(",".join(header) + "\n")
-    for r, res in zip(ranges, results):
-        row = [f"{r:.6g}", f"{res.gain_db:.2f}"]
-        for name in component_names:
-            value = res.components.get(name)
-            row.append("" if value is None or value <= 0.0
-                       else f"{10.0 * math.log10(value):.2f}")
-        row.append(";".join(res.flags))
-        buf.write(",".join(row) + "\n")
-    _write(args.output, buf.getvalue())
+    # one column per field, then one str.format per row
+    fields, columns = ["{:.6g}", "{:.2f}"], [ranges.tolist(), result.gain_db.tolist()]
+    for name in component_names:
+        value = result.components[name]
+        positive = value > 0.0
+        value_db = (10.0 * np.log10(np.where(positive, value, 1.0))).tolist()
+        if positive.all():
+            fields.append("{:.2f}")
+            columns.append(value_db)
+        else:
+            # a component that underflows to 0 has no dB value and prints empty
+            fields.append("{}")
+            columns.append([f"{v:.2f}" if ok else ""
+                            for v, ok in zip(value_db, positive.tolist())])
+    fields.append("{}")
+    columns.append(_flag_labels(result.flags, len(ranges)))
+    row = ",".join(fields) + "\n"
+    _write(args.output, ",".join(header) + "\n"
+           + "".join(row.format(*values) for values in zip(*columns)))
     return EXIT_OK
 
 
@@ -163,7 +180,8 @@ def cmd_fit(args) -> int:
 
 
 def _model_predictor(cfg, name: str):
-    """dB-valued range predictor for a morphology or reference model."""
+    """dB-valued predictor, over a range or an array of ranges, for a
+    morphology or reference model."""
     if name in MORPHOLOGIES:
         evaluator = make_evaluator(cfg, name)
         return lambda r: evaluator(r).gain_db

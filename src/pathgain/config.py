@@ -13,6 +13,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import morphology
 from .canyon import CanyonGeometry, LosLink, los_gain_coherent, los_gain_incoherent
 from .diffuse import PenetrationSpec
@@ -272,9 +274,12 @@ MORPHOLOGIES = {
 def make_evaluator(cfg: EnvironmentConfig, name: str):
     """Build range -> GainResult for a morphology from a config.
 
-    Raises ConfigError naming any missing blocks.  The evaluator raises
-    ValueError naming the morphology and the range where the gain
-    underflows to 0.
+    The evaluator takes one range or an array of ranges (the whole sweep in
+    one call) and returns gains, components and flags over them.  Raises
+    ConfigError naming any missing blocks.  The evaluator raises ValueError
+    for a range that is not finite and positive, and one naming the
+    morphology and the first range where the gain is not finite and
+    positive (for example where it underflows to 0).
     """
     if name not in MORPHOLOGIES:
         raise ConfigError(
@@ -293,10 +298,19 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         )
     law = build(cfg, cfg.frequency_hz)
 
-    def evaluate(range_m: float) -> GainResult:
-        result = law(range_m)
-        if result.gain <= 0.0:
-            raise ValueError(f"{name} gain underflows to 0 at range {range_m:g} m")
+    def evaluate(range_m) -> GainResult:
+        ranges = np.asarray(range_m, dtype=float)
+        # overflow and division by zero end in a gain the check below rejects
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            result = law(ranges)
+        gain = np.atleast_1d(result.gain)
+        bad = ~(gain > 0.0) | ~np.isfinite(gain)
+        if bad.any():
+            first = bad.argmax()
+            value, where = gain[first], np.atleast_1d(ranges)[first]
+            if value == 0.0:
+                raise ValueError(f"{name} gain underflows to 0 at range {where:g} m")
+            raise ValueError(f"{name} gain is {value} at range {where:g} m")
         return result.with_flags(*cfg.flags) if cfg.flags else result
 
     return evaluate

@@ -12,6 +12,10 @@ together with the material power transmission.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .units import everywhere, require
+
 UNBOUNDED = "unbounded"
 STREET = "street"
 APERTURE = "aperture"
@@ -41,11 +45,11 @@ class PenetrationSpec:
         if not 0.0 <= self.material_t2 <= 1.0:
             raise ValueError("material power transmission must be in [0, 1]")
         if self.variant in (STREET, APERTURE):
-            if self.width1_m is None or self.width1_m <= 0.0:
-                raise ValueError(f"{self.variant} variant needs width1_m > 0")
+            require(self.width1_m is not None and self.width1_m > 0.0,
+                    f"{self.variant} variant needs width1_m > 0", self.width1_m)
         if self.variant == APERTURE:
-            if self.width2_m is None or self.width2_m <= 0.0:
-                raise ValueError("aperture variant needs width2_m > 0")
+            require(self.width2_m is not None and self.width2_m > 0.0,
+                    "aperture variant needs width2_m > 0", self.width2_m)
         if self.variant == FACADE:
             for name in ("p_window", "t_window2", "t_wall2"):
                 value = getattr(self, name)
@@ -77,26 +81,27 @@ class DiffuseLink:
     """Geometry of one free-space-to-diffuse-region link.
 
     standoff_m: source distance d_s to the nearest boundary point.
-    range_m: source distance r to the center of the hot boundary region.
+    range_m: source distance r to the center of the hot boundary region
+        (one range or an array of them).
     depth_m: terminal depth d_in inside the scattering medium.
     kappa_np_per_m: intrinsic absorption of the medium (nepers/m).
     wavelength_m: carrier wavelength.
     """
 
     standoff_m: float
-    range_m: float
+    range_m: float | np.ndarray
     depth_m: float
     kappa_np_per_m: float
     wavelength_m: float
 
     def __post_init__(self):
-        if min(self.standoff_m, self.range_m, self.depth_m,
-               self.wavelength_m) <= 0.0:
-            raise ValueError("lengths must be positive")
-        if self.kappa_np_per_m < 0.0:
-            raise ValueError("absorption must be nonnegative")
-        if self.range_m < self.standoff_m:
-            raise ValueError("range must be at least the boundary standoff")
+        lengths = (self.standoff_m, self.range_m, self.depth_m, self.wavelength_m)
+        require(all(everywhere(x > 0.0) for x in lengths), "lengths must be positive",
+                *lengths)
+        require(self.kappa_np_per_m >= 0.0, "absorption must be nonnegative",
+                self.kappa_np_per_m)
+        require(self.range_m >= self.standoff_m,
+                "range must be at least the boundary standoff")
 
 
 def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
@@ -117,13 +122,13 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     if spec.variant == FACADE:
         return (spec.p_window * spec.t_window2
                 + (1.0 - spec.p_window) * spec.t_wall2)
-    if depth_m is None or depth_m <= 0.0:
-        raise ValueError(f"{spec.variant} variant needs a positive depth")
+    require(depth_m is not None and depth_m > 0.0,
+            f"{spec.variant} variant needs a positive depth", depth_m)
     if spec.variant == STREET:
         return strip_t_eff(spec.width1_m, depth_m, spec.material_t2)
     w1, w2 = spec.width1_m, spec.width2_m
-    angle = math.atan(
-        w1 * w2 / (2.0 * depth_m * math.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
+    angle = np.arctan(
+        w1 * w2 / (2.0 * depth_m * np.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
     )
     return spec.material_t2 * (2.0 / math.pi) * angle
 
@@ -131,15 +136,15 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
 def strip_t_eff(width_m: float, depth_m: float, material_t2: float = 1.0) -> float:
     """T_eff of a street opening of width w1 at depth d > 0 behind it:
     |T|^2 (2/pi) atan(w1 / (2 d)), without building a PenetrationSpec."""
-    return material_t2 * (2.0 / math.pi) * math.atan(width_m / (2.0 * depth_m))
+    return material_t2 * (2.0 / math.pi) * np.arctan(width_m / (2.0 * depth_m))
 
 
-def quartic_gain(wavelength_m: float, standoff_m: float, range_m: float,
-                 factor: float) -> float:
+def quartic_gain(wavelength_m: float, standoff_m: float, range_m, factor):
     """The quartic range law lambda^2 d_s^2 factor / (8 pi^2 r^4).
 
-    factor collects the transmission, absorption and bounce factors of the
-    scene; every quartic law in the package evaluates through here.
+    range_m and factor may be arrays over ranges.  factor collects the
+    transmission, absorption and bounce factors of the scene; every quartic
+    law in the package evaluates through here.
     """
     return (wavelength_m**2 * standoff_m**2 * factor
             / (8.0 * math.pi**2 * range_m**4))
@@ -157,14 +162,13 @@ def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     return quartic_gain(link.wavelength_m, link.standoff_m, link.range_m, factor)
 
 
-def enhancement_factors(gamma_g2: float, gamma_w2: float) -> float:
+def enhancement_factors(gamma_g2, gamma_w2):
     """Incoherent power enhancement (1 + |Gamma_g|^2)(1 + |Gamma_w|^2).
 
     gamma_g2 and gamma_w2 are the ground and back-wall power reflection
-    coefficients; the product lies in [1, 4].
+    coefficients, floats or arrays over ranges; the product lies in [1, 4].
     """
-    if not 0.0 <= gamma_g2 <= 1.0:
-        raise ValueError(f"gamma_g2 must be in [0, 1], got {gamma_g2}")
-    if not 0.0 <= gamma_w2 <= 1.0:
-        raise ValueError(f"gamma_w2 must be in [0, 1], got {gamma_w2}")
+    for name, value in (("gamma_g2", gamma_g2), ("gamma_w2", gamma_w2)):
+        if not everywhere((0.0 <= value) & (value <= 1.0)):
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
     return (1.0 + gamma_g2) * (1.0 + gamma_w2)

@@ -135,21 +135,29 @@ def rms_db(residual_db: np.ndarray) -> float:
 
 
 def model_predictions_db(dataset: MeasurementDataset, predict_db) -> np.ndarray:
-    """predict_db (range in meters -> path gain in dB) at every record's
-    range, called once per record.
+    """predict_db (ranges in meters -> path gain in dB) at every record's
+    range, called once with the array of all of them.
 
-    Evaluation failures are reported with the record index.
+    When that call fails, predict_db is called record by record with each
+    range as a float, so a failure is reported with the first failing
+    record's index, and a predictor that takes only floats still works.
     """
     if len(dataset) == 0:
         raise DatasetError("dataset is empty")
+    ranges = dataset.ranges_m
+    try:
+        return np.broadcast_to(np.asarray(predict_db(ranges), dtype=float),
+                               ranges.shape).copy()
+    except Exception:
+        pass  # searched for record by record below
     predicted = np.empty(len(dataset))
-    for i, rec in enumerate(dataset.records):
+    for i, range_m in enumerate(ranges.tolist()):
         try:
-            predicted[i] = predict_db(rec.range_m)
+            predicted[i] = predict_db(range_m)
         except Exception as exc:
             raise DatasetError(
                 f"model evaluation failed on record {i} (range "
-                f"{rec.range_m} m): {exc}"
+                f"{range_m} m): {exc}"
             ) from exc
     return predicted
 

@@ -11,14 +11,16 @@ analysis or to use an angle-averaged wall bounce instead of the maximum.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import surface
 from .canyon import CanyonGeometry, ground_bounce
 from .diffuse import (PenetrationSpec, enhancement_factors, quartic_gain,
                       strip_t_eff, t_eff)
 from .reference import friis_gain
-from .result import FLAG_GUIDED_RANGE, GainResult
+from .result import FLAG_GUIDED_RANGE, GainResult, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
-from .units import wavelength_m, wavenumber_rad_m
+from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
 
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
@@ -39,8 +41,7 @@ def kappa_v_at_frequency(frequency_hz: float) -> float:
     Values outside roughly 1-100 GHz are extrapolations of the same line and
     should be treated with caution.
     """
-    if frequency_hz <= 0.0:
-        raise ValueError("frequency must be positive")
+    require(frequency_hz > 0.0, "frequency must be positive", frequency_hz)
     (f_lo, k_lo), (f_hi, k_hi) = KAPPA_V_ANCHORS
     return k_lo + (k_hi - k_lo) * (frequency_hz - f_lo) / (f_hi - f_lo)
 
@@ -63,11 +64,13 @@ class FoliageLayer:
     veg_start_m: float = 0.0
 
     def __post_init__(self):
-        if self.depth_m < 0.0 or self.kappa_np_per_m < 0.0:
-            raise ValueError("foliage depth and absorption must be nonnegative")
-        if min(self.n_tree_per_m, self.tree_width_m, self.tree_height_m,
-               self.veg_start_m) < 0.0:
-            raise ValueError("tree density parameters must be nonnegative")
+        require(self.depth_m >= 0.0 and self.kappa_np_per_m >= 0.0,
+                "foliage depth and absorption must be nonnegative",
+                self.depth_m, self.kappa_np_per_m)
+        trees = (self.n_tree_per_m, self.tree_width_m, self.tree_height_m,
+                 self.veg_start_m)
+        require(all(x >= 0.0 for x in trees),
+                "tree density parameters must be nonnegative", *trees)
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,9 @@ class IndoorClutter:
     depth_m: float
 
     def __post_init__(self):
-        if self.kappa_np_per_m < 0.0 or self.depth_m < 0.0:
-            raise ValueError("indoor clutter parameters must be nonnegative")
+        require(self.kappa_np_per_m >= 0.0 and self.depth_m >= 0.0,
+                "indoor clutter parameters must be nonnegative",
+                self.kappa_np_per_m, self.depth_m)
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,11 @@ class MacroGeometry:
     street_width_m: float
 
     def __post_init__(self):
-        if not self.base_height_m > self.clutter_height_m > self.mobile_height_m >= 0.0:
-            raise ValueError(
-                "over-top laws need base height > clutter height > mobile height"
-            )
-        if self.street_width_m <= 0.0:
-            raise ValueError("street width must be positive")
+        require(self.base_height_m > self.clutter_height_m > self.mobile_height_m >= 0.0,
+                "over-top laws need base height > clutter height > mobile height",
+                self.base_height_m)
+        require(self.street_width_m > 0.0, "street width must be positive",
+                self.street_width_m)
 
 
 @dataclass(frozen=True)
@@ -119,24 +122,28 @@ class StreetScene:
     direct_veg_path_m: float | None = None
 
     def __post_init__(self):
-        if self.standoff_m <= 0.0:
-            raise ValueError("standoff must be positive")
-        if self.rho_v is not None and not 0.0 <= self.rho_v <= 1.0:
-            raise ValueError("rho_v must be in [0, 1]")
-        if self.kappa_extra_np_per_m < 0.0:
-            raise ValueError("extra absorption must be nonnegative")
+        require(self.standoff_m > 0.0, "standoff must be positive", self.standoff_m)
+        require(self.rho_v is None or 0.0 <= self.rho_v <= 1.0,
+                "rho_v must be in [0, 1]")
+        require(self.kappa_extra_np_per_m >= 0.0,
+                "extra absorption must be nonnegative", self.kappa_extra_np_per_m)
 
 
 @dataclass(frozen=True)
 class Link:
-    """Horizontal range and carrier for one evaluation point."""
+    """Horizontal range, or an array of ranges, and carrier.
 
-    range_m: float
+    range_m is stored as a float or a float array; every law evaluates
+    over its shape.
+    """
+
+    range_m: float | np.ndarray
     frequency_hz: float
 
     def __post_init__(self):
-        if self.range_m <= 0.0 or self.frequency_hz <= 0.0:
-            raise ValueError("range and frequency must be positive")
+        message = "range and frequency must be positive"
+        object.__setattr__(self, "range_m", positive_ranges(self.range_m, message))
+        require(self.frequency_hz > 0.0, message, self.frequency_hz)
 
     @property
     def wavelength_m(self) -> float:
@@ -175,9 +182,9 @@ def _unguided_gain(scene: StreetScene, link: Link, rho: float,
     laws: the quartic law with foliage loss exp(-kappa_v rho d_v)."""
     g = scene.canyon
     dz = g.tx_height_m - g.rx_height_m
-    r = math.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
+    r = np.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
     if gamma_g2 is None:
-        horizontal = math.hypot(link.range_m, scene.standoff_m)
+        horizontal = np.hypot(link.range_m, scene.standoff_m)
         gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, horizontal,
                                  g.ground) ** 2
     factor = (math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
@@ -202,14 +209,14 @@ def _guided_gain(geometry: CanyonGeometry, link: Link, r: float, wall_l: float,
     gain = (link.wavelength_m**2 * factor * enhancement_factors(gamma_g2, gamma_w2)
             * math.sqrt(g.width_m)
             / (32.0 * math.pi**1.5 * wall_l**1.5 * r**2.5))
-    flags = (FLAG_GUIDED_RANGE,) if r < wall_l * g.width_m else ()
+    flags = regime_flags(np.shape(r), (FLAG_GUIDED_RANGE, r < wall_l * g.width_m))
     return GainResult(gain, r, flags)
 
 
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
                  veg_path_m: float | None = None, cover: float = 1.0,
                  veg_start_m: float = 0.0,
-                 kappa_extra: float = 0.0) -> tuple[float, float]:
+                 kappa_extra: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Friis term of the slant base-terminal path r, attenuated in clutter.
 
     Returns (gain, r).  kappa_v acts over the vegetated length: veg_path_m
@@ -218,12 +225,12 @@ def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
     stretch.  kappa_extra acts over the whole below-clutter segment.
     """
     drop = macro.base_height_m - macro.mobile_height_m
-    r = math.hypot(link.range_m, drop)
+    r = np.hypot(link.range_m, drop)
     below_frac = (macro.clutter_height_m - macro.mobile_height_m) / drop
     if veg_path_m is None:
-        veg_path_m = cover * max(r - veg_start_m, 0.0) * below_frac
+        veg_path_m = cover * np.maximum(r - veg_start_m, 0.0) * below_frac
     attenuation = kappa_v * veg_path_m + kappa_extra * r * below_frac
-    return friis_gain(link.wavelength_m, r) * math.exp(-attenuation), r
+    return friis_gain(link.wavelength_m, r) * np.exp(-attenuation), r
 
 
 def suburban_street_gain(scene: StreetScene, link: Link,
@@ -264,11 +271,10 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link,
     w -> infinity limit).  kappa_v attenuates the descent through the
     clutter layer.
     """
-    if kappa_v < 0.0:
-        raise ValueError("absorption must be nonnegative")
+    require(kappa_v >= 0.0, "absorption must be nonnegative", kappa_v)
     ds = macro.base_height_m - macro.clutter_height_m
     depth = macro.clutter_height_m - macro.mobile_height_m
-    r = math.hypot(link.range_m, ds)
+    r = np.hypot(link.range_m, ds)
     teff = 1.0 if wide_street else strip_t_eff(macro.street_width_m, depth)
     if gamma_g2 is None:
         gamma_g2 = ground_bounce(macro.base_height_m - macro.mobile_height_m,
@@ -310,7 +316,7 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
             / (32 pi^1.5 L^1.5 r^2.5)
     """
     wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
-    r = math.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
+    r = np.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
     factor = (t_eff(pen, indoor.depth_m)
               * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
     return _guided_gain(geometry, link, r, wall_l, factor, gamma_g2, gamma_w2)
@@ -330,8 +336,8 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link,
     k_rho = scene.foliage.kappa_np_per_m * _scene_rho(scene)
     wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
     l1 = wall_l + k_rho * g.width_m / 2.0
-    r = math.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
-    factor = math.exp(-k_rho * (scene.foliage.depth_m + r))
+    r = np.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
+    factor = np.exp(-k_rho * (scene.foliage.depth_m + r))
     return _guided_gain(g, link, r, l1, factor, gamma_g2, gamma_w2)
 
 
@@ -358,8 +364,12 @@ def canyon_with_trees_gain(scene: StreetScene, link: Link,
     """
     guided = sidewalk_guided_gain(scene, link, gamma_g2, gamma_w2)
     unguided = sidewalk_unguided_gain(scene, link, gamma_g2, gamma_w2)
-    value = max(guided.gain, unguided.gain)
-    flags = guided.flags if guided.gain >= unguided.gain else unguided.flags
+    value = np.maximum(guided.gain, unguided.gain)
+    # a range carries the guided term's flags where that term wins; the
+    # unguided term sets none
+    use_guided = guided.gain >= unguided.gain
+    flags = regime_flags(np.shape(value), *((name, mask & use_guided)
+                                            for name, mask in guided.flags.items()))
     return GainResult(value, unguided.range_m, flags,
                       components={"guided": guided.gain,
                                   "unguided": unguided.gain})

@@ -9,13 +9,16 @@ is returned in dB (positive); path gain is its negative.
 import math
 from dataclasses import dataclass
 
-from .units import SPEED_OF_LIGHT_M_S
+import numpy as np
+
+from .units import SPEED_OF_LIGHT_M_S, everywhere, require
 
 
-def friis_gain(wavelength_m: float, range_m: float) -> float:
-    """Free-space path gain (lambda / 4 pi r)^2 as a linear power ratio."""
-    if wavelength_m <= 0.0 or range_m <= 0.0:
-        raise ValueError("wavelength and range must be positive")
+def friis_gain(wavelength_m: float, range_m):
+    """Free-space path gain (lambda / 4 pi r)^2 as a linear power ratio, at
+    one range or an array of ranges."""
+    require(wavelength_m > 0.0 and everywhere(range_m > 0.0),
+            "wavelength and range must be positive", wavelength_m, range_m)
     return (wavelength_m / (4.0 * math.pi * range_m)) ** 2
 
 
@@ -27,21 +30,21 @@ class SlopeIntercept:
     exponent_n: float
 
     def __post_init__(self):
-        if self.exponent_n <= 0.0:
-            raise ValueError("distance exponent must be positive")
+        require(self.exponent_n > 0.0, "distance exponent must be positive",
+                self.exponent_n, self.intercept_db_1m)
 
 
-def slope_intercept_eval(model: SlopeIntercept, range_m: float) -> float:
-    """Path gain in dB at a range: P1_dB - 10 n log10(r)."""
-    if range_m <= 0.0:
-        raise ValueError("range must be positive")
-    return model.intercept_db_1m - 10.0 * model.exponent_n * math.log10(range_m)
+def slope_intercept_eval(model: SlopeIntercept, range_m):
+    """Path gain in dB at a range, or an array of ranges: P1_dB - 10 n log10(r)."""
+    require(range_m > 0.0, "range must be positive", range_m)
+    return model.intercept_db_1m - 10.0 * model.exponent_n * np.log10(range_m)
 
 
 def uma_nlos_36814(street_width_m: float, building_height_m: float,
                    base_height_m: float, mobile_height_m: float,
-                   f_ghz: float, d3d_m: float) -> float:
-    """Urban-macro NLOS path loss (dB) per TR 36.814 Table B.1.2.1-1.
+                   f_ghz: float, d3d_m):
+    """Urban-macro NLOS path loss (dB) per TR 36.814 Table B.1.2.1-1, at one
+    3-D distance or an array of them.
 
     Depends explicitly on street width, building height and both antenna
     heights; distances in meters, carrier in GHz.
@@ -51,14 +54,14 @@ def uma_nlos_36814(street_width_m: float, building_height_m: float,
                         ("base_height_m", base_height_m),
                         ("mobile_height_m", mobile_height_m),
                         ("f_ghz", f_ghz), ("d3d_m", d3d_m)):
-        if value <= 0.0:
+        if not (everywhere(value > 0.0) and everywhere(np.isfinite(value))):
             raise ValueError(f"{name} must be positive, got {value}")
     w, z_b, z_bs, z_m = street_width_m, building_height_m, base_height_m, mobile_height_m
     return (161.04
             - 7.1 * math.log10(w)
             + 7.5 * math.log10(z_b)
             - (24.37 - 3.7 * (z_b / z_bs) ** 2) * math.log10(z_bs)
-            + (43.42 - 3.1 * math.log10(z_bs)) * (math.log10(d3d_m) - 3.0)
+            + (43.42 - 3.1 * math.log10(z_bs)) * (np.log10(d3d_m) - 3.0)
             + 20.0 * math.log10(f_ghz)
             - (3.2 * math.log10(11.75 * z_m) ** 2 - 4.97))
 
@@ -112,10 +115,9 @@ class ThreeGppScenario:
             raise ValueError(f"unsupported 3GPP family {self.family!r}")
         if self.condition not in ("LOS", "NLOS"):
             raise ValueError(f"condition must be LOS or NLOS, got {self.condition!r}")
-        if self.f_ghz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
-        if self.indoor_depth_m < 0.0:
-            raise ValueError("indoor depth must be nonnegative")
+        require(self.f_ghz > 0.0, "carrier frequency must be positive", self.f_ghz)
+        require(self.indoor_depth_m >= 0.0, "indoor depth must be nonnegative",
+                self.indoor_depth_m)
 
     @property
     def h_bs(self) -> float:
@@ -129,41 +131,39 @@ def _breakpoint_m(h_bs: float, h_ut: float, f_ghz: float, h_e: float) -> float:
     return 4.0 * (h_bs - h_e) * (h_ut - h_e) * f_hz / SPEED_OF_LIGHT_M_S
 
 
-def _los_pathloss(family: str, f_ghz: float, d2d_m: float, h_bs: float,
-                  h_ut: float) -> float:
+def _los_pathloss(family: str, f_ghz: float, d2d_m, h_bs: float, h_ut: float):
     row = TR38901[family]["los"]
-    d3d = math.hypot(d2d_m, h_bs - h_ut)
+    log_d3d = np.log10(np.hypot(d2d_m, h_bs - h_ut))
     base = row["a"] + 20.0 * math.log10(f_ghz)
     if "c" not in row:  # InH: single slope
-        return base + row["b"] * math.log10(d3d)
+        return base + row["b"] * log_d3d
     d_bp = _breakpoint_m(h_bs, h_ut, f_ghz, row["h_e"])
-    if d2d_m <= d_bp:
-        return base + row["b"] * math.log10(d3d)
-    return (base + 40.0 * math.log10(d3d)
-            - row["c"] * math.log10(d_bp**2 + (h_bs - h_ut) ** 2))
+    pl = np.where(d2d_m <= d_bp, base + row["b"] * log_d3d,
+                  base + 40.0 * log_d3d
+                  - row["c"] * math.log10(d_bp**2 + (h_bs - h_ut) ** 2))
+    return pl[()]  # a float, not a 0-d array, for one distance
 
 
-def tr38901_pathloss(scenario: ThreeGppScenario, distance_m: float) -> float:
-    """TR 38.901 path loss (dB) at a horizontal distance.
+def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
+    """TR 38.901 path loss (dB) at a horizontal distance, or an array of them.
 
     NLOS returns max(LOS, NLOS') per the standard's convention, so NLOS is
     never below LOS at equal geometry.  For a scenario with indoor_depth_m
     the low-loss O2I penetration and indoor distance losses are added.
     """
-    if distance_m <= 0.0:
-        raise ValueError("distance must be positive")
+    require(distance_m > 0.0, "distance must be positive", distance_m)
     fam = scenario.family
     h_bs, h_ut = scenario.h_bs, scenario.mobile_height_m
     pl = _los_pathloss(fam, scenario.f_ghz, distance_m, h_bs, h_ut)
     if scenario.condition == "NLOS":
         row = TR38901[fam]["nlos"]
-        d3d = math.hypot(distance_m, h_bs - h_ut)
-        pl_nlos = (row["a"] + row["b"] * math.log10(d3d)
+        d3d = np.hypot(distance_m, h_bs - h_ut)
+        pl_nlos = (row["a"] + row["b"] * np.log10(d3d)
                    + row["f"] * math.log10(scenario.f_ghz)
                    - row["hut"] * (h_ut - 1.5))
-        pl = max(pl, pl_nlos)
+        pl = np.maximum(pl, pl_nlos)
     if scenario.indoor_depth_m > 0.0:
-        pl += o2i_low_loss_db(scenario.f_ghz, scenario.indoor_depth_m)
+        pl = pl + o2i_low_loss_db(scenario.f_ghz, scenario.indoor_depth_m)
     return pl
 
 

@@ -7,6 +7,8 @@ and the flags travel with the value so sweep outputs can surface them.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .units import to_db
 
 # Flags understood by the prediction layer.
@@ -19,24 +21,40 @@ FLAG_EXTRAPOLATED_ANGLE = "extrapolated_angle"  # grazing angle beyond low-graze
 FLAG_KAPPA_EXTRAPOLATED = "kappa_extrapolated"  # foliage absorption outside anchor band
 
 
+def regime_flags(shape, *named_masks) -> dict[str, np.ndarray]:
+    """{name: boolean array of the given shape} for each (name, mask) whose
+    mask is set at one or more ranges, in the order given."""
+    return {name: mask if np.shape(mask) == shape else np.broadcast_to(mask, shape)
+            for name, mask in named_masks
+            if (mask.any() if isinstance(mask, np.ndarray) else mask)}
+
+
 @dataclass(frozen=True)
 class GainResult:
-    """A path gain value with the effective range it was evaluated at.
+    """Path gain over a range, or an array of ranges, with the effective
+    range each value was evaluated at.
 
-    gain is a linear power ratio (receive/transmit for unit-gain antennas).
-    components, when present, holds the additive or alternative terms of a
-    composite law keyed by mechanism name.
+    gain is a linear power ratio (receive/transmit for unit-gain antennas),
+    a float for one range and an array for an array of ranges.  flags maps
+    each regime flag set at one or more ranges to its boolean array over
+    the ranges, in the law's order; for one range it holds exactly the
+    flags that are set.  components, when present, holds the additive or
+    alternative terms of a composite law keyed by mechanism name.
     """
 
-    gain: float
-    range_m: float
-    flags: tuple[str, ...] = ()
-    components: dict[str, float] = field(default_factory=dict)
+    gain: float | np.ndarray
+    range_m: float | np.ndarray
+    flags: dict[str, np.ndarray] = field(default_factory=dict)
+    components: dict[str, float | np.ndarray] = field(default_factory=dict)
 
     @property
-    def gain_db(self) -> float:
+    def gain_db(self) -> float | np.ndarray:
         return to_db(self.gain)
 
     def with_flags(self, *extra: str) -> "GainResult":
-        merged = self.flags + tuple(f for f in extra if f not in self.flags)
-        return GainResult(self.gain, self.range_m, merged, dict(self.components))
+        """The result with each extra flag set at every range; a flag the
+        law already set keeps its place."""
+        every_range = np.ones(np.shape(self.gain), dtype=bool)
+        return GainResult(self.gain, self.range_m,
+                          {**self.flags, **dict.fromkeys(extra, every_range)},
+                          dict(self.components))

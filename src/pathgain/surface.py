@@ -11,6 +11,10 @@ what makes the waveguide sums downstream tractable.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .units import everywhere, require
+
 PERPENDICULAR = "perpendicular"
 PARALLEL = "parallel"
 _POLARIZATIONS = (PERPENDICULAR, PARALLEL)
@@ -30,10 +34,9 @@ class Dielectric:
     refraction_index: float
 
     def __post_init__(self):
-        if self.refraction_index <= 1.0:
-            raise ValueError(
-                f"refraction index must exceed 1, got {self.refraction_index}"
-            )
+        require(self.refraction_index > 1.0,
+                f"refraction index must exceed 1, got {self.refraction_index}",
+                self.refraction_index)
 
 
 DEFAULT_GROUND = Dielectric(GROUND_INDEX_DEFAULT)
@@ -57,17 +60,18 @@ class TelegraphRoughness:
     rate_mu2_per_m: float
 
     def __post_init__(self):
-        if self.half_depth_m < 0.0:
-            raise ValueError("roughness half-depth must be nonnegative")
-        if not (0.0 < self.fraction_p1 < 1.0 and 0.0 < self.fraction_p2 < 1.0):
-            raise ValueError("state fractions must lie in (0, 1)")
+        require(self.half_depth_m >= 0.0, "roughness half-depth must be nonnegative",
+                self.half_depth_m)
+        require(0.0 < self.fraction_p1 < 1.0 and 0.0 < self.fraction_p2 < 1.0,
+                "state fractions must lie in (0, 1)")
         if abs(self.fraction_p1 + self.fraction_p2 - 1.0) > 1e-12:
             raise ValueError(
                 f"state fractions must sum to 1, got "
                 f"{self.fraction_p1 + self.fraction_p2}"
             )
-        if self.rate_mu1_per_m <= 0.0 or self.rate_mu2_per_m <= 0.0:
-            raise ValueError("transition rates must be positive")
+        require(self.rate_mu1_per_m > 0.0 and self.rate_mu2_per_m > 0.0,
+                "transition rates must be positive",
+                self.rate_mu1_per_m, self.rate_mu2_per_m)
 
     @property
     def rate_sum_per_m(self) -> float:
@@ -98,8 +102,8 @@ def _check_polarization(polarization: str):
         )
 
 
-def _check_grazing(theta_rad: float):
-    if not 0.0 <= theta_rad <= math.pi / 2.0:
+def _check_grazing(theta_rad):
+    if not everywhere((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0)):
         raise ValueError(f"grazing angle must be in [0, pi/2], got {theta_rad}")
 
 
@@ -121,17 +125,18 @@ def fresnel_exact(theta_rad: float, dielectric: Dielectric,
     return (n2 * s - root) / (n2 * s + root)
 
 
-def fresnel_low_grazing(theta_rad: float, dielectric: Dielectric,
-                        polarization: str = PERPENDICULAR) -> float:
+def fresnel_low_grazing(theta_rad, dielectric: Dielectric,
+                        polarization: str = PERPENDICULAR):
     """Exponential low-grazing approximation to the Fresnel coefficient.
 
     Returns -exp(-(2/n) * theta) for perpendicular polarization and
-    -exp(-(2 n^2 / sqrt(n^2 - 2)) * theta) for parallel.  Both assume a small
-    grazing angle and an index well above unity; compare against
-    fresnel_exact to quantify the truncation for a given index.
+    -exp(-(2 n^2 / sqrt(n^2 - 2)) * theta) for parallel, for one grazing
+    angle or an array of them.  Both assume a small grazing angle and an
+    index well above unity; compare against fresnel_exact to quantify the
+    truncation for a given index.
     """
     _check_grazing(theta_rad)
-    return -math.exp(-low_grazing_rate(dielectric, polarization) * theta_rad)
+    return -np.exp(-low_grazing_rate(dielectric, polarization) * theta_rad)
 
 
 def low_grazing_rate(dielectric: Dielectric,
@@ -171,8 +176,7 @@ def roughness_loss_rate(roughness: TelegraphRoughness,
     Equals 16 k^{3/2} A^2 p1 p2 sqrt(mu1 + mu2); the spectrum integral it
     summarizes is recomputed numerically by the oracles module.
     """
-    if wavenumber_rad_m <= 0.0:
-        raise ValueError("wavenumber must be positive")
+    require(wavenumber_rad_m > 0.0, "wavenumber must be positive", wavenumber_rad_m)
     # 16 k^{3/2} A^2 p1 p2 sqrt(mu1+mu2), written via the variance 4 A^2 p1 p2
     return (4.0 * wavenumber_rad_m**1.5 * roughness.height_variance_m2
             * math.sqrt(roughness.rate_sum_per_m))
@@ -196,8 +200,7 @@ def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
     loss plus twice the roughness loss rate (the reflected power decays as
     exp(-L * theta) per bounce).
     """
-    if wavenumber_rad_m <= 0.0:
-        raise ValueError("wavenumber must be positive")
+    require(wavenumber_rad_m > 0.0, "wavenumber must be positive", wavenumber_rad_m)
     loss = 4.0 / surface.dielectric.refraction_index
     if surface.roughness is not None:
         loss += 2.0 * roughness_loss_rate(surface.roughness, wavenumber_rad_m)

@@ -79,7 +79,7 @@ def suite_canyon(profile: str = "default") -> list[Comparison]:
                                                  include_ground=True)
                 out.append(Comparison(
                     f"canyon/{label}/{f_hz/1e9:g}GHz/r={r_over_w:g}w",
-                    to_db(closed.gain), to_db(oracle), 1.5, closed.flags,
+                    to_db(closed.gain), to_db(oracle), 1.5, tuple(closed.flags),
                 ))
     return out
 
@@ -103,7 +103,7 @@ def suite_outdoor_indoor(profile: str = "default") -> list[Comparison]:
                                                    link, sum_ctl)
             out.append(Comparison(
                 f"outdoor_indoor/{label}/{f_hz/1e9:g}GHz/r={mult:g}Lw",
-                to_db(closed.gain), to_db(oracle), 1.5, closed.flags,
+                to_db(closed.gain), to_db(oracle), 1.5, tuple(closed.flags),
             ))
     return out
 
@@ -130,7 +130,7 @@ def suite_trees(profile: str = "default") -> list[Comparison]:
         oracle = oracles.guided_trees_series_power(scene, link, sum_ctl)
         out.append(Comparison(
             f"trees/sparse/28GHz/r={mult:g}Lw",
-            to_db(closed.gain), to_db(oracle), 2.0, closed.flags,
+            to_db(closed.gain), to_db(oracle), 2.0, tuple(closed.flags),
         ))
     return out
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pathgain.canyon import CanyonGeometry
+from pathgain.config import ConfigError, load_config, make_evaluator
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +47,14 @@ def urban_geometry():
 
 def db(x: float) -> float:
     return 10.0 * math.log10(x)
+
+
+def evaluator_for(morphology: str):
+    """The evaluator of a morphology on the first shipped config (in path
+    order) that supports it."""
+    for path in sorted((REPO_ROOT / "configs").rglob("*.ini")):
+        try:
+            return make_evaluator(load_config(path), morphology)
+        except ConfigError:
+            continue
+    raise AssertionError(f"no shipped config supports {morphology}")

@@ -259,14 +259,14 @@ class TestEvaluateCommand:
         assert len(rows) == 40
         assert float(rows[0]["residual_db"]) == pytest.approx(2.0, abs=0.02)
 
-    def test_predictor_called_once_per_record(self, capsys, tmp_path,
-                                              monkeypatch):
+    def test_predictor_called_once_with_every_range(self, capsys, tmp_path,
+                                                    monkeypatch):
         data = self.make_synthetic(tmp_path, capsys)
         calls = []
 
         def counting_make_evaluator(cfg, name):
             evaluator = make_evaluator(cfg, name)
-            return lambda r: calls.append(r) or evaluator(r)
+            return lambda r: calls.append(np.array(r, copy=True)) or evaluator(r)
 
         monkeypatch.setattr(cli, "make_evaluator", counting_make_evaluator)
         code, _, _ = run_cli(capsys, "evaluate", str(data),
@@ -274,7 +274,9 @@ class TestEvaluateCommand:
                              "canyon_total", "--output",
                              str(tmp_path / "residuals.csv"))
         assert code == 0
-        assert len(calls) == 40
+        assert len(calls) == 1
+        ranges = [float(row["range_m"]) for row in read_csv_text(data)]
+        assert calls[0].tolist() == ranges
 
 
 class TestDeterminism:

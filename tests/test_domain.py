@@ -1,0 +1,120 @@
+"""The input-domain contract: every constructor rejects NaN and +-inf with
+a ValueError, and the evaluator from `make_evaluator` returns finite,
+positive gains or raises a ValueError, for any range array."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
+from pathgain.config import MORPHOLOGIES, load_config, make_evaluator
+from pathgain.diffuse import DiffuseLink, PenetrationSpec
+from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
+                                 StreetScene)
+from pathgain.reference import SlopeIntercept, ThreeGppScenario
+from pathgain.surface import Dielectric, TelegraphRoughness
+
+from conftest import CORRIDOR_WALL, evaluator_for
+
+NAN, INF = math.nan, math.inf
+GEOMETRY = CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL)
+FOLIAGE = FoliageLayer(3.0, 0.38)
+
+CONSTRUCTORS = {
+    "link_nan_range": lambda: Link(NAN, 28e9),
+    "link_inf_range": lambda: Link(INF, 28e9),
+    "link_nan_in_range_array": lambda: Link(np.array([10.0, NAN]), 28e9),
+    "link_nan_frequency": lambda: Link(10.0, NAN),
+    "link_inf_frequency": lambda: Link(10.0, INF),
+    "los_link_inf_range": lambda: LosLink(GEOMETRY, INF, 28e9),
+    "los_link_nan_range": lambda: LosLink(GEOMETRY, NAN, 28e9),
+    "los_link_inf_frequency": lambda: LosLink(GEOMETRY, 10.0, INF),
+    "canyon_nan_width": lambda: CanyonGeometry(NAN, 2.0, 1.0),
+    "canyon_inf_width": lambda: CanyonGeometry(INF, 2.0, 1.0),
+    "canyon_nan_height": lambda: CanyonGeometry(8.0, NAN, 1.0),
+    "canyon_inf_height": lambda: CanyonGeometry(8.0, 2.0, INF),
+    "canyon_nan_offset": lambda: CanyonGeometry(8.0, 2.0, 1.0, tx_offset_m=NAN),
+    "foliage_nan_depth": lambda: FoliageLayer(NAN, 0.1),
+    "foliage_inf_kappa": lambda: FoliageLayer(3.0, INF),
+    "foliage_nan_trees": lambda: FoliageLayer(3.0, 0.1, n_tree_per_m=NAN),
+    "indoor_nan_kappa": lambda: IndoorClutter(NAN, 2.0),
+    "indoor_inf_depth": lambda: IndoorClutter(0.18, INF),
+    "macro_inf_base": lambda: MacroGeometry(INF, 10.0, 1.5, 20.0),
+    "macro_nan_street": lambda: MacroGeometry(30.0, 10.0, 1.5, NAN),
+    "street_nan_standoff": lambda: StreetScene(GEOMETRY, FOLIAGE, NAN),
+    "street_inf_extra_kappa": lambda: StreetScene(GEOMETRY, FOLIAGE, 8.0,
+                                                  kappa_extra_np_per_m=INF),
+    "dielectric_nan": lambda: Dielectric(NAN),
+    "dielectric_inf": lambda: Dielectric(INF),
+    "roughness_nan_depth": lambda: TelegraphRoughness(NAN, 0.5, 0.5, 1.0, 1.0),
+    "roughness_inf_rate": lambda: TelegraphRoughness(0.1, 0.5, 0.5, INF, 1.0),
+    "street_spec_nan_width": lambda: PenetrationSpec.street(NAN),
+    "aperture_inf_width": lambda: PenetrationSpec.aperture(1.0, INF),
+    "diffuse_link_nan_standoff": lambda: DiffuseLink(NAN, 100.0, 1.0, 0.0, 0.01),
+    "diffuse_link_inf_range": lambda: DiffuseLink(20.0, INF, 1.0, 0.0, 0.01),
+    "diffuse_link_nan_kappa": lambda: DiffuseLink(20.0, 100.0, 1.0, NAN, 0.01),
+    "slope_nan_exponent": lambda: SlopeIntercept(-40.0, NAN),
+    "slope_inf_intercept": lambda: SlopeIntercept(INF, 2.0),
+    "scenario_nan_frequency": lambda: ThreeGppScenario("UMa", "LOS", NAN),
+    "scenario_inf_depth": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
+                                                   indoor_depth_m=INF),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTORS))
+def test_constructor_rejects_nonfinite(case):
+    with pytest.raises(ValueError):
+        CONSTRUCTORS[case]()
+
+
+def test_los_law_at_infinite_range_raises_instead_of_zero_gain():
+    with pytest.raises(ValueError, match="horizontal range"):
+        los_gain_incoherent(LosLink(GEOMETRY, INF, 28e9))
+
+
+def _friis():
+    return make_evaluator(load_config("configs/corridor_28ghz.ini"), "friis")
+
+
+def test_evaluator_rejects_nonfinite_range():
+    with pytest.raises(ValueError, match="range"):
+        _friis()(NAN)
+
+
+def test_evaluator_rejects_infinite_gain_naming_the_range():
+    # (lambda / 4 pi r)^2 overflows for a range this small
+    with pytest.raises(ValueError, match=r"^friis gain is inf at range 1e-300 m$"):
+        _friis()(1e-300)
+
+
+def test_evaluator_names_the_first_bad_range_of_an_array():
+    with pytest.raises(ValueError, match="at range 1e-300 m"):
+        _friis()(np.array([10.0, 1e-300, 1e-310]))
+
+
+EVALUATORS = {name: evaluator_for(name) for name in MORPHOLOGIES}
+EDGE_VALUES = st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 5e-324, 1e-310,
+                               2.2250738585072014e-308, 1e-300, 1e300,
+                               1.7976931348623157e308])
+RANGE_ARRAYS = st.lists(st.one_of(st.floats(), EDGE_VALUES), min_size=1,
+                        max_size=8)
+
+
+@pytest.mark.parametrize("morphology", sorted(MORPHOLOGIES))
+@settings(max_examples=60, deadline=None)
+@given(values=RANGE_ARRAYS)
+def test_evaluator_gives_finite_positive_gains_or_value_error(morphology, values):
+    evaluator = EVALUATORS[morphology]
+    for ranges in (np.array(values), values[0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = evaluator(ranges)
+            except ValueError:
+                continue
+        gain = np.asarray(result.gain)
+        assert gain.shape == np.shape(ranges)
+        assert np.all(np.isfinite(gain) & (gain > 0.0)), (ranges, gain)
