@@ -68,8 +68,3 @@ def to_db(power_ratio):
         raise ValueError(f"power ratio must be finite and positive, "
                          f"got {ratio[bad].flat[0]}")
     return 10.0 * np.log10(ratio)
-
-
-def from_db(value_db: float) -> float:
-    """dB to linear power ratio."""
-    return 10.0 ** (value_db / 10.0)

@@ -1,8 +1,9 @@
-"""The closed-form commands never load scipy.
+"""No command loads scipy.
 
-scipy.integrate takes most of a `pathgain` process's start-up, and only the
-quadrature oracles behind `verify` use it.  Each command runs in a fresh
-interpreter, so the check sees exactly the modules that command imports.
+Importing scipy.integrate would take most of a `pathgain` process's
+start-up; the quadrature oracles behind `verify` use the package's own
+Gauss-Kronrod rule instead.  Each command runs in a fresh interpreter, so
+the check sees exactly the modules that command imports.
 """
 
 import json
@@ -62,13 +63,27 @@ def test_closed_form_command_does_not_load_scipy(command, sweep):
     assert _run_cli(*argv) == []
 
 
-def test_verify_loads_scipy_integrate():
-    # the control: the wrapper does see scipy when a quadrature runs
-    assert "scipy.integrate" in _run_cli("verify", "diffuse")
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_verify_loads_no_scipy(profile):
+    assert _run_cli("verify", "all", "--tolerance-profile", profile) == []
+
+
+def test_wrapper_sees_scipy_when_loaded():
+    # the control: the report does list scipy once something imports it
+    proc = _python("-c", "import scipy.integrate\n" + _WRAPPER, "verify", "trees")
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.integrate" in json.loads(proc.stderr.splitlines()[-1])["scipy"]
 
 
 def test_importing_verify_does_not_load_scipy_integrate():
     proc = _python("-c", "import sys, pathgain.verify\n"
                          "print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_importing_oracles_loads_no_scipy():
+    proc = _python("-c", "import sys, pathgain.oracles\n"
+                         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
