@@ -4,8 +4,8 @@ Wall reflections add to the direct path and slow the range decay from the
 free-space exponent 2 to 1.5.  The closed form treats the two-sided image
 sum as a continuum; where wall loss is high enough that reflections die out
 (short range, or strong roughness scatter at mm-wave), the incoherent sum is
-bounded below by its direct term, so the law floors at free space and the
-result is flagged.
+bounded below by its direct term, so the law carries a free-space floor
+factor and the floored ranges are flagged.
 """
 
 import math
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface
-from .reference import friis_gain
 from .result import (
     FLAG_FREE_SPACE_FLOOR,
     FLAG_NEAR_WALL,
     FLAG_SHORT_RANGE,
     FLAG_SPREADING_REGIME,
     GainResult,
-    regime_flags,
+    power_law,
 )
 from .surface import Dielectric, WallSurface
 from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
@@ -125,57 +124,51 @@ def ground_reflection(link: LosLink) -> tuple[np.ndarray, np.ndarray]:
     return gamma, link.ground_image_range_m
 
 
-def _waveguide_prefactor(link: LosLink, friis_floor: bool) -> tuple[np.ndarray, dict]:
+def _waveguide(link: LosLink, **factors) -> GainResult:
+    """lambda^2 / (16 pi^1.5 sqrt(w L) r^1.5) times the free-space floor
+    max(1, Friis / spreading) = max(1, sqrt(w L / (pi r))), flagged where
+    it lifts the law, and the given factors."""
     g = link.geometry
     r = link.slant_range_m
     lam = link.wavelength_m
     wall_l = link.wall_loss
-    guided = lam**2 / (16.0 * math.pi**1.5 * math.sqrt(g.width_m * wall_l)
-                       * r**1.5)
+    floor = np.maximum(1.0, np.sqrt(g.width_m * wall_l / (math.pi * r)))
     half = g.width_m / 2.0
     flags = [(FLAG_SHORT_RANGE, r < 2.0 * g.width_m),
              (FLAG_SPREADING_REGIME, wall_l <= g.width_m / r),
              # incoherent summation breaks within a wavelength of a wall
              (FLAG_NEAR_WALL,
-              min(half - abs(g.tx_offset_m), half - abs(g.rx_offset_m)) < lam)]
-    if friis_floor:
-        friis = friis_gain(lam, r)
-        flags.append((FLAG_FREE_SPACE_FLOOR, friis > guided))
-        guided = np.maximum(friis, guided)
-    return guided, regime_flags(np.shape(r), *flags)
+              min(half - abs(g.tx_offset_m), half - abs(g.rx_offset_m)) < lam),
+             (FLAG_FREE_SPACE_FLOOR, floor > 1.0)]
+    constant = lam**2 / (16.0 * math.pi**1.5 * math.sqrt(g.width_m * wall_l))
+    return power_law(1.5, constant, r, flags, free_space_floor=floor, **factors)
 
 
-def los_canyon_gain(link: LosLink, friis_floor: bool = True) -> GainResult:
+def los_canyon_gain(link: LosLink) -> GainResult:
     """Canyon waveguide law lambda^2 / (16 pi^1.5 sqrt(w L) r^1.5).
 
-    Pure exponent-1.5 power law in range; no ground bounce.  With
-    friis_floor (default) the value never drops below free space, since the
-    underlying power sum contains the direct term; the floored region is
-    flagged.
+    Pure exponent-1.5 power law in range, floored at free space; no ground
+    bounce.
     """
-    value, flags = _waveguide_prefactor(link, friis_floor)
-    return GainResult(value, link.slant_range_m, flags)
+    return _waveguide(link)
 
 
-def los_gain_incoherent(link: LosLink, friis_floor: bool = True) -> GainResult:
-    """Waveguide law with ground bounce added in power: prefactor x (1 + |Gamma_g|^2).
+def los_gain_incoherent(link: LosLink) -> GainResult:
+    """Waveguide law with ground bounce added in power: factor 1 + |Gamma_g|^2.
 
     This is the pre-breakpoint range average of the coherent form.
     """
-    prefactor, flags = _waveguide_prefactor(link, friis_floor)
     gamma, _ = ground_reflection(link)
-    return GainResult(prefactor * (1.0 + gamma * gamma), link.slant_range_m, flags)
+    return _waveguide(link, ground_bounce=1.0 + gamma * gamma)
 
 
-def los_gain_coherent(link: LosLink, friis_floor: bool = True) -> GainResult:
+def los_gain_coherent(link: LosLink) -> GainResult:
     """Waveguide law with the two-ray ground interference retained.
 
-    prefactor x |exp(ikr) + Gamma_g exp(ik r_g)|^2; oscillates with range up
-    to the breakpoint and averages to the incoherent form.
+    Factor |exp(ikr) + Gamma_g exp(ik r_g)|^2; oscillates with range up to
+    the breakpoint and averages to the incoherent form.
     """
-    prefactor, flags = _waveguide_prefactor(link, friis_floor)
     gamma, r_g = ground_reflection(link)
     k = link.wavenumber_rad_m
-    r = link.slant_range_m
-    two_ray = np.abs(np.exp(1j * k * r) + gamma * np.exp(1j * k * r_g)) ** 2
-    return GainResult(prefactor * two_ray, r, flags)
+    phasor = np.exp(1j * k * link.slant_range_m) + gamma * np.exp(1j * k * r_g)
+    return _waveguide(link, two_ray=np.abs(phasor) ** 2)

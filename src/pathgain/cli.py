@@ -130,19 +130,28 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _two_decimals(value: float) -> str:
+    """A dB value with two decimals; one that rounds to zero prints 0.00,
+    never -0.00, so round-off of an exact gap cannot flip its sign."""
+    text = f"{value:.2f}"
+    return "0.00" if text == "-0.00" else text
+
+
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     comparisons = verify.run_suites(names, args.tolerance_profile)
     width = max(len(c.name) for c in comparisons) + 2
     lines = [f"{'comparison':<{width}}{'closed_db':>11}{'oracle_db':>11}"
              f"{'gap_db':>9}{'bound_db':>10}  status  flags"]
+    rows = [(c, *map(_two_decimals, (c.closed_db, c.oracle_db, c.gap_db)))
+            for c in comparisons]
     failed = []
-    for c in comparisons:
+    for c, closed, oracle, gap in rows:
         status = "PASS" if c.passed else "FAIL"
         if not c.passed:
             failed.append(c.name)
-        lines.append(f"{c.name:<{width}}{c.closed_db:>11.2f}{c.oracle_db:>11.2f}"
-                     f"{c.gap_db:>9.2f}{c.bound_db:>10.2f}  {status}"
+        lines.append(f"{c.name:<{width}}{closed:>11}{oracle:>11}"
+                     f"{gap:>9}{c.bound_db:>10.2f}  {status}"
                      f"  {';'.join(c.flags)}")
     lines.append(f"{len(comparisons) - len(failed)}/{len(comparisons)} comparisons passed")
     if failed:
@@ -152,9 +161,8 @@ def cmd_verify(args) -> int:
     if args.output:
         buf = io.StringIO()
         buf.write("comparison,closed_db,oracle_db,gap_db,bound_db,status,flags\n")
-        for c in comparisons:
-            buf.write(f"{c.name},{c.closed_db:.2f},{c.oracle_db:.2f},"
-                      f"{c.gap_db:.2f},{c.bound_db:.2f},"
+        for c, closed, oracle, gap in rows:
+            buf.write(f"{c.name},{closed},{oracle},{gap},{c.bound_db:.2f},"
                       f"{'PASS' if c.passed else 'FAIL'},"
                       f"{';'.join(c.flags)}\n")
         _write(args.output, buf.getvalue())

@@ -277,9 +277,10 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
     The evaluator takes one range or an array of ranges (the whole sweep in
     one call) and returns gains, components and flags over them.  Raises
     ConfigError naming any missing blocks.  The evaluator raises ValueError
-    for a range that is not finite and positive, and one naming the
-    morphology and the first range where the gain is not finite and
-    positive (for example where it underflows to 0).
+    for a range that is not finite and positive, one naming the morphology
+    and the first range where the gain is not finite and positive (for
+    example where it underflows to 0), and one naming the morphology where
+    a scene value overflows a float power.
     """
     if name not in MORPHOLOGIES:
         raise ConfigError(
@@ -300,9 +301,14 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
 
     def evaluate(range_m) -> GainResult:
         ranges = np.asarray(range_m, dtype=float)
-        # overflow and division by zero end in a gain the check below rejects
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            result = law(ranges)
+        # overflow and division by zero end in a gain the check below rejects;
+        # a float power of a scene value raises instead
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                result = law(ranges)
+        except OverflowError:
+            raise ValueError(
+                f"{name} gain overflows: a scene value is out of float range") from None
         gain = np.atleast_1d(result.gain)
         bad = ~(gain > 0.0) | ~np.isfinite(gain)
         if bad.any():

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .result import power_law
 from .units import everywhere, require
 
 UNBOUNDED = "unbounded"
@@ -139,17 +140,6 @@ def strip_t_eff(width_m: float, depth_m: float, material_t2: float = 1.0) -> flo
     return material_t2 * (2.0 / math.pi) * np.arctan(width_m / (2.0 * depth_m))
 
 
-def quartic_gain(wavelength_m: float, standoff_m: float, range_m, factor):
-    """The quartic range law lambda^2 d_s^2 factor / (8 pi^2 r^4).
-
-    range_m and factor may be arrays over ranges.  factor collects the
-    transmission, absorption and bounce factors of the scene; every quartic
-    law in the package evaluates through here.
-    """
-    return (wavelength_m**2 * standoff_m**2 * factor
-            / (8.0 * math.pi**2 * range_m**4))
-
-
 def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     """Average path gain into the diffuse half-space (linear power ratio).
 
@@ -157,9 +147,14 @@ def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     law and the constant are validated against 2-D quadrature of the
     hot-wall integral by the oracles module.
     """
-    factor = (t_eff(spec, link.depth_m)
-              * math.exp(-link.kappa_np_per_m * link.depth_m))
-    return quartic_gain(link.wavelength_m, link.standoff_m, link.range_m, factor)
+    return power_law(4.0, quartic_constant(link.wavelength_m, link.standoff_m),
+                     link.range_m, t_eff=t_eff(spec, link.depth_m),
+                     absorption=math.exp(-link.kappa_np_per_m * link.depth_m)).gain
+
+
+def quartic_constant(wavelength_m: float, standoff_m: float) -> float:
+    """lambda^2 d_s^2 / (8 pi^2), the constant of every quartic law."""
+    return wavelength_m**2 * standoff_m**2 / (8.0 * math.pi**2)
 
 
 def enhancement_factors(gamma_g2, gamma_w2):

@@ -18,7 +18,6 @@ from .reference import SlopeIntercept
 PATH_GAIN_SANITY_DB = 20.0
 
 CSV_REQUIRED = ("range_m", "path_gain_db")
-CSV_OPTIONAL = ("street", "flag")
 
 
 class DatasetError(ValueError):

@@ -1,11 +1,15 @@
 """Composite path gain laws for suburban, macro, outdoor-indoor and
 cluttered-sidewalk environments.
 
-Each law combines the waveguide and diffuse-penetration primitives with the
-scene geometry.  Ground and back-wall bounces enter as incoherent power
-factors (1 + |Gamma|^2); the ground coefficient is computed from the scene
-geometry by default and both can be overridden, e.g. to pin them for slope
-analysis or to use an angle-averaged wall bounce instead of the maximum.
+Each law is one power_law call: a spreading term constant / r^n (n = 2.5
+for the wall-guided laws, 4 for the quartic ones) times named factors,
+which the result keeps in its factors dict.  Ground and back-wall bounces
+enter as incoherent power factors (1 + |Gamma|^2): the ground coefficient
+comes from the scene geometry and the back wall bounce is its maximum,
+WALL_BOUNCE.  For a slope analysis, divide a factor out of the gain, e.g.
+result.gain / result.factors["ground_bounce"].  The composite laws (rural,
+tree-lined sidewalk, canyon total) sum or compare power laws and return
+their terms as components.
 """
 
 import math
@@ -15,10 +19,9 @@ import numpy as np
 
 from . import surface
 from .canyon import CanyonGeometry, ground_bounce
-from .diffuse import (PenetrationSpec, enhancement_factors, quartic_gain,
-                      strip_t_eff, t_eff)
+from .diffuse import PenetrationSpec, quartic_constant, strip_t_eff, t_eff
 from .reference import friis_gain
-from .result import FLAG_GUIDED_RANGE, GainResult, regime_flags
+from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
 from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
 
@@ -30,9 +33,8 @@ KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
 # recommended default for 28 GHz scenes (overridable everywhere).
 DEFAULT_KAPPA_V_28GHZ = 0.38  # Np/m
 
-KAPPA_INDOOR_DEFAULT = 0.18   # Np/m, cluttered interiors
-KAPPA_PEDESTRIAN = 0.02       # Np/m, sidewalk crowds (1 person / 50 m^3)
-KAPPA_SCAFFOLDING = 0.1       # Np/m, street scaffolding
+# Back wall power bounce 1 + |Gamma_w|^2 at its maximum |Gamma_w| = 1.
+WALL_BOUNCE = 2.0
 
 
 def kappa_v_at_frequency(frequency_hz: float) -> float:
@@ -176,41 +178,52 @@ def _scene_rho(scene: StreetScene) -> float:
     )
 
 
-def _unguided_gain(scene: StreetScene, link: Link, rho: float,
-                   gamma_g2: float | None, gamma_w2: float) -> GainResult:
-    """Shared body of the suburban street (rho = 1) and unguided sidewalk
-    laws: the quartic law with foliage loss exp(-kappa_v rho d_v)."""
+def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResult:
+    """Quartic law of the street scenes: lambda^2 d_s^2 / (8 pi^2 r^4) times
+    the given factors, foliage exp(-kappa_v rho d_v) and the bounces, with r
+    from the horizontal range, height difference and boundary standoff."""
     g = scene.canyon
     dz = g.tx_height_m - g.rx_height_m
     r = np.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
-    if gamma_g2 is None:
-        horizontal = np.hypot(link.range_m, scene.standoff_m)
-        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, horizontal,
-                                 g.ground) ** 2
-    factor = (math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
-              * enhancement_factors(gamma_g2, gamma_w2))
-    return GainResult(quartic_gain(link.wavelength_m, scene.standoff_m, r, factor), r)
+    gamma = ground_bounce(g.tx_height_m + g.rx_height_m,
+                          np.hypot(link.range_m, scene.standoff_m), g.ground)
+    foliage = math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
+    constant = quartic_constant(link.wavelength_m, scene.standoff_m)
+    return power_law(4.0, constant, r, **factors, foliage=foliage,
+                     ground_bounce=1.0 + gamma**2, wall_bounce=WALL_BOUNCE)
 
 
-def _guided_gain(geometry: CanyonGeometry, link: Link, r: float, wall_l: float,
-                 factor: float, gamma_g2: float | None,
-                 gamma_w2: float) -> GainResult:
+def _guided(geometry: CanyonGeometry, link: Link, r, wall_l: float,
+            **factors) -> GainResult:
     """Guided penetration law (exponent 2.5) at slant range r:
 
-        lambda^2 factor (1+|Gg|^2)(1+|Gw|^2) sqrt(w) / (32 pi^1.5 L^1.5 r^2.5)
+        lambda^2 sqrt(w) / (32 pi^1.5 L^1.5 r^2.5)
 
-    factor carries the boundary transmission and absorption; the result is
-    flagged guided_range for r < L w.
+    times the given factors and the bounces; flagged guided_range for
+    r < L w.
     """
     g = geometry
-    if gamma_g2 is None:
-        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
-                                 g.ground) ** 2
-    gain = (link.wavelength_m**2 * factor * enhancement_factors(gamma_g2, gamma_w2)
-            * math.sqrt(g.width_m)
-            / (32.0 * math.pi**1.5 * wall_l**1.5 * r**2.5))
-    flags = regime_flags(np.shape(r), (FLAG_GUIDED_RANGE, r < wall_l * g.width_m))
-    return GainResult(gain, r, flags)
+    gamma = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m, g.ground)
+    constant = (link.wavelength_m**2 * math.sqrt(g.width_m)
+                / (32.0 * math.pi**1.5 * wall_l**1.5))
+    return power_law(2.5, constant, r, [(FLAG_GUIDED_RANGE, r < wall_l * g.width_m)],
+                     **factors, ground_bounce=1.0 + gamma**2,
+                     wall_bounce=WALL_BOUNCE)
+
+
+def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectric,
+             **factors) -> GainResult:
+    """Over-top quartic law from d_s = z_BS - z_c above the clutter: the
+    given factors, clutter absorption exp(-kappa_v (z_c - z_m)) and the
+    ground bounce."""
+    require(kappa_v >= 0.0, "absorption must be nonnegative", kappa_v)
+    ds = macro.base_height_m - macro.clutter_height_m
+    gamma = ground_bounce(macro.base_height_m - macro.mobile_height_m,
+                          link.range_m, ground)
+    clutter = math.exp(-kappa_v * (macro.clutter_height_m - macro.mobile_height_m))
+    return power_law(4.0, quartic_constant(link.wavelength_m, ds),
+                     np.hypot(link.range_m, ds), **factors, clutter=clutter,
+                     ground_bounce=1.0 + gamma**2)
 
 
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
@@ -233,79 +246,57 @@ def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
     return friis_gain(link.wavelength_m, r) * np.exp(-attenuation), r
 
 
-def suburban_street_gain(scene: StreetScene, link: Link,
-                         gamma_g2: float | None = None,
-                         gamma_w2: float = 1.0) -> GainResult:
+def suburban_street_gain(scene: StreetScene, link: Link) -> GainResult:
     """Outdoor terminal behind a continuous foliage layer (quartic law).
 
     lambda^2 d_s^2 exp(-kappa_v d_v) / (8 pi^2 r^4) times the bounce
     factors, with r from the horizontal range, height difference and
     boundary standoff.
     """
-    return _unguided_gain(scene, link, 1.0, gamma_g2, gamma_w2)
+    return _unguided(scene, link, 1.0)
 
 
 def suburban_indoor_gain(scene: StreetScene, indoor: IndoorClutter,
-                         pen: PenetrationSpec, link: Link,
-                         gamma_g2: float | None = None,
-                         gamma_w2: float = 1.0) -> GainResult:
+                         pen: PenetrationSpec, link: Link) -> GainResult:
     """Suburban street law with the terminal moved indoors.
 
     Adds wall penetration T_eff and interior clutter absorption
     exp(-kappa_in d_in) to the outdoor law.
     """
-    outdoor = suburban_street_gain(scene, link, gamma_g2, gamma_w2)
-    extra = (t_eff(pen, indoor.depth_m)
-             * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
-    return GainResult(outdoor.gain * extra, outdoor.range_m, outdoor.flags)
+    return _unguided(scene, link, 1.0, t_eff=t_eff(pen, indoor.depth_m),
+                     indoor=math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
 
 
-def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link,
-                 gamma_g2: float | None = None, wide_street: bool = False,
-                 ground: Dielectric | None = None) -> GainResult:
+def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult:
     """Above-rooftop base to a terminal below clutter height (quartic law).
 
     The base stands d_s = z_BS - z_c above the clutter top; the terminal
     sits z_c - z_m below it, reached through the street opening of width w
-    (T_eff from the strip aperture; wide_street drops that factor, the
-    w -> infinity limit).  kappa_v attenuates the descent through the
-    clutter layer.
+    (T_eff from the strip aperture).  kappa_v attenuates the descent through
+    the clutter layer.
     """
-    require(kappa_v >= 0.0, "absorption must be nonnegative", kappa_v)
-    ds = macro.base_height_m - macro.clutter_height_m
     depth = macro.clutter_height_m - macro.mobile_height_m
-    r = np.hypot(link.range_m, ds)
-    teff = 1.0 if wide_street else strip_t_eff(macro.street_width_m, depth)
-    if gamma_g2 is None:
-        gamma_g2 = ground_bounce(macro.base_height_m - macro.mobile_height_m,
-                                 link.range_m,
-                                 DEFAULT_GROUND if ground is None else ground) ** 2
-    factor = math.exp(-kappa_v * depth) * teff * (1.0 + gamma_g2)
-    return GainResult(quartic_gain(link.wavelength_m, ds, r, factor), r)
+    return _overtop(macro, kappa_v, link, DEFAULT_GROUND,
+                    t_eff=strip_t_eff(macro.street_width_m, depth))
 
 
-def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link,
-               gamma_g2: float | None = None,
-               ground: Dielectric | None = None) -> GainResult:
+def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainResult:
     """Rural macro: direct path through vegetation plus the over-top term.
 
     The direct Friis term is attenuated over the vegetated fraction
     r_v = r (z_c - z_m) / (z_BS - z_m) of the slant path; when absorption
     is light it dominates up to a crossover range, beyond which the
-    wide-street over-top quartic term takes over.
+    over-top quartic term of a wide street (no T_eff) takes over.
     """
     kv = foliage.kappa_np_per_m
     direct, r_direct = _direct_gain(macro, link, kv)
-    over = overtop_gain(macro, kv, link, gamma_g2, wide_street=True,
-                        ground=ground)
+    over = _overtop(macro, kv, link, DEFAULT_GROUND)
     return GainResult(direct + over.gain, r_direct,
                       components={"direct": direct, "over_top": over.gain})
 
 
 def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
-                               indoor: IndoorClutter, link: Link,
-                               gamma_g2: float | None = None,
-                               gamma_w2: float = 1.0) -> GainResult:
+                               indoor: IndoorClutter, link: Link) -> GainResult:
     """Base in a canyon (or corridor) to a terminal inside a building (room).
 
     Canyon wall reflections guide power onto the building face; penetration
@@ -317,14 +308,11 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
     """
     wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
     r = np.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
-    factor = (t_eff(pen, indoor.depth_m)
-              * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
-    return _guided_gain(geometry, link, r, wall_l, factor, gamma_g2, gamma_w2)
+    return _guided(geometry, link, r, wall_l, t_eff=t_eff(pen, indoor.depth_m),
+                   indoor=math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
 
 
-def sidewalk_guided_gain(scene: StreetScene, link: Link,
-                         gamma_g2: float | None = None,
-                         gamma_w2: float = 1.0) -> GainResult:
+def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
     """Wall-guided contribution for a terminal on a tree-lined sidewalk.
 
     The outdoor-indoor canyon law with T_eff = 1, vegetation absorption
@@ -337,33 +325,29 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link,
     wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
     l1 = wall_l + k_rho * g.width_m / 2.0
     r = np.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
-    factor = np.exp(-k_rho * (scene.foliage.depth_m + r))
-    return _guided_gain(g, link, r, l1, factor, gamma_g2, gamma_w2)
+    return _guided(g, link, r, l1,
+                   foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
 
 
-def sidewalk_unguided_gain(scene: StreetScene, link: Link,
-                           gamma_g2: float | None = None,
-                           gamma_w2: float = 1.0) -> GainResult:
+def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:
     """Direct side illumination of the sidewalk clutter (quartic law).
 
     Same form as the suburban street law with the vegetation loss reduced
     by the tree volume fraction: exp(-kappa_v rho_v d_v).  Set the scene
     standoff to the street width for a base near the middle of the street.
     """
-    return _unguided_gain(scene, link, _scene_rho(scene), gamma_g2, gamma_w2)
+    return _unguided(scene, link, _scene_rho(scene))
 
 
-def canyon_with_trees_gain(scene: StreetScene, link: Link,
-                           gamma_g2: float | None = None,
-                           gamma_w2: float = 1.0) -> GainResult:
+def canyon_with_trees_gain(scene: StreetScene, link: Link) -> GainResult:
     """Tree-lined sidewalk: the larger of the guided and unguided terms.
 
     With more than a few trees the range-dependent guided absorption wins
     and the unguided quartic term dominates; with sparse trees the guided
     exponent-2.5 term takes over at long range.
     """
-    guided = sidewalk_guided_gain(scene, link, gamma_g2, gamma_w2)
-    unguided = sidewalk_unguided_gain(scene, link, gamma_g2, gamma_w2)
+    guided = sidewalk_guided_gain(scene, link)
+    unguided = sidewalk_unguided_gain(scene, link)
     value = np.maximum(guided.gain, unguided.gain)
     # a range carries the guided term's flags where that term wins; the
     # unguided term sets none
@@ -375,20 +359,19 @@ def canyon_with_trees_gain(scene: StreetScene, link: Link,
                                   "unguided": unguided.gain})
 
 
-def canyon_total_gain(scene: StreetScene, macro: MacroGeometry, link: Link,
-                      gamma_g2: float | None = None,
-                      gamma_w2: float = 1.0) -> GainResult:
+def canyon_total_gain(scene: StreetScene, macro: MacroGeometry,
+                      link: Link) -> GainResult:
     """Total urban-canyon model: sidewalk term + over-top + attenuated direct.
 
-    The direct Friis path is attenuated through its vegetated length (the
-    per-street value when given, otherwise estimated from the along-street
-    tree coverage) and, over the below-clutter segment, through any
-    declared pedestrian or scaffolding absorption.  Components are returned
-    for diagnostics and always sum to the total.
+    The over-top term is that of a wide street (no T_eff) over the scene's
+    ground.  The direct Friis path is attenuated through its vegetated
+    length (the per-street value when given, otherwise estimated from the
+    along-street tree coverage) and, over the below-clutter segment,
+    through any declared pedestrian or scaffolding absorption.  Components
+    are returned for diagnostics and always sum to the total.
     """
-    trees = canyon_with_trees_gain(scene, link, gamma_g2, gamma_w2)
-    over = overtop_gain(macro, scene.foliage.kappa_np_per_m, link, gamma_g2,
-                        wide_street=True, ground=scene.canyon.ground)
+    trees = canyon_with_trees_gain(scene, link)
+    over = _overtop(macro, scene.foliage.kappa_np_per_m, link, scene.canyon.ground)
     f = scene.foliage
     direct, r_direct = _direct_gain(
         macro, link, f.kappa_np_per_m, scene.direct_veg_path_m,

@@ -5,6 +5,7 @@ computing in those regimes (matching how such formulas are used in practice)
 and the flags travel with the value so sweep outputs can surface them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,6 @@ FLAG_FREE_SPACE_FLOOR = "free_space_floor"      # direct term exceeds waveguide 
 FLAG_SPREADING_REGIME = "spreading_loss_regime"  # wall loss L <= w/r
 FLAG_NEAR_WALL = "near_wall"                    # antenna within a wavelength of a wall
 FLAG_GUIDED_RANGE = "guided_range"              # r < L*w, guided continuum marginal
-FLAG_EXTRAPOLATED_ANGLE = "extrapolated_angle"  # grazing angle beyond low-graze validity
 FLAG_KAPPA_EXTRAPOLATED = "kappa_extrapolated"  # foliage absorption outside anchor band
 
 
@@ -39,13 +39,18 @@ class GainResult:
     each regime flag set at one or more ranges to its boolean array over
     the ranges, in the law's order; for one range it holds exactly the
     flags that are set.  components, when present, holds the additive or
-    alternative terms of a composite law keyed by mechanism name.
+    alternative terms of a composite law keyed by mechanism name.  A power
+    law (see power_law) sets exponent to its n and factors to the terms
+    whose product is the gain, "spreading" first; a composite leaves them
+    None and empty.
     """
 
     gain: float | np.ndarray
     range_m: float | np.ndarray
     flags: dict[str, np.ndarray] = field(default_factory=dict)
     components: dict[str, float | np.ndarray] = field(default_factory=dict)
+    factors: dict[str, float | np.ndarray] = field(default_factory=dict)
+    exponent: float | None = None
 
     @property
     def gain_db(self) -> float | np.ndarray:
@@ -57,4 +62,19 @@ class GainResult:
         every_range = np.ones(np.shape(self.gain), dtype=bool)
         return GainResult(self.gain, self.range_m,
                           {**self.flags, **dict.fromkeys(extra, every_range)},
-                          dict(self.components))
+                          dict(self.components), dict(self.factors), self.exponent)
+
+
+def power_law(exponent: float, constant: float, r, flags=(), **factors) -> GainResult:
+    """constant / r^exponent times the named factors, at range r.
+
+    The one place a closed form divides by r^n.  The result's factors are
+    "spreading" (constant / r^exponent) followed by the given factors in
+    order, and its gain is their product.  Each factor keeps its own shape:
+    a float for a scene constant, an array for a term that varies with
+    range.  flags are (name, mask) pairs, as for regime_flags.
+    """
+    factors = {"spreading": constant / r**exponent, **factors}
+    return GainResult(math.prod(factors.values()), r,
+                      regime_flags(np.shape(r), *flags), factors=factors,
+                      exponent=exponent)

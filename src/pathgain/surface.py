@@ -19,10 +19,6 @@ PERPENDICULAR = "perpendicular"
 PARALLEL = "parallel"
 _POLARIZATIONS = (PERPENDICULAR, PARALLEL)
 
-# Grazing angles above this are outside the small-angle expansions used here.
-# Callers may still evaluate, but should flag results as extrapolated.
-LOW_GRAZING_LIMIT_RAD = 0.3
-
 # Typical ground (concrete / dry soil) refraction index.
 GROUND_INDEX_DEFAULT = math.sqrt(5.0)
 
@@ -81,10 +77,6 @@ class TelegraphRoughness:
     def height_variance_m2(self) -> float:
         """Surface height variance 4 A^2 p1 p2 about the mean."""
         return 4.0 * self.half_depth_m**2 * self.fraction_p1 * self.fraction_p2
-
-    @property
-    def mean_height_m(self) -> float:
-        return self.half_depth_m * (self.fraction_p1 - self.fraction_p2)
 
 
 @dataclass(frozen=True)

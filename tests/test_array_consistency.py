@@ -26,8 +26,15 @@ def test_morphology_array_call_matches_float_calls(morphology):
     for name, values in swept.components.items():
         np.testing.assert_allclose([p.components[name] for p in points], values,
                                    rtol=RTOL, atol=0, err_msg=name)
+    for name, values in swept.factors.items():
+        # a scene constant stays a scalar in both calls
+        np.testing.assert_allclose([p.factors[name] for p in points],
+                                   np.broadcast_to(values, RANGES.shape),
+                                   rtol=RTOL, atol=0, err_msg=name)
     for i, point in enumerate(points):
         assert sorted(point.components) == sorted(swept.components)
+        assert list(point.factors) == list(swept.factors)
+        assert point.exponent == swept.exponent
         assert tuple(point.flags) == tuple(
             name for name, mask in swept.flags.items() if mask[i]), RANGES[i]
 

@@ -50,9 +50,14 @@ class TestWaveguideLaw:
         assert FLAG_FREE_SPACE_FLOOR in res.flags
         assert res.gain == pytest.approx(
             friis_gain(link.wavelength_m, link.slant_range_m), rel=1e-14)
-        unfloored = los_canyon_gain(link, friis_floor=False)
-        assert unfloored.gain < res.gain
-        assert FLAG_FREE_SPACE_FLOOR not in unfloored.flags
+        unfloored = res.factors["spreading"]
+        assert unfloored < res.gain
+        assert res.gain == pytest.approx(
+            unfloored * res.factors["free_space_floor"], rel=1e-14)
+        # beyond w L / pi (63 m here) the floor factor is 1 and unflagged
+        far = los_canyon_gain(corridor_link(200.0, f_hz=28e9))
+        assert far.factors["free_space_floor"] == 1.0
+        assert FLAG_FREE_SPACE_FLOOR not in far.flags
 
     def test_short_range_flag(self):
         assert FLAG_SHORT_RANGE in los_canyon_gain(corridor_link(2.5)).flags

@@ -1,19 +1,45 @@
+import configparser
+import contextlib
 import csv
 import io
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathgain import cli, verify
-from pathgain.config import ConfigError, load_config, make_evaluator
+from pathgain.config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
+
+from conftest import REPO_ROOT
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_config(path) -> configparser.ConfigParser:
+    """A config file read the way load_config reads it."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    parser.optionxform = str
+    parser.read(path, encoding="utf-8")
+    return parser
+
+
+def write_edited_config(source, target, edits):
+    """Copy config `source` to `target` with each (section, key, value) of
+    `edits` set."""
+    parser = read_config(source)
+    for section, key, value in edits:
+        parser[section][key] = value
+    with open(target, "w", encoding="utf-8") as handle:
+        parser.write(handle)
 
 
 def read_csv_text(path):
@@ -120,6 +146,26 @@ class TestPredict:
         assert err.count("\n") == 1
         assert "rural" in err and "range 20 m" in err
 
+    @pytest.mark.parametrize("config, section, key, morphology", [
+        ("configs/corridor_28ghz.ini", "wall", "A_m", "los_corridor"),
+        ("configs/corridor_28ghz.ini", "link", "frequency_hz", "los_corridor"),
+        ("configs/suburban_street_28ghz.ini", "street", "standoff_m",
+         "suburban_street"),
+    ])
+    def test_overflowing_scene_value_is_one_line_error(self, capsys, tmp_path,
+                                                       config, section, key,
+                                                       morphology):
+        # a float power of 1e308 overflows inside the law
+        path = tmp_path / "huge.ini"
+        write_edited_config(config, path, [(section, key, "1e308")])
+        code, out, err = run_cli(capsys, "predict", str(path), morphology,
+                                 "1:1000:3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: ")
+        assert err.count("\n") == 1
+        assert morphology in err and "overflows" in err
+
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
                                "canyon_total", "5:70:10")
@@ -161,6 +207,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "outdoor_indoor")
         assert code == 2
         assert "FAILED: outdoor_indoor/" in out
+
+    def test_gap_that_rounds_to_zero_prints_unsigned(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # an exact closed form leaves only quadrature round-off in the gap;
+        # its sign must not reach the table or the CSV
+        comparison = verify.Comparison("exact/case", -12.19, -12.19 + 1e-14, 0.09)
+        assert comparison.gap_db == pytest.approx(-1e-14, rel=0.1)
+        monkeypatch.setattr(verify, "run_suites", lambda names, profile: [comparison])
+        out_csv = tmp_path / "gaps.csv"
+        code, out, _ = run_cli(capsys, "verify", "all", "--output", str(out_csv))
+        assert code == 0
+        assert out.splitlines()[1].split()[1:5] == ["-12.19", "-12.19", "0.00", "0.09"]
+        row = read_csv_text(out_csv)[0]
+        assert row["gap_db"] == "0.00"
+        assert "-0.00" not in out + out_csv.read_text(encoding="utf-8")
 
     def test_strict_profile_consistent(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "roughness",
@@ -414,3 +475,43 @@ class TestConfigValidation:
         assert load_config(path).penetration.material_t2 == 0.5
         path.write_text("[penetration]\nvariant = unbounded\n", encoding="utf-8")
         assert load_config(path).penetration.material_t2 == 1.0
+
+
+SHIPPED_CONFIGS = sorted(str(p.relative_to(REPO_ROOT))
+                         for p in (REPO_ROOT / "configs").rglob("*.ini"))
+HOSTILE_VALUES = st.sampled_from(["nan", "NaN", "inf", "-inf", "0", "-0", "5e-324",
+                                  "1e308", "1e400", "-1", "text", ""])
+FUZZ_VALUES = HOSTILE_VALUES | st.text("0123456789.-+eE", max_size=6)
+
+
+@st.composite
+def edited_scenes(draw):
+    """A shipped config, 1 to 3 of its keys set to hostile values, and a
+    morphology."""
+    config = draw(st.sampled_from(SHIPPED_CONFIGS))
+    parser = read_config(REPO_ROOT / config)
+    keys = [(section, key) for section in parser.sections() for key in parser[section]]
+    picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    edits = [(section, key, draw(FUZZ_VALUES)) for section, key in picked]
+    return config, edits, draw(st.sampled_from(sorted(MORPHOLOGIES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=edited_scenes())
+def test_hostile_config_values_exit_cleanly(scene):
+    # any value in any key of any shipped scene ends in output or in one
+    # error line, never a traceback
+    config, edits, morphology = scene
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.ini"
+        write_edited_config(REPO_ROOT / config, path, edits)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["predict", str(path), morphology, "1:1000:5"])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert len(out.getvalue().splitlines()) == 6
+    else:
+        assert code == 1, (edits, morphology)
+        assert err.getvalue().startswith("pathgain: error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -83,12 +83,13 @@ class TestTreeDensity:
 
 class TestSuburban:
     def test_reduces_to_diffuse_halfspace(self):
-        # no foliage loss and no bounces -> the plain quartic law
+        # no foliage loss and the bounces divided out -> the plain quartic law
         scene = suburban_scene(kappa_v=0.0)
         link = Link(100.0, 28e9)
-        res = suburban_street_gain(scene, link, gamma_g2=0.0, gamma_w2=0.0)
+        res = suburban_street_gain(scene, link)
         dlink = DiffuseLink(20.0, res.range_m, 5.0, 0.0, wavelength_m(28e9))
-        assert res.gain == pytest.approx(
+        bounces = res.factors["ground_bounce"] * res.factors["wall_bounce"]
+        assert res.gain / bounces == pytest.approx(
             diffuse_pathgain(dlink, PenetrationSpec.unbounded()), rel=1e-14)
 
     def test_effective_range_includes_standoff_and_heights(self):
@@ -101,9 +102,8 @@ class TestSuburban:
         ranges = np.geomspace(100.0, 1000.0, 30)
         gains, rs = [], []
         for x in ranges:
-            res = suburban_street_gain(scene, Link(float(x), 28e9),
-                                       gamma_g2=1.0, gamma_w2=1.0)
-            gains.append(db(res.gain))
+            res = suburban_street_gain(scene, Link(float(x), 28e9))
+            gains.append(db(res.gain / res.factors["ground_bounce"]))
             rs.append(res.range_m)
         slope = np.polyfit(np.log10(rs), gains, 1)[0]
         assert slope == pytest.approx(-40.0, abs=1e-9)
@@ -151,7 +151,8 @@ class TestOvertop:
 
     def test_wide_street_limit(self):
         link = Link(500.0, 28e9)
-        wide = overtop_gain(self.MACRO, 0.38, link, wide_street=True).gain
+        res = overtop_gain(self.MACRO, 0.38, link)
+        wide = res.gain / res.factors["t_eff"]
         huge = overtop_gain(MacroGeometry(14.0, 10.0, 1.5, 1e9), 0.38, link).gain
         assert huge == pytest.approx(wide, rel=1e-6)
         narrow = overtop_gain(self.MACRO, 0.38, link).gain
@@ -172,9 +173,8 @@ class TestOvertop:
     def test_quartic_slope_with_fixed_bounce(self):
         gains, rs = [], []
         for x in np.geomspace(100.0, 1000.0, 30):
-            res = overtop_gain(self.MACRO, 0.0, Link(float(x), 28e9),
-                               gamma_g2=1.0)
-            gains.append(db(res.gain))
+            res = overtop_gain(self.MACRO, 0.0, Link(float(x), 28e9))
+            gains.append(db(res.gain / res.factors["ground_bounce"]))
             rs.append(res.range_m)
         slope = np.polyfit(np.log10(rs), gains, 1)[0]
         assert slope == pytest.approx(-40.0, abs=1e-9)
@@ -231,9 +231,8 @@ class TestOutdoorIndoorCanyon:
         gains, rs = [], []
         for x in np.geomspace(100.0, 1000.0, 30):
             res = outdoor_indoor_canyon_gain(self.GEOMETRY, self.PEN,
-                                             self.INDOOR, Link(float(x), 3.5e9),
-                                             gamma_g2=1.0)
-            gains.append(db(res.gain))
+                                             self.INDOOR, Link(float(x), 3.5e9))
+            gains.append(db(res.gain / res.factors["ground_bounce"]))
             rs.append(res.range_m)
         slope = np.polyfit(np.log10(rs), gains, 1)[0]
         assert slope == pytest.approx(-25.0, abs=1e-9)
@@ -242,14 +241,15 @@ class TestOutdoorIndoorCanyon:
         # gain scales as L^-1.5, a 4.52 dB drop per doubling of L
         link = Link(300.0, 3.5e9)
         g_urban = outdoor_indoor_canyon_gain(self.GEOMETRY, self.PEN,
-                                             self.INDOOR, link, gamma_g2=1.0)
+                                             self.INDOOR, link)
         corridor_geo = CanyonGeometry(8.6, 5.0, 1.5, CORRIDOR_WALL)
         g_corridor = outdoor_indoor_canyon_gain(corridor_geo, self.PEN,
-                                                self.INDOOR, link, gamma_g2=1.0)
+                                                self.INDOOR, link)
         k = wavenumber_rad_m(3.5e9)
         l_ratio = wall_loss(URBAN_WALL, k) / wall_loss(CORRIDOR_WALL, k)
-        assert g_corridor.gain / g_urban.gain == pytest.approx(l_ratio**1.5,
-                                                               rel=1e-12)
+        ratio = ((g_corridor.gain / g_corridor.factors["ground_bounce"])
+                 / (g_urban.gain / g_urban.factors["ground_bounce"]))
+        assert ratio == pytest.approx(l_ratio**1.5, rel=1e-12)
 
     def test_guided_range_flag(self):
         res = outdoor_indoor_canyon_gain(self.GEOMETRY, self.PEN, self.INDOOR,
@@ -268,21 +268,23 @@ class TestSidewalk:
         # and no indoor loss
         scene = sparse_street_scene(rho_v=0.0)
         link = Link(400.0, 28e9)
-        guided = sidewalk_guided_gain(scene, link, gamma_g2=0.7)
+        guided = sidewalk_guided_gain(scene, link)
         reference = outdoor_indoor_canyon_gain(
             scene.canyon, PenetrationSpec.unbounded(), IndoorClutter(0.0, 0.0),
-            link, gamma_g2=0.7)
-        assert guided.gain == pytest.approx(reference.gain, rel=1e-14)
+            link)
+        assert guided.gain / guided.factors["ground_bounce"] == pytest.approx(
+            reference.gain / reference.factors["ground_bounce"], rel=1e-14)
 
     def test_guided_range_decay_beyond_power_law(self):
-        # gain * r^2.5 * exp(+kappa rho r) is range-free once bounces are
-        # pinned (r is the slant range the law evaluates at)
+        # gain * r^2.5 * exp(+kappa rho r) is range-free once the ground
+        # bounce is divided out (r is the slant range the law evaluates at)
         scene = sparse_street_scene(rho_v=0.1)
         k_rho = 0.38 * 0.1
         g = []
         for x in (200.0, 400.0, 800.0):
-            res = sidewalk_guided_gain(scene, Link(x, 28e9), gamma_g2=1.0)
-            g.append(res.gain * res.range_m**2.5 * math.exp(k_rho * res.range_m))
+            res = sidewalk_guided_gain(scene, Link(x, 28e9))
+            g.append(res.gain / res.factors["ground_bounce"]
+                     * res.range_m**2.5 * math.exp(k_rho * res.range_m))
         assert max(g) == pytest.approx(min(g), rel=1e-9)
 
     def test_unguided_matches_suburban_with_scaled_kappa(self):
