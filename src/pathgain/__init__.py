@@ -19,10 +19,8 @@ from .diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, enhancement
 from .fitting import (
     FitResult,
     MeasurementDataset,
-    MeasurementRecord,
     fit_slope_intercept,
     load_dataset,
-    model_error_table,
     rmse_against_model,
 )
 from .morphology import (

@@ -64,8 +64,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("dataset", help="CSV with range_m,path_gain_db columns")
     ev.add_argument("config", help="environment config file")
     ev.add_argument("model", help="morphology or reference model name")
-    ev.add_argument("--frequency-hz", type=float, default=None,
-                    help="dataset carrier if not taken from the config")
     ev.add_argument("--output", help="CSV output path for per-record residuals")
     return parser
 
@@ -171,8 +169,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     # the fit is frequency-agnostic; the dataset carrier is irrelevant here
-    records = load_dataset(args.dataset, frequency_hz=1.0)
-    result = fit_slope_intercept(records)
+    dataset = load_dataset(args.dataset, frequency_hz=1.0)
+    result = fit_slope_intercept(dataset)
     sys.stdout.write(
         f"intercept_db_1m={result.model.intercept_db_1m:.2f} "
         f"exponent_n={result.model.exponent_n:.4f} "
@@ -221,21 +219,18 @@ def _model_predictor(cfg, name: str):
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    frequency = args.frequency_hz or cfg.frequency_hz
-    if frequency is None:
-        raise CliError("dataset frequency unknown: set [link] frequency_hz "
-                       "in the config or pass --frequency-hz")
-    dataset = load_dataset(args.dataset, frequency_hz=frequency)
-    predicted = model_predictions_db(dataset, _model_predictor(cfg, args.model))
+    # built first: it rejects a config without [link] frequency_hz
+    predict_db = _model_predictor(cfg, args.model)
+    dataset = load_dataset(args.dataset, cfg.frequency_hz)
+    predicted = model_predictions_db(dataset, predict_db)
     residual = dataset.gains_db - predicted
     sys.stdout.write(f"rmse_db={rms_db(residual):.2f} n_points={len(dataset)}\n")
     if args.output:
-        buf = io.StringIO()
-        buf.write("range_m,path_gain_db,predicted_db,residual_db\n")
-        for rec, value, res in zip(dataset.records, predicted, residual):
-            buf.write(f"{rec.range_m:.6g},{rec.path_gain_db:.2f},"
-                      f"{value:.2f},{res:.2f}\n")
-        _write(args.output, buf.getvalue())
+        row = "{:.6g},{:.2f},{:.2f},{:.2f}\n"
+        columns = (dataset.ranges_m, dataset.gains_db, predicted, residual)
+        _write(args.output, "range_m,path_gain_db,predicted_db,residual_db\n"
+               + "".join(row.format(*values)
+                         for values in zip(*(c.tolist() for c in columns))))
     return EXIT_OK
 
 

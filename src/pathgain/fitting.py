@@ -8,7 +8,7 @@ among slope-intercept models under exactly the metric reported here.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,46 +24,47 @@ class DatasetError(ValueError):
     """Malformed dataset content (bad CSV, bad record, degenerate fit)."""
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    range_m: float
-    path_gain_db: float
-    street: str = ""
-    flag: str = ""
-
-    def __post_init__(self):
-        if not math.isfinite(self.range_m) or not math.isfinite(self.path_gain_db):
-            raise DatasetError("record fields must be finite")
-        if self.range_m <= 0.0:
-            raise DatasetError(f"range must be positive, got {self.range_m}")
-        if self.path_gain_db >= PATH_GAIN_SANITY_DB:
-            raise DatasetError(
-                f"path gain {self.path_gain_db} dB exceeds sanity bound"
-            )
+def _first_invalid(ranges: np.ndarray, gains: np.ndarray) -> tuple[int, str] | None:
+    """Index and message of the first record that is not finite, has a
+    range <= 0 or a gain at or above PATH_GAIN_SANITY_DB; None if none."""
+    bad = ~(np.isfinite(ranges) & np.isfinite(gains))
+    bad |= (ranges <= 0.0) | (gains >= PATH_GAIN_SANITY_DB)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    range_m, gain_db = float(ranges[i]), float(gains[i])
+    if not (math.isfinite(range_m) and math.isfinite(gain_db)):
+        return i, "record fields must be finite"
+    if range_m <= 0.0:
+        return i, f"range must be positive, got {range_m}"
+    return i, f"path gain {gain_db} dB exceeds sanity bound"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDataset:
-    """Ordered measurement records sharing one carrier frequency."""
+    """Measured path gain (dB) at ranges (m), as two read-only 1-D float
+    arrays of equal length, sharing one carrier frequency."""
 
-    records: tuple[MeasurementRecord, ...]
+    ranges_m: np.ndarray
+    gains_db: np.ndarray
     frequency_hz: float
-    morphology: str = ""
 
     def __post_init__(self):
-        if self.frequency_hz <= 0.0:
+        ranges = np.array(self.ranges_m, dtype=float)
+        gains = np.array(self.gains_db, dtype=float)
+        if ranges.ndim != 1 or ranges.shape != gains.shape:
+            raise DatasetError("ranges and gains must be 1-D arrays of equal length")
+        invalid = _first_invalid(ranges, gains)
+        if invalid:
+            raise DatasetError(invalid[1])
+        if not self.frequency_hz > 0.0:
             raise DatasetError("dataset frequency must be positive")
+        for name, values in (("ranges_m", ranges), ("gains_db", gains)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def ranges_m(self) -> np.ndarray:
-        return np.array([rec.range_m for rec in self.records])
-
-    @property
-    def gains_db(self) -> np.ndarray:
-        return np.array([rec.path_gain_db for rec in self.records])
+        return len(self.ranges_m)
 
 
 @dataclass(frozen=True)
@@ -73,39 +74,58 @@ class FitResult:
     n_points: int
 
 
-def read_csv_records(path) -> list[MeasurementRecord]:
-    """Read `range_m,path_gain_db[,street,flag]` records from a CSV file.
+def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
+    """Read the `range_m` and `path_gain_db` columns of a CSV file.
 
-    Extra columns (e.g. per-component gains written by prediction sweeps)
-    are ignored so any CSV this package emits can be read back.  NaN or
-    infinite values are rejected with the offending line number.
+    Other columns (e.g. per-component gains written by prediction sweeps)
+    are ignored, so any CSV this package emits can be read back, and blank
+    lines are skipped.  A cell float() rejects, or a record that is not
+    finite, has a range <= 0 or a gain at the sanity bound, is reported
+    with the line it is on.
     """
-    records = []
+    ranges, gains, lines = [], [], []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DatasetError(f"{path}: empty file")
-        missing = [c for c in CSV_REQUIRED if c not in reader.fieldnames]
+        missing = [c for c in CSV_REQUIRED if c not in header]
         if missing:
             raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
+        # the last of repeated column names wins, as in csv.DictReader
+        columns = [len(header) - 1 - header[::-1].index(c) for c in CSV_REQUIRED]
+        i_range, i_gain = columns
+        for row in reader:
+            if not row:
+                continue
             try:
-                records.append(MeasurementRecord(
-                    range_m=float(row["range_m"]),
-                    path_gain_db=float(row["path_gain_db"]),
-                    street=row.get("street") or "",
-                    flag=row.get("flag") or "",
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}: line {line_no}: {exc}") from exc
-    if not records:
+                range_m, gain_db = float(row[i_range]), float(row[i_gain])
+            except (IndexError, ValueError):
+                _record_arrays(path, ranges, gains, lines)  # an earlier record fails first
+                # convert again for the message, reading a cell past the end
+                # of a short row as None, as csv.DictReader does
+                try:
+                    for i in columns:
+                        float(row[i] if i < len(row) else None)
+                except (TypeError, ValueError) as exc:
+                    raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from exc
+            ranges.append(range_m)
+            gains.append(gain_db)
+            lines.append(reader.line_num)
+    if not ranges:
         raise DatasetError(f"{path}: no data rows")
-    return records
+    ranges, gains = _record_arrays(path, ranges, gains, lines)
+    return MeasurementDataset(ranges, gains, frequency_hz)
 
 
-def load_dataset(path, frequency_hz: float, morphology: str = "") -> MeasurementDataset:
-    return MeasurementDataset(tuple(read_csv_records(path)), frequency_hz,
-                              morphology)
+def _record_arrays(path, ranges: list, gains: list, lines: list):
+    """The records as arrays, after naming the line of the first invalid one."""
+    ranges, gains = np.array(ranges, dtype=float), np.array(gains, dtype=float)
+    invalid = _first_invalid(ranges, gains)
+    if invalid:
+        i, message = invalid
+        raise DatasetError(f"{path}: line {lines[i]}: {message}")
+    return ranges, gains
 
 
 def fit_slope_intercept(dataset: MeasurementDataset) -> FitResult:
@@ -169,57 +189,3 @@ def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
     Evaluation failures are reported with the record index.
     """
     return rms_db(dataset.gains_db - model_predictions_db(dataset, predict_db))
-
-
-@dataclass(frozen=True)
-class StreetEvaluation:
-    """One street's dataset with its model predictors (dB as a function of
-    range in meters)."""
-
-    name: str
-    dataset: MeasurementDataset
-    predictors: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ErrorTable:
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]  # (street name, n_points, {column: rmse_db})
-
-
-def model_error_table(streets: list[StreetEvaluation]) -> ErrorTable:
-    """Per-street and pooled RMSE of each model, plus a slope-intercept fit.
-
-    The per-street "fit" column fits that street's own data; the pooled row
-    fits a single line to all records together, so streets at different
-    levels inflate it even when each street alone fits perfectly.  Model
-    columns pool squared residuals across streets.
-    """
-    if not streets:
-        raise DatasetError("no streets to evaluate")
-    model_names = list(streets[0].predictors)
-    for ev in streets:
-        if list(ev.predictors) != model_names:
-            raise DatasetError("streets must share the same predictor set")
-    columns = ("fit", *model_names)
-
-    rows = []
-    pooled_records = []
-    pooled_sq = {name: [] for name in model_names}
-    for ev in streets:
-        cells = {"fit": fit_slope_intercept(ev.dataset).rmse_db}
-        for name in model_names:
-            rmse = rmse_against_model(ev.dataset, ev.predictors[name])
-            cells[name] = rmse
-            pooled_sq[name].append(rmse**2 * len(ev.dataset))
-        rows.append((ev.name, len(ev.dataset), cells))
-        pooled_records.extend(ev.dataset.records)
-
-    pooled = MeasurementDataset(tuple(pooled_records),
-                                streets[0].dataset.frequency_hz)
-    total = len(pooled)
-    overall = {"fit": fit_slope_intercept(pooled).rmse_db}
-    for name in model_names:
-        overall[name] = math.sqrt(sum(pooled_sq[name]) / total)
-    rows.append(("Overall", total, overall))
-    return ErrorTable(columns, tuple(rows))

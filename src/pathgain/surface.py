@@ -190,12 +190,16 @@ def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
 
     L = 4/n_eff + 32 k^{3/2} A^2 p1 p2 sqrt(mu1 + mu2): smooth dielectric
     loss plus twice the roughness loss rate (the reflected power decays as
-    exp(-L * theta) per bounce).
+    exp(-L * theta) per bounce).  Raises ValueError where the roughness term
+    overflows a float.
     """
     require(wavenumber_rad_m > 0.0, "wavenumber must be positive", wavenumber_rad_m)
     loss = 4.0 / surface.dielectric.refraction_index
-    if surface.roughness is not None:
-        loss += 2.0 * roughness_loss_rate(surface.roughness, wavenumber_rad_m)
+    rough = surface.roughness
+    if rough is not None:
+        loss += 2.0 * roughness_loss_rate(rough, wavenumber_rad_m)
+        require(math.isfinite(loss), f"wall loss overflows for roughness A = "
+                f"{rough.half_depth_m:g} m at wavenumber {wavenumber_rad_m:g} rad/m")
     return loss
 
 

@@ -20,7 +20,6 @@ from pathgain.canyon import CanyonGeometry, LosLink, los_canyon_gain, los_gain_i
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, t_eff
 from pathgain.fitting import (
     MeasurementDataset,
-    MeasurementRecord,
     fit_slope_intercept,
 )
 from pathgain.morphology import (
@@ -356,9 +355,8 @@ def test_criterion_09_fitting():
     start = time.perf_counter()
     model = SlopeIntercept(-45.0, 1.5)
     ranges = np.geomspace(10.0, 1000.0, 80)
-    noiseless = MeasurementDataset(
-        tuple(MeasurementRecord(float(r), slope_intercept_eval(model, float(r)))
-              for r in ranges), 28e9)
+    line = np.array([slope_intercept_eval(model, float(r)) for r in ranges])
+    noiseless = MeasurementDataset(ranges, line, 28e9)
     fit = fit_slope_intercept(noiseless)
     assert fit.rmse_db < 1e-10
     assert fit.model.exponent_n == pytest.approx(1.5, abs=1e-12)
@@ -366,25 +364,18 @@ def test_criterion_09_fitting():
     rng = np.random.default_rng(20260810)
     noisy_r = 10.0 ** rng.uniform(1.0, 3.0, 500)
     noisy = MeasurementDataset(
-        tuple(MeasurementRecord(float(r),
-                                slope_intercept_eval(model, float(r))
-                                + float(rng.normal(0.0, 3.0)))
-              for r in noisy_r), 28e9)
+        noisy_r, [slope_intercept_eval(model, float(r)) + float(rng.normal(0.0, 3.0))
+                  for r in noisy_r], 28e9)
     noisy_fit = fit_slope_intercept(noisy)
     assert 2.5 <= noisy_fit.rmse_db <= 3.5
     assert abs(noisy_fit.model.exponent_n - 1.5) <= 0.15
 
-    up = MeasurementDataset(
-        tuple(MeasurementRecord(float(r),
-                                slope_intercept_eval(model, float(r)) + 10.0)
-              for r in ranges), 28e9)
-    down = MeasurementDataset(
-        tuple(MeasurementRecord(float(r),
-                                slope_intercept_eval(model, float(r)) - 10.0)
-              for r in ranges), 28e9)
+    up = MeasurementDataset(ranges, line + 10.0, 28e9)
+    down = MeasurementDataset(ranges, line - 10.0, 28e9)
     assert fit_slope_intercept(up).rmse_db < 1e-9
     assert fit_slope_intercept(down).rmse_db < 1e-9
-    pooled = MeasurementDataset(up.records + down.records, 28e9)
+    pooled = MeasurementDataset(np.concatenate([up.ranges_m, down.ranges_m]),
+                                np.concatenate([up.gains_db, down.gains_db]), 28e9)
     pooled_fit = fit_slope_intercept(pooled)
     assert pooled_fit.rmse_db > 3.0
     elapsed = time.perf_counter() - start

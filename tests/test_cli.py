@@ -166,6 +166,23 @@ class TestPredict:
         assert err.count("\n") == 1
         assert morphology in err and "overflows" in err
 
+    @pytest.mark.parametrize("config, morphology", [
+        ("configs/corridor_28ghz.ini", "los_corridor"),
+        ("configs/sidewalk_sparse_trees_28ghz.ini", "sidewalk_trees"),
+    ])
+    def test_overflowing_wall_loss_is_one_line_error(self, capsys, tmp_path,
+                                                     config, morphology):
+        # A^2 fits a float, but the roughness loss rate k^1.5 * A^2 ... does not
+        path = tmp_path / "rough.ini"
+        write_edited_config(config, path, [("wall", "A_m", "1e152")])
+        code, out, err = run_cli(capsys, "predict", str(path), morphology,
+                                 "1:1000:3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: wall loss overflows for "
+                              "roughness A = 1e+152 m")
+        assert err.count("\n") == 1
+
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
                                "canyon_total", "5:70:10")
@@ -338,6 +355,33 @@ class TestEvaluateCommand:
         assert len(calls) == 1
         ranges = [float(row["range_m"]) for row in read_csv_text(data)]
         assert calls[0].tolist() == ranges
+
+
+    def test_frequency_option_is_a_usage_error(self, capsys, tmp_path):
+        data = self.make_synthetic(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "evaluate", str(data),
+                                 "configs/sidewalk_sparse_trees_28ghz.ini",
+                                 "canyon_total", "--frequency-hz", "2e9")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --frequency-hz" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["canyon_total", "tr38901_umi_nlos"])
+    def test_config_without_frequency_is_one_line_error(self, capsys, tmp_path,
+                                                        model):
+        data = self.make_synthetic(tmp_path, capsys)
+        config = read_config("configs/sidewalk_sparse_trees_28ghz.ini")
+        config.remove_section("link")
+        path = tmp_path / "no_link.ini"
+        with open(path, "w", encoding="utf-8") as handle:
+            config.write(handle)
+        code, out, err = run_cli(capsys, "evaluate", str(data), str(path), model)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: ")
+        assert err.count("\n") == 1
+        assert "[link] frequency_hz" in err
 
 
 class TestDeterminism:

@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 from pathgain.fitting import (
     DatasetError,
     MeasurementDataset,
-    MeasurementRecord,
-    StreetEvaluation,
     fit_slope_intercept,
     load_dataset,
-    model_error_table,
     rmse_against_model,
 )
 from pathgain.morphology import MacroGeometry, Link, canyon_total_gain
@@ -22,10 +19,8 @@ from conftest import db
 from test_morphology import sparse_street_scene
 
 
-def make_dataset(ranges, gains_db, f_hz=28e9, street=""):
-    records = tuple(MeasurementRecord(float(r), float(g), street=street)
-                    for r, g in zip(ranges, gains_db))
-    return MeasurementDataset(records, f_hz)
+def make_dataset(ranges, gains_db, f_hz=28e9):
+    return MeasurementDataset(ranges, gains_db, f_hz)
 
 
 def friis_dataset(f_hz=28e9, n=50, lo=10.0, hi=1000.0):
@@ -88,9 +83,9 @@ class TestRmseAgainstModel:
     def test_reorder_invariance(self):
         ds = friis_dataset(n=30)
         rng = np.random.default_rng(7)
-        perm = rng.permutation(len(ds.records))
-        shuffled = MeasurementDataset(
-            tuple(ds.records[i] for i in perm), ds.frequency_hz)
+        perm = rng.permutation(len(ds))
+        shuffled = MeasurementDataset(ds.ranges_m[perm], ds.gains_db[perm],
+                                      ds.frequency_hz)
         lam = wavelength_m(28e9)
         predict = lambda r: db(friis_gain(lam, r)) - 2.5
         assert rmse_against_model(ds, predict) == pytest.approx(
@@ -135,45 +130,6 @@ class TestRmseAgainstModel:
             rmse_against_model(ds, broken)
 
 
-class TestErrorTable:
-    def test_two_offset_streets_pooled_spread(self):
-        model = SlopeIntercept(-40.0, 2.0)
-        ranges = np.geomspace(10.0, 500.0, 40)
-        up = make_dataset(ranges, [slope_intercept_eval(model, r) + 10.0
-                                   for r in ranges], street="up")
-        down = make_dataset(ranges, [slope_intercept_eval(model, r) - 10.0
-                                     for r in ranges], street="down")
-        predictors = {"model": lambda r: slope_intercept_eval(model, r)}
-        table = model_error_table([
-            StreetEvaluation("up", up, dict(predictors)),
-            StreetEvaluation("down", down, dict(predictors)),
-        ])
-        by_name = {row[0]: row[2] for row in table.rows}
-        assert by_name["up"]["fit"] < 1e-9
-        assert by_name["down"]["fit"] < 1e-9
-        assert by_name["Overall"]["fit"] > 3.0
-        assert by_name["up"]["model"] == pytest.approx(10.0, abs=1e-9)
-        assert by_name["Overall"]["model"] == pytest.approx(10.0, abs=1e-9)
-
-    def test_synthetic_street_theory_column(self):
-        rng = np.random.default_rng(5)
-        scene = sparse_street_scene()
-        macro = MacroGeometry(56.0, 10.0, 1.5, 32.0)
-        theory = lambda r: db(canyon_total_gain(scene, macro, Link(r, 28e9)).gain)
-        ranges = np.geomspace(100.0, 900.0, 300)
-        ds = make_dataset(ranges, [theory(float(r)) + rng.normal(0.0, 4.0)
-                                   for r in ranges])
-        table = model_error_table([
-            StreetEvaluation("one", ds, {"theory": theory})])
-        cells = table.rows[0][2]
-        assert cells["theory"] == pytest.approx(4.0, abs=0.7)
-        assert cells["fit"] <= cells["theory"] + 1e-9
-
-    def test_empty_street_list_rejected(self):
-        with pytest.raises(DatasetError):
-            model_error_table([])
-
-
 class TestIngestion:
     def test_round_trip_csv(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -182,8 +138,8 @@ class TestIngestion:
                         "20.5,-66.25,main,los\n", encoding="utf-8")
         ds = load_dataset(path, 2e9)
         assert len(ds) == 2
-        assert ds.records[1].range_m == 20.5
-        assert ds.records[1].flag == "los"
+        assert ds.ranges_m.tolist() == [10.0, 20.5]
+        assert ds.gains_db.tolist() == [-60.5, -66.25]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -210,7 +166,21 @@ class TestIngestion:
         with pytest.raises(DatasetError):
             load_dataset(path, 2e9)
 
+    def test_dataset_holds_read_only_copies(self):
+        ranges = np.array([10.0, 20.0])
+        ds = MeasurementDataset(ranges, [-60.0, -66.0], 2e9)
+        ranges[0] = 5.0
+        assert ds.ranges_m.tolist() == [10.0, 20.0]
+        with pytest.raises(ValueError):
+            ds.gains_db[0] = 0.0
+
+    def test_dataset_needs_equal_length_1d_arrays(self):
+        with pytest.raises(DatasetError, match="equal length"):
+            MeasurementDataset([10.0, 20.0], [-60.0], 2e9)
+        with pytest.raises(DatasetError, match="equal length"):
+            MeasurementDataset([[10.0]], [[-60.0]], 2e9)
+
     def test_sanity_bound_on_gain(self):
-        with pytest.raises(DatasetError):
-            MeasurementRecord(10.0, 25.0)
+        with pytest.raises(DatasetError, match="path gain 25.0 dB exceeds"):
+            MeasurementDataset([10.0], [25.0], 2e9)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pathgain.fitting import MeasurementDataset, MeasurementRecord, fit_slope_intercept
+from pathgain.fitting import MeasurementDataset, fit_slope_intercept
 from pathgain.reference import (
     SlopeIntercept,
     ThreeGppScenario,
@@ -54,11 +54,10 @@ class TestSlopeIntercept:
         from pathgain.canyon import CanyonGeometry, LosLink, los_canyon_gain
         from conftest import CORRIDOR_WALL
         geometry = CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL)
-        records = []
-        for x in np.geomspace(20.0, 150.0, 60):
-            res = los_canyon_gain(LosLink(geometry, float(x), 2e9))
-            records.append(MeasurementRecord(res.range_m, db(res.gain)))
-        fit = fit_slope_intercept(MeasurementDataset(tuple(records), 2e9))
+        results = [los_canyon_gain(LosLink(geometry, float(x), 2e9))
+                   for x in np.geomspace(20.0, 150.0, 60)]
+        fit = fit_slope_intercept(MeasurementDataset(
+            [res.range_m for res in results], [db(res.gain) for res in results], 2e9))
         assert fit.model.exponent_n == pytest.approx(1.5, abs=1e-12)
         assert fit.rmse_db < 1e-10
 
