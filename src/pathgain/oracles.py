@@ -7,6 +7,17 @@ are summed term by term with exact image standoffs, and the hot-wall and
 roughness integrals are evaluated by adaptive quadrature with the
 unapproximated kernels.  The quadrature is the module's own vectorized
 Gauss-Kronrod rule (`gauss_kronrod`), so no command loads scipy.
+
+Each oracle stops once its own tolerance is met:
+
+- the image sum starts at 64 orders and doubles them, adding only the new
+  shell of images, until a shell is within rel_tail_tol of the total;
+- the reflection-order series sums blocks of 64, 128, 256, ... orders
+  until a block after the first is within rel_tail_tol of the total;
+- the quadratures bisect their worst boxes until the summed error estimate
+  meets the tolerance.  The rectangular aperture integrates one quadrant
+  of its even kernel, and the unbounded boundary one radius, each with
+  breakpoints in geometric steps from the depth d_in, the kernel's scale.
 """
 
 import itertools
@@ -40,11 +51,10 @@ class SummationControl:
 
     max_order: int = 500_000
     rel_tail_tol: float = 1e-10
-    block: int = 4096
     deadline_s: float | None = None
 
     def __post_init__(self):
-        if self.max_order < 1 or self.rel_tail_tol <= 0.0 or self.block < 1:
+        if self.max_order < 1 or self.rel_tail_tol <= 0.0:
             raise ValueError("summation control parameters must be positive")
         if self.deadline_s is not None and self.deadline_s < 0.0:
             raise ValueError("deadline must be nonnegative")
@@ -78,44 +88,6 @@ class OracleConvergenceError(RuntimeError):
     """A truncated sum or quadrature failed to meet its tolerance."""
 
 
-def _canyon_image_total(link: LosLink, k_max: int, coherent: bool,
-                        include_ground: bool, wall_loss_value: float):
-    """Image sum at a fixed truncation order (2*k_max bounces)."""
-    g = link.geometry
-    w = g.width_m
-    x = link.range_x_m
-    # shift so the walls sit at y = 0 and y = w
-    y_s = g.tx_offset_m + w / 2.0
-    y_r = g.rx_offset_m + w / 2.0
-    k = np.arange(-k_max, k_max + 1)
-    pos = np.concatenate([2.0 * k * w + y_s, 2.0 * k * w - y_s])
-    refl = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
-    dy = pos - y_r
-    g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
-
-    def image_set(dz: float, via_ground: bool):
-        dist = np.sqrt(x * x + dy * dy + dz * dz)
-        theta_wall = np.arcsin(np.abs(dy) / dist)
-        amp = np.exp(-0.5 * wall_loss_value * theta_wall) ** refl
-        if via_ground:
-            theta_ground = np.arcsin(abs(dz) / dist)
-            gamma_g = -np.exp(-g_coef * theta_ground)
-        if coherent:
-            fields = (-1.0) ** refl * amp * np.exp(1j * link.wavenumber_rad_m * dist) / dist
-            if via_ground:
-                fields = fields * gamma_g
-            return np.sum(fields)
-        powers = amp * amp / (dist * dist)
-        if via_ground:
-            powers = powers * gamma_g * gamma_g
-        return np.sum(powers)
-
-    total = image_set(g.tx_height_m - g.rx_height_m, False)
-    if include_ground:
-        total = total + image_set(g.tx_height_m + g.rx_height_m, True)
-    return total
-
-
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
                     include_ground: bool = False, coherent: bool = False,
                     wall_loss_override: float | None = None,
@@ -129,8 +101,41 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     sums fields with phase instead of powers.  wall_loss_override replaces L
     (0 forces unit reflection); fixed_order evaluates the truncated sum at
     that order without a convergence check.
+
+    Order k holds the images 2kw + y_s and 2kw - y_s, with |2k| and
+    |2k - 1| wall bounces, so orders -n..n truncate the sum at 2n bounces.
+    The sum starts at n = 64 and doubles n, adding only the new shell of
+    orders n < |k| <= 2n, until that shell is within rel_tail_tol of the
+    total.
     """
+    g = link.geometry
+    w = g.width_m
+    x = link.range_x_m
     wall_l = link.wall_loss if wall_loss_override is None else wall_loss_override
+    # shift so the walls sit at y = 0 and y = w
+    y_s = g.tx_offset_m + w / 2.0
+    y_r = g.rx_offset_m + w / 2.0
+    # one row of images at the direct height offset, one at the ground image's
+    dz = np.array([[g.tx_height_m - g.rx_height_m],
+                   [g.tx_height_m + g.rx_height_m]])[:1 + include_ground]
+    g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
+
+    def image_sum(k):
+        dy = np.concatenate([2.0 * k * w + y_s, 2.0 * k * w - y_s]) - y_r
+        refl = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
+        dist = np.sqrt(x * x + dy * dy + dz * dz)
+        theta_wall = np.arcsin(np.abs(dy) / dist)
+        amp = np.exp(-0.5 * wall_l * theta_wall * refl)
+        if coherent:
+            terms = (-1.0) ** refl * amp * np.exp(1j * link.wavenumber_rad_m * dist) / dist
+        else:
+            terms = amp * amp / (dist * dist)
+        if include_ground:
+            gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[1]))
+            terms[1] = (terms[1] * gamma_g if coherent
+                        else terms[1] * gamma_g * gamma_g)
+        return terms.sum(axis=1).sum()
+
     lam = link.wavelength_m
     scale = lam * lam / (4.0 * math.pi) ** 2
 
@@ -138,18 +143,19 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
         return scale * (abs(total) ** 2 if coherent else float(total))
 
     if fixed_order is not None:
-        return finish(_canyon_image_total(link, max(fixed_order, 1), coherent,
-                                          include_ground, wall_l))
+        n = max(fixed_order, 1)
+        return finish(image_sum(np.arange(-n, n + 1)))
     started = ctl.start_clock()
-    k_max = 64
-    prev = _canyon_image_total(link, k_max, coherent, include_ground, wall_l)
-    while 2 * k_max <= ctl.max_order:
+    n = 64
+    total = image_sum(np.arange(-n, n + 1))
+    while 2 * n <= ctl.max_order:
         ctl.check_deadline(started)
-        k_max *= 2
-        total = _canyon_image_total(link, k_max, coherent, include_ground, wall_l)
-        if abs(total - prev) <= ctl.rel_tail_tol * abs(total):
+        shell = image_sum(np.concatenate([np.arange(-2 * n, -n),
+                                          np.arange(n + 1, 2 * n + 1)]))
+        n *= 2
+        total = total + shell
+        if abs(shell) <= ctl.rel_tail_tol * abs(total):
             return finish(total)
-        prev = total
     raise OracleConvergenceError(
         f"image sum did not converge within max_order={ctl.max_order}"
     )
@@ -160,14 +166,16 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
     """Sum over reflection order m of d_m^2 exp(-L m d_m / r) [* extra].
 
     Image standoffs alternate d_m = mw + d (even m) and mw + w - d (odd m);
-    the per-bounce grazing angle of the m-bounce path is d_m / r.
+    the per-bounce grazing angle of the m-bounce path is d_m / r.  The
+    terms are summed in blocks of 64, 128, 256, ... orders, until a block
+    after the first sums to within rel_tail_tol of the running total.
     """
     total = 0.0
-    m_start = 0
+    m_start, size = 0, 64
     started = ctl.start_clock()
     while m_start <= ctl.max_order:
         ctl.check_deadline(started)
-        m = np.arange(m_start, min(m_start + ctl.block, ctl.max_order + 1))
+        m = np.arange(m_start, min(m_start + size, ctl.max_order + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
         if extra_factor is not None:
@@ -177,6 +185,7 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
         if m_start > 0 and block <= ctl.rel_tail_tol * total:
             return total
         m_start += len(m)
+        size *= 2
     raise OracleConvergenceError(
         f"reflection-order series did not converge within max_order={ctl.max_order}"
     )
@@ -185,13 +194,13 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
                           link: Link, ctl: SummationControl = SummationControl(),
                           standoff_m: float | None = None,
-                          gamma_g2: float | None = None,
-                          gamma_w2: float = 1.0) -> float:
+                          gamma_g2: float | None = None) -> float:
     """Outdoor-indoor canyon power by direct summation over reflection order.
 
     Each image at standoff d_m from the building face contributes
     d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  standoff_m
-    is the source distance to that face (default mid-street).
+    is the source distance to that face (default mid-street).  The back
+    wall reflects fully, |Gamma_w|^2 = 1, as in the closed form.
     """
     lam = wavelength_m(link.frequency_hz)
     wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
@@ -203,15 +212,14 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
                                  link.range_m, geometry.ground) ** 2
     series = _standoff_series(r, geometry.width_m, wall_l, d, ctl)
     return (lam**2 * t_eff(pen, indoor.depth_m)
-            * enhancement_factors(gamma_g2, gamma_w2)
+            * enhancement_factors(gamma_g2, 1.0)
             * math.exp(-indoor.kappa_np_per_m * indoor.depth_m)
             / (8.0 * math.pi**2 * r**4) * series)
 
 
 def guided_trees_series_power(scene: StreetScene, link: Link,
                               ctl: SummationControl = SummationControl(),
-                              gamma_g2: float | None = None,
-                              gamma_w2: float = 1.0) -> float:
+                              gamma_g2: float | None = None) -> float:
     """Tree-lined sidewalk guided power by direct summation.
 
     The outdoor-indoor series with T_eff = 1 and every image path attenuated
@@ -233,7 +241,7 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
 
     series = _standoff_series(r, g.width_m, wall_l, scene.standoff_m, ctl,
                               extra_factor=vegetation)
-    return (lam**2 * enhancement_factors(gamma_g2, gamma_w2)
+    return (lam**2 * enhancement_factors(gamma_g2, 1.0)
             * math.exp(-k_rho * scene.foliage.depth_m)
             / (8.0 * math.pi**2 * r**4) * series)
 
@@ -255,13 +263,17 @@ _WG = (0.0, 0.129484966168869693270611432679082, 0.0,
 _NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
 _KRONROD = np.array(_WK + tuple(reversed(_WK[:-1])))
 _GAUSS = np.array(_WG + tuple(reversed(_WG[:-1])))
+# both rules side by side, so one matmul applies them
+_RULES = np.stack([_KRONROD, _GAUSS], axis=1)
 _EPS = np.finfo(float).eps
+# sixteen equal pieces of [0, 1], for the mapped infinite ranges
+_UNIT_EDGES = np.linspace(0.0, 1.0, 17)
 
 
-def _contract(values, axis_weights):
-    """Weighted sum over the trailing node axes, one weight vector each."""
-    for weights in reversed(axis_weights):
-        values = values @ weights
+def _contract(values, axes: int):
+    """Kronrod sum over the last `axes` node axes."""
+    for _ in range(axes):
+        values = values @ _KRONROD
     return values
 
 
@@ -276,24 +288,28 @@ def _box_rule(f, boxes):
     other axes.
     """
     count, dims, _ = boxes.shape
-    half = (boxes[:, :, 1] - boxes[:, :, 0]) / 2.0
-    center = boxes.mean(axis=2)
+    low, high = boxes[:, :, 0], boxes[:, :, 1]
+    half = (high - low) / 2.0
+    center = (low + high) / 2.0
     nodes = [(center[:, j, None] + half[:, j, None] * _NODES).reshape(
         (count,) + (1,) * j + (15,) + (1,) * (dims - j - 1)) for j in range(dims)]
     values = f(*nodes)
-    jacobian = np.prod(half, axis=1)
-    errors = np.empty((count, dims))
-    for j in range(dims):
-        lines = values.swapaxes(j + 1, -1)
-        kronrod = lines @ _KRONROD
-        spread = np.abs(lines - kronrod[..., None] / 2.0) @ _KRONROD
-        error = np.abs(kronrod - lines @ _GAUSS)
-        ratio = np.divide(200.0 * error, spread, out=np.zeros_like(error),
-                          where=spread > 0.0)
-        error = np.maximum(spread * np.minimum(1.0, ratio**1.5),
-                           50.0 * _EPS * (np.abs(lines) @ _KRONROD))
-        errors[:, j] = _contract(error, [_KRONROD] * (dims - 1)) * jacobian
-    return _contract(values, [_KRONROD] * dims) * jacobian, errors
+    jacobian = half[:, 0]
+    for j in range(1, dims):
+        jacobian = jacobian * half[:, j]
+    # the lines of nodes along each axis, stacked: (dims, count, 15, ..., 15)
+    lines = np.stack([values.swapaxes(j + 1, -1) for j in range(dims)])
+    rules = lines @ _RULES
+    kronrod = rules[..., 0]
+    spread = np.abs(lines - kronrod[..., None] / 2.0) @ _KRONROD
+    error = np.abs(kronrod - rules[..., 1])
+    ratio = np.divide(200.0 * error, spread, out=np.zeros_like(error),
+                      where=spread > 0.0)
+    error = np.maximum(spread * np.minimum(1.0, ratio**1.5),
+                       50.0 * _EPS * (np.abs(lines) @ _KRONROD))
+    errors = (_contract(error, dims - 1) * jacobian).T
+    # the last axis's line sums, contracted over the other axes
+    return _contract(kronrod[-1], dims - 1) * jacobian, errors
 
 
 def gauss_kronrod(f, edges, ctl: QuadratureControl):
@@ -315,7 +331,7 @@ def gauss_kronrod(f, edges, ctl: QuadratureControl):
     ctl.max_subdivisions boxes or an error estimate is not finite.
     """
     if edges[0][-1] == math.inf:
-        f, edges = _to_infinity(f, edges[0][0]), (np.linspace(0.0, 1.0, 17),)
+        f, edges = _to_infinity(f, edges[0][0]), (_UNIT_EDGES,)
     boxes = np.array(list(itertools.product(
         *[list(zip(e[:-1], e[1:])) for e in edges])), dtype=float)
     values, errors = _box_rule(f, boxes)
@@ -343,7 +359,8 @@ def gauss_kronrod(f, edges, ctl: QuadratureControl):
         children = np.repeat(boxes[split], 2, axis=0)
         rows = np.arange(2 * count)
         axes = np.repeat(np.argmax(errors[split], axis=1), 2)
-        children[rows, axes, 1 - rows % 2] = children[rows, axes].mean(axis=1)
+        children[rows, axes, 1 - rows % 2] = (children[rows, axes, 0]
+                                              + children[rows, axes, 1]) / 2.0
         new_values, new_errors = _box_rule(f, children)
         evaluations += len(children) * 15 ** len(edges)
         boxes = np.concatenate([boxes[keep], children])
@@ -360,6 +377,22 @@ def _to_infinity(f, start: float):
         u = t / (1.0 - t)
         return f(start + u * u) * 2.0 * u / (1.0 - t) ** 2
     return mapped
+
+
+def _geometric(start: float, stop: float, count: int) -> list[float]:
+    """count points from start to stop in equal ratios (np.geomspace without
+    its per-call cost)."""
+    ratio = stop / start
+    return [start * ratio ** (i / (count - 1)) for i in range(count - 1)] + [stop]
+
+
+def _aperture_edges(d_in: float, half_width: float):
+    """Breakpoints 0, d_in, ..., half_width, in ratios of at most 4: the
+    hot-wall flux falls on the scale of d_in from its peak at 0."""
+    if half_width <= d_in:
+        return (0.0, half_width)
+    steps = math.ceil(math.log(half_width / d_in) / math.log(4.0))
+    return (0.0, *_geometric(d_in, half_width, steps + 1))
 
 
 def _hotwall_kernel(r_in, kappa: float, depth: float, approximate_kappa: bool):
@@ -379,13 +412,14 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     Integrates the hot-wall surface flux over the radiating boundary region
     and applies the free-space spreading prefactor.  The full plane does
     not depend on the azimuth, so it is 2 pi times a radial integral out to
-    the truncation radius; the rectangular aperture is a 2-D cartesian
-    integral.  The street strip and the facade mixture have no boundary
-    integral here (the strip, integrated as a very long aperture, does not
-    converge); the street T_eff is checked through the aperture-to-street
-    limit instead.  approximate_kappa freezes the absorption at
-    exp(-kappa d_in), the approximation the closed-form aperture expression
-    makes; the default integrates the exact exp(-kappa r') kernel.
+    the truncation radius; the rectangular aperture is 4 times a 2-D
+    cartesian integral over the quadrant x, y >= 0.  The street strip and
+    the facade mixture have no boundary integral here (the strip,
+    integrated as a very long aperture, does not converge); the street
+    T_eff is checked through the aperture-to-street limit instead.
+    approximate_kappa freezes the absorption at exp(-kappa d_in), the
+    approximation the closed-form aperture expression makes; the default
+    integrates the exact exp(-kappa r') kernel.
     """
     d_in = link.depth_m
     kappa = link.kappa_np_per_m
@@ -399,15 +433,20 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
         value, _, _ = gauss_kronrod(
             lambda rho: rho * _hotwall_kernel(np.hypot(d_in, rho), kappa, d_in,
                                               approximate_kappa),
-            ((0.0, *np.geomspace(d_in, radius, 8)),), ctl)
+            ((0.0, *_geometric(d_in, radius, 8)),), ctl)
         value *= 2.0 * math.pi
     elif spec.variant == APERTURE:
-        w1, w2 = spec.width1_m, spec.width2_m
-        # split at the flux peak, the boundary point nearest the receiver
+        # the kernel is even in x and in y: integrate the quadrant x, y >= 0,
+        # whose corner is the flux peak.  With a quarter of the absolute
+        # tolerance, e <= max(abs_tol/4, rel_tol v) on the quadrant gives
+        # 4e <= max(abs_tol, rel_tol 4v) on the aperture.
         value, _, _ = gauss_kronrod(
             lambda x_, y: _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
                                           kappa, d_in, approximate_kappa),
-            ((-w1 / 2.0, 0.0, w1 / 2.0), (-w2 / 2.0, 0.0, w2 / 2.0)), ctl)
+            (_aperture_edges(d_in, spec.width1_m / 2.0),
+             _aperture_edges(d_in, spec.width2_m / 2.0)),
+            replace(ctl, abs_tol=ctl.abs_tol / 4.0))
+        value *= 4.0
     else:
         raise ValueError(f"no boundary integral for variant {spec.variant!r}")
     prefactor = (4.0 * link.standoff_m**2 * spec.material_t2

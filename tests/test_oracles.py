@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,30 @@ class TestImageSum:
         strict = image_sum_power(link, ctl=STRICT_SUM)
         assert abs(strict - default) <= 1e-9 * default
 
+    # by coherent: a rel_tail_tol that the 64 < |k| <= 128 shell meets, and
+    # one that only the 128 < |k| <= 256 shell meets.  At a wall loss of
+    # 0.03 the first shells are 1e-4..1e-2 of the total, the second 1e-7..1e-4.
+    SHELL_TOLERANCES = {False: (1e-3, 1e-6), True: (5e-2, 1e-3)}
+
+    @pytest.mark.parametrize("include_ground", [False, True],
+                             ids=["walls", "ground"])
+    @pytest.mark.parametrize("coherent", [False, True],
+                             ids=["incoherent", "coherent"])
+    def test_shell_sum_equals_fixed_order_sum(self, coherent, include_ground):
+        # adding only the new shell at each doubling sums the same images
+        # as the truncated sum; max_order shows where each sum stopped
+        link = corridor_link(30.0)
+        kwargs = dict(include_ground=include_ground, coherent=coherent,
+                      wall_loss_override=0.03)
+        for n, tol in zip((128, 256), self.SHELL_TOLERANCES[coherent]):
+            ctl = SummationControl(rel_tail_tol=tol, max_order=n)
+            if n > 128:
+                with pytest.raises(OracleConvergenceError):
+                    image_sum_power(link, replace(ctl, max_order=n // 2),
+                                    **kwargs)
+            assert image_sum_power(link, ctl, **kwargs) == pytest.approx(
+                image_sum_power(link, fixed_order=n, **kwargs), rel=1e-13)
+
 
 class TestOiSeries:
     GEOMETRY = CanyonGeometry(8.6, 5.0, 1.5, URBAN_WALL)
@@ -227,6 +252,59 @@ class TestGuidedTreesSeries:
         assert gap(300.0) == pytest.approx(-1.10, abs=0.1)
         assert gap(1000.0) == pytest.approx(-1.72, abs=0.1)
         assert abs(gap(5.0 * loss_w)) < abs(gap(2.5 * loss_w)) < 2.0
+
+
+# the street scenes of the gap map (bench/gapmap.py), at the n_eff of their
+# verify suites: corridor, urban canyon and wide avenue
+GAP_MAP_SCENES = {
+    "corridor": CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL),
+    "urban": CanyonGeometry(8.6, 5.0, 1.5, URBAN_WALL),
+    "avenue": CanyonGeometry(32.0, 56.0, 1.5, AVENUE_WALL),
+}
+
+
+def direct_series(r, width, wall_l, d, ctl, extra_factor=None, terms=8192):
+    """The first `terms` reflection orders of the standoff series in one
+    numpy sum; 8,192 is far past the orders any gap-map series needs."""
+    m = np.arange(terms)
+    d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
+    values = d_m**2 * np.exp(-wall_l * m * d_m / r)
+    if extra_factor is not None:
+        values = values * extra_factor(d_m)
+    return float(np.sum(values))
+
+
+class TestSeriesEarlyStop:
+    @pytest.mark.parametrize("f_hz", [2e9, 3.5e9, 28e9])
+    @pytest.mark.parametrize("r_over_lw", [0.5, 100.0])
+    @pytest.mark.parametrize("scene", sorted(GAP_MAP_SCENES))
+    def test_series_match_8192_term_sum(self, monkeypatch, scene, r_over_lw,
+                                        f_hz):
+        # at the gap map's shortest and longest ranges, where the series
+        # needs the most and the fewest orders, the doubling blocks stop
+        # at the sum that 8,192 terms give
+        geometry = GAP_MAP_SCENES[scene]
+        wall_l = wall_loss(geometry.wall, wavenumber_rad_m(f_hz))
+        link = Link(r_over_lw * wall_l * geometry.width_m, f_hz)
+        calls = []
+
+        def recording(*args, **kwargs):
+            value = series(*args, **kwargs)
+            calls.append((args, kwargs, value))
+            return value
+
+        series = oracles._standoff_series
+        monkeypatch.setattr(oracles, "_standoff_series", recording)
+        oi_image_series_power(geometry, PenetrationSpec.facade_mixture(
+            0.3, 1.0, 0.05), IndoorClutter(0.18, 2.0), link)
+        guided_trees_series_power(StreetScene(
+            geometry, FoliageLayer(3.0, 0.38, n_tree_per_m=0.05,
+                                   tree_width_m=4.0, tree_height_m=10.0),
+            standoff_m=geometry.width_m / 4.0), link)
+        assert len(calls) == 2
+        for args, kwargs, value in calls:
+            assert value == pytest.approx(direct_series(*args, **kwargs),
+                                          rel=1e-12)
 
 
 class TestHotwallQuadrature:

@@ -142,6 +142,22 @@ class TestAgainstScipy:
             scipy_roughness(theta, wall.roughness, k, ctl, general_bracket=True),
             rel=1e-10)
 
+    @pytest.mark.parametrize("ctl", [DEFAULT, STRICT], ids=["default", "strict"])
+    @pytest.mark.parametrize("approximate_kappa", [False, True])
+    @pytest.mark.parametrize("kappa", [0.0, 0.18])
+    @pytest.mark.parametrize("width", [1.6, 8.6, 32.0])
+    def test_gap_map_aperture(self, width, kappa, approximate_kappa, ctl):
+        # the aperture of bench/gapmap.py, w/4 by 1.5 m at d_in = 1 m, against
+        # dblquad over the whole rectangle: the quadrant the oracle
+        # integrates, times 4, must give the same integral
+        link = DiffuseLink(width / 2.0, 100.0, 1.0, kappa, wavelength_m(28e9))
+        spec = PenetrationSpec.aperture(width / 4.0, 1.5)
+        value = hotwall_quadrature(link, spec, ctl,
+                                   approximate_kappa=approximate_kappa)
+        assert value == pytest.approx(
+            scipy_hotwall(link, spec, ctl, approximate_kappa=approximate_kappa),
+            rel=1e-10)
+
     @pytest.mark.parametrize("approximate_kappa", [False, True])
     def test_absorbing_aperture(self, approximate_kappa):
         link = DiffuseLink(20.0, 100.0, 1.0, 0.01, wavelength_m(28e9))
@@ -150,6 +166,29 @@ class TestAgainstScipy:
         assert value == pytest.approx(
             scipy_hotwall(link, spec, approximate_kappa=approximate_kappa),
             rel=1e-10)
+
+
+class TestWorkBudget:
+    # quadrature evaluations over `verify all` at both profiles; the bound
+    # sits between the 42,780 of a quadrant aperture split in geometric
+    # steps from d_in and the 112,530 of a full aperture split at its centre
+    MAX_EVALUATIONS = 60_000
+
+    def test_verify_all_evaluations(self):
+        evaluations = []
+        original = oracles.gauss_kronrod
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            evaluations.append(result[2])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", counting)
+            for profile in ("default", "strict"):
+                verify.run_suites(list(verify.SUITES), profile)
+        assert len(evaluations) == 2 * (8 + 18)
+        assert sum(evaluations) <= self.MAX_EVALUATIONS
 
 
 class TestAnalytic:
