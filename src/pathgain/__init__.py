@@ -4,62 +4,50 @@ The package pairs every closed form with a first-principles numerical
 oracle (image sums, reflection-order series, boundary quadratures) plus
 slope-intercept fitting, RMSE evaluation against measurements, and 3GPP
 reference curves.  See the README for the CLI and the verification suites.
+
+`import pathgain` loads no submodule: each public name below is imported
+from its submodule on first access (PEP 562), so a command pays only for
+the modules it runs.
 """
 
-from .canyon import (
-    CanyonGeometry,
-    LosLink,
-    breakpoint_range_m,
-    ground_reflection,
-    los_canyon_gain,
-    los_gain_coherent,
-    los_gain_incoherent,
-)
-from .diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, enhancement_factors, t_eff
-from .fitting import (
-    FitResult,
-    MeasurementDataset,
-    fit_slope_intercept,
-    load_dataset,
-    rmse_against_model,
-)
-from .morphology import (
-    FoliageLayer,
-    IndoorClutter,
-    Link,
-    MacroGeometry,
-    StreetScene,
-    canyon_total_gain,
-    canyon_with_trees_gain,
-    kappa_v_at_frequency,
-    outdoor_indoor_canyon_gain,
-    overtop_gain,
-    rural_gain,
-    sidewalk_guided_gain,
-    sidewalk_unguided_gain,
-    suburban_indoor_gain,
-    suburban_street_gain,
-    tree_density_fraction,
-)
-from .reference import (
-    SlopeIntercept,
-    ThreeGppScenario,
-    friis_gain,
-    slope_intercept_eval,
-    tr38901_pathloss,
-    uma_nlos_36814,
-)
-from .result import GainResult
-from .surface import (
-    Dielectric,
-    TelegraphRoughness,
-    WallSurface,
-    fresnel_exact,
-    fresnel_low_grazing,
-    reflection_total,
-    roughness_spectrum,
-    specular_roughness_factor,
-    wall_loss,
-)
+import importlib
 
+_EXPORTS = {
+    "canyon": ("CanyonGeometry", "LosLink", "breakpoint_range_m",
+               "ground_reflection", "los_canyon_gain", "los_gain_coherent",
+               "los_gain_incoherent"),
+    "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain",
+                "enhancement_factors", "t_eff"),
+    "fitting": ("FitResult", "MeasurementDataset", "fit_slope_intercept",
+                "load_dataset", "rmse_against_model"),
+    "morphology": ("FoliageLayer", "IndoorClutter", "Link", "MacroGeometry",
+                   "StreetScene", "canyon_total_gain", "canyon_with_trees_gain",
+                   "kappa_v_at_frequency", "outdoor_indoor_canyon_gain",
+                   "overtop_gain", "rural_gain", "sidewalk_guided_gain",
+                   "sidewalk_unguided_gain", "suburban_indoor_gain",
+                   "suburban_street_gain", "tree_density_fraction"),
+    "reference": ("SlopeIntercept", "ThreeGppScenario", "friis_gain",
+                  "slope_intercept_eval", "tr38901_pathloss", "uma_nlos_36814"),
+    "result": ("GainResult",),
+    "surface": ("Dielectric", "TelegraphRoughness", "WallSurface",
+                "fresnel_exact", "fresnel_low_grazing", "reflection_total",
+                "roughness_spectrum", "specular_roughness_factor", "wall_loss"),
+}
+# public name -> the submodule that defines it
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE})

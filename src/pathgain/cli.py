@@ -12,11 +12,6 @@ import sys
 
 import numpy as np
 
-from . import verify
-from .config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
-from .fitting import fit_slope_intercept, load_dataset, model_predictions_db, rms_db
-from .reference import ThreeGppScenario, tr38901_pathloss, uma_nlos_36814
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
@@ -24,6 +19,47 @@ EXIT_VERIFICATION = 2
 REFERENCE_MODELS = ("tr38901_uma_los", "tr38901_uma_nlos", "tr38901_umi_los",
                     "tr38901_umi_nlos", "tr38901_inh_los", "tr38901_inh_nlos",
                     "uma_nlos_36814")
+# the names `--help` lists, in the order of config.MORPHOLOGIES and
+# verify.SUITES, which only the commands that run them import
+MORPHOLOGY_NAMES = ("los_corridor", "los_corridor_coherent", "suburban_street",
+                    "suburban_indoor", "over_top", "rural", "outdoor_indoor",
+                    "sidewalk_trees", "canyon_total", "friis")
+SUITE_NAMES = ("canyon", "outdoor_indoor", "trees", "diffuse", "roughness")
+
+
+# The layers the commands call.  Each imports its module on the first call,
+# and the commands call them through this module, so a caller can replace
+# one here (the per-layer trace of the benchmark does).
+def load_config(path):
+    from .config import load_config
+    return load_config(path)
+
+
+def make_evaluator(cfg, name: str):
+    from .config import make_evaluator
+    return make_evaluator(cfg, name)
+
+
+def tr38901_pathloss(scenario, distance_m):
+    from .reference import tr38901_pathloss
+    return tr38901_pathloss(scenario, distance_m)
+
+
+def uma_nlos_36814(street_width_m, building_height_m, base_height_m,
+                   mobile_height_m, f_ghz, d3d_m):
+    from .reference import uma_nlos_36814
+    return uma_nlos_36814(street_width_m, building_height_m, base_height_m,
+                          mobile_height_m, f_ghz, d3d_m)
+
+
+def load_dataset(path, frequency_hz: float):
+    from .fitting import load_dataset
+    return load_dataset(path, frequency_hz)
+
+
+def fit_slope_intercept(dataset):
+    from .fitting import fit_slope_intercept
+    return fit_slope_intercept(dataset)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,13 +81,13 @@ def _build_parser() -> _Parser:
 
     predict = sub.add_parser("predict", help="sweep a morphology over range")
     predict.add_argument("config", help="environment config file")
-    predict.add_argument("morphology", help="one of: " + ", ".join(MORPHOLOGIES))
+    predict.add_argument("morphology", help="one of: " + ", ".join(MORPHOLOGY_NAMES))
     predict.add_argument("ranges", help="sweep spec min:max:points (meters)")
     predict.add_argument("--output", help="CSV output path (default stdout)")
 
     ver = sub.add_parser("verify", help="run oracle-vs-closed-form suites")
     ver.add_argument("suite", help="suite name or 'all': "
-                     + ", ".join(verify.SUITES))
+                     + ", ".join(SUITE_NAMES))
     ver.add_argument("--tolerance-profile", choices=["strict", "default"],
                      default="default")
     ver.add_argument("--output", help="CSV output path for the gap table")
@@ -136,6 +172,7 @@ def _two_decimals(value: float) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     comparisons = verify.run_suites(names, args.tolerance_profile)
     width = max(len(c.name) for c in comparisons) + 2
@@ -188,6 +225,8 @@ def cmd_fit(args) -> int:
 def _model_predictor(cfg, name: str):
     """dB-valued predictor, over a range or an array of ranges, for a
     morphology or reference model."""
+    from .config import MORPHOLOGIES, ConfigError
+    from .reference import ThreeGppScenario
     if name in MORPHOLOGIES:
         evaluator = make_evaluator(cfg, name)
         return lambda r: evaluator(r).gain_db
@@ -218,6 +257,7 @@ def _model_predictor(cfg, name: str):
 
 
 def cmd_evaluate(args) -> int:
+    from .fitting import model_predictions_db, rms_db
     cfg = load_config(args.config)
     # built first: it rejects a config without [link] frequency_hz
     predict_db = _model_predictor(cfg, args.model)

@@ -118,7 +118,8 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     # one row of images at the direct height offset, one at the ground image's
     dz = np.array([[g.tx_height_m - g.rx_height_m],
                    [g.tx_height_m + g.rx_height_m]])[:1 + include_ground]
-    g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
+    if include_ground:
+        g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
 
     def image_sum(k):
         dy = np.concatenate([2.0 * k * w + y_s, 2.0 * k * w - y_s]) - y_r

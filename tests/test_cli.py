@@ -408,7 +408,53 @@ class TestDeterminism:
         assert tables[0] == tables[1]
 
 
-_CANYON = "[canyon]\nwidth_m = 20\ntx_height_m = 3\nrx_height_m = 1\n"
+class TestLayerAttributes:
+    """The commands call their layers through `cli` attributes, which import
+    their modules on first call, so a replacement set on `cli` is the one
+    that runs (the benchmark's per-layer trace relies on this)."""
+
+    MACRO = "configs/vegetated_macro_28ghz.ini"
+    CALLERS = [
+        ("load_config", "predict"), ("make_evaluator", "predict"),
+        ("load_dataset", "fit"), ("fit_slope_intercept", "fit"),
+        ("load_config", "evaluate"), ("make_evaluator", "evaluate"),
+        ("load_dataset", "evaluate"),
+        ("tr38901_pathloss", "evaluate_tr38901_uma_los"),
+        ("uma_nlos_36814", "evaluate_uma_nlos_36814"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("layers") / "sweep.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["predict", self.MACRO, "over_top", "20:500:20",
+                             "--output", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("attr, command", CALLERS)
+    def test_replacement_is_called(self, attr, command, sweep, capsys,
+                                   monkeypatch):
+        argv = {"predict": ["predict", self.MACRO, "over_top", "20:500:20"],
+                "fit": ["fit", sweep],
+                "evaluate": ["evaluate", sweep, self.MACRO, "over_top"],
+                "evaluate_tr38901_uma_los": ["evaluate", sweep, self.MACRO,
+                                             "tr38901_uma_los"],
+                "evaluate_uma_nlos_36814": ["evaluate", sweep, self.MACRO,
+                                            "uma_nlos_36814"]}[command]
+        original = getattr(cli, attr)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, recording)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+
+
+_CANYON ="[canyon]\nwidth_m = 20\ntx_height_m = 3\nrx_height_m = 1\n"
 _FOLIAGE = "[foliage]\ndepth_m = 5\nkappa_np_per_m = 0.3\n"
 
 

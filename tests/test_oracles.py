@@ -27,7 +27,7 @@ from pathgain.oracles import (
     roughness_loss_integral,
 )
 from pathgain.reference import friis_gain
-from pathgain.surface import TelegraphRoughness, roughness_loss_rate, wall_loss
+from pathgain.surface import Dielectric, TelegraphRoughness, roughness_loss_rate, wall_loss
 from pathgain.units import wavelength_m, wavenumber_rad_m
 
 from conftest import AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db
@@ -59,6 +59,15 @@ class TestImageSum:
         oracle = image_sum_power(link, include_ground=True)
         closed = los_gain_incoherent(link).gain
         assert abs(db(closed) - db(oracle)) < 1.5
+
+    def test_walls_only_sum_ignores_the_ground(self):
+        # n = 1.3 has no parallel low-grazing rate; a sum without the
+        # ground image never needs it, as los_canyon_gain does not
+        link = corridor_link(30.0, ground=Dielectric(1.3))
+        assert los_canyon_gain(link).gain > 0.0
+        assert image_sum_power(link) == image_sum_power(corridor_link(30.0))
+        with pytest.raises(ValueError, match="n=1.3"):
+            image_sum_power(link, include_ground=True)
 
     def test_metallic_walls_grow_with_truncation_order(self):
         # with unit reflection the sum keeps accumulating until spreading

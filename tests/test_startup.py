@@ -1,9 +1,14 @@
-"""No command loads scipy.
+"""Each command loads only the modules it runs, and none loads scipy.
 
-Importing scipy.integrate would take most of a `pathgain` process's
-start-up; the quadrature oracles behind `verify` use the package's own
-Gauss-Kronrod rule instead.  Each command runs in a fresh interpreter, so
-the check sees exactly the modules that command imports.
+`pathgain/__init__.py` imports its public names on first access, and
+`cli.py` imports `config`, `fitting`, `reference` or `verify` only in the
+commands that run them.  With bytecode not written, each process compiles
+the source of every module it imports, so a module a command does not run
+costs it start-up time.  The quadrature oracles behind `verify` use the
+package's own Gauss-Kronrod rule, so importing scipy.integrate, which would
+take most of a process's start-up, is never needed.  Each command runs in a
+fresh interpreter, so the checks see exactly the modules that command
+imports.
 """
 
 import json
@@ -16,14 +21,19 @@ import pytest
 from conftest import REPO_ROOT
 from pathgain import cli
 
-# runs pathgain.cli.main on argv, then reports its exit code and every
-# scipy module loaded by then as the last line of stderr
+# runs pathgain.cli.main on argv, then reports its exit code (that of
+# SystemExit for --help), every scipy module and every pathgain submodule
+# loaded by then as the last line of stderr
 _WRAPPER = """
 import json, sys
 from pathgain import cli
-code = cli.main(sys.argv[1:])
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"code": code, "scipy": scipy}), file=sys.stderr)
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top
+                      and m != top) for top in ("scipy", "pathgain")}
+print(json.dumps({"code": code, **loaded}), file=sys.stderr)
 """
 
 
@@ -35,12 +45,16 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def _run_cli(*argv):
+def _report(*argv):
     proc = _python("-c", _WRAPPER, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["code"] == 0, proc.stderr
-    return report["scipy"]
+    return report
+
+
+def _run_cli(*argv):
+    return _report(*argv)["scipy"]
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +65,48 @@ def sweep(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["predict", "fit", "evaluate"])
-def test_closed_form_command_does_not_load_scipy(command, sweep):
-    argv = {
+def _argv(command, sweep):
+    return {
         "predict": ("predict", "configs/corridor_2ghz.ini", "los_corridor",
                     "5:70:20"),
         "fit": ("fit", sweep),
         "evaluate": ("evaluate", sweep, "configs/corridor_2ghz.ini",
                      "los_corridor"),
     }[command]
-    assert _run_cli(*argv) == []
+
+
+@pytest.mark.parametrize("command", ["predict", "fit", "evaluate"])
+def test_closed_form_command_does_not_load_scipy(command, sweep):
+    assert _run_cli(*_argv(command, sweep)) == []
 
 
 @pytest.mark.parametrize("profile", ["default", "strict"])
 def test_verify_loads_no_scipy(profile):
     assert _run_cli("verify", "all", "--tolerance-profile", profile) == []
+
+
+def test_fit_loads_only_fitting_and_reference(sweep):
+    assert _report(*_argv("fit", sweep))["pathgain"] == [
+        "pathgain.cli", "pathgain.fitting", "pathgain.reference", "pathgain.units"]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_law_command_loads_no_oracle(command, sweep):
+    loaded = set(_report(*_argv(command, sweep))["pathgain"])
+    assert {"pathgain.config", "pathgain.canyon"} <= loaded
+    assert not loaded & {"pathgain.verify", "pathgain.oracles"}
+
+
+def test_verify_loads_no_config_or_fitting():
+    loaded = set(_report("verify", "all")["pathgain"])
+    assert {"pathgain.verify", "pathgain.oracles"} <= loaded
+    assert not loaded & {"pathgain.config", "pathgain.fitting"}
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("predict", "--help"),
+                                  ("verify", "--help")])
+def test_help_loads_no_law_module(argv):
+    assert _report(*argv)["pathgain"] == ["pathgain.cli"]
 
 
 def test_wrapper_sees_scipy_when_loaded():
