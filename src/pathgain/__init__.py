@@ -30,8 +30,8 @@ _EXPORTS = {
                   "slope_intercept_eval", "tr38901_pathloss", "uma_nlos_36814"),
     "result": ("GainResult",),
     "surface": ("Dielectric", "TelegraphRoughness", "WallSurface",
-                "fresnel_exact", "fresnel_low_grazing", "reflection_total",
-                "roughness_spectrum", "specular_roughness_factor", "wall_loss"),
+                "fresnel_exact", "fresnel_low_grazing", "roughness_spectrum",
+                "wall_loss"),
 }
 # public name -> the submodule that defines it
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -144,8 +144,9 @@ def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     """Average path gain into the diffuse half-space (linear power ratio).
 
     lambda^2 d_s^2 T_eff exp(-kappa d_in) / (8 pi^2 r^4).  The quartic range
-    law and the constant are validated against 2-D quadrature of the
-    hot-wall integral by the oracles module.
+    law and the constant are validated against quadrature of the hot-wall
+    integral by the oracles module (1-D radial for the unbounded boundary,
+    2-D for the aperture).
     """
     return power_law(4.0, quartic_constant(link.wavelength_m, link.standoff_m),
                      link.range_m, t_eff=t_eff(spec, link.depth_m),

@@ -57,8 +57,8 @@ class MeasurementDataset:
         invalid = _first_invalid(ranges, gains)
         if invalid:
             raise DatasetError(invalid[1])
-        if not self.frequency_hz > 0.0:
-            raise DatasetError("dataset frequency must be positive")
+        if not (self.frequency_hz > 0.0 and math.isfinite(self.frequency_hz)):
+            raise DatasetError("dataset frequency must be finite and positive")
         for name, values in (("ranges_m", ranges), ("gains_db", gains)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)

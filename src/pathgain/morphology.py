@@ -28,11 +28,6 @@ from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
 
-# Interpolating the anchors gives ~0.33 Np/m at 28 GHz; measured tree-stand
-# attenuation at that band is usually quoted a bit higher, so this is the
-# recommended default for 28 GHz scenes (overridable everywhere).
-DEFAULT_KAPPA_V_28GHZ = 0.38  # Np/m
-
 # Back wall power bounce 1 + |Gamma_w|^2 at its maximum |Gamma_w| = 1.
 WALL_BOUNCE = 2.0
 

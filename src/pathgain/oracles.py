@@ -22,7 +22,6 @@ Each oracle stops once its own tolerance is met:
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,36 +37,20 @@ from .diffuse import (
     t_eff,
 )
 from .morphology import IndoorClutter, Link, StreetScene, _scene_rho
-from .units import wavelength_m, wavenumber_rad_m
+from .units import require, wavelength_m, wavenumber_rad_m
 
 
 @dataclass(frozen=True)
 class SummationControl:
-    """Truncation policy for the image and reflection-order series.
-
-    deadline_s, when set, is a wall-clock budget checked between blocks so
-    callers can cancel runaway sums cooperatively.
-    """
+    """Truncation policy for the image and reflection-order series."""
 
     max_order: int = 500_000
     rel_tail_tol: float = 1e-10
-    deadline_s: float | None = None
 
     def __post_init__(self):
-        if self.max_order < 1 or self.rel_tail_tol <= 0.0:
-            raise ValueError("summation control parameters must be positive")
-        if self.deadline_s is not None and self.deadline_s < 0.0:
-            raise ValueError("deadline must be nonnegative")
-
-    def start_clock(self) -> float:
-        return time.monotonic()
-
-    def check_deadline(self, started_at: float):
-        if self.deadline_s is not None and \
-                time.monotonic() - started_at > self.deadline_s:
-            raise OracleConvergenceError(
-                f"summation exceeded the {self.deadline_s} s deadline"
-            )
+        require(self.max_order >= 1 and self.rel_tail_tol > 0.0,
+                "summation control parameters must be positive and finite",
+                self.max_order, self.rel_tail_tol)
 
 
 @dataclass(frozen=True)
@@ -80,8 +63,10 @@ class QuadratureControl:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0 or self.max_subdivisions < 10:
-            raise ValueError("quadrature control parameters out of range")
+        require(self.abs_tol > 0.0 and self.rel_tol > 0.0
+                and self.max_subdivisions >= 10,
+                "quadrature control parameters out of range",
+                self.abs_tol, self.rel_tol, self.max_subdivisions)
 
 
 class OracleConvergenceError(RuntimeError):
@@ -101,6 +86,10 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     sums fields with phase instead of powers.  wall_loss_override replaces L
     (0 forces unit reflection); fixed_order evaluates the truncated sum at
     that order without a convergence check.
+
+    Only tests set wall_loss_override and fixed_order, as independent
+    paths: a huge L leaves Friis in test_reflection_free_sum_is_friis, and
+    fixed_order is the reference of test_shell_sum_equals_fixed_order_sum.
 
     Order k holds the images 2kw + y_s and 2kw - y_s, with |2k| and
     |2k - 1| wall bounces, so orders -n..n truncate the sum at 2n bounces.
@@ -146,11 +135,9 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     if fixed_order is not None:
         n = max(fixed_order, 1)
         return finish(image_sum(np.arange(-n, n + 1)))
-    started = ctl.start_clock()
     n = 64
     total = image_sum(np.arange(-n, n + 1))
     while 2 * n <= ctl.max_order:
-        ctl.check_deadline(started)
         shell = image_sum(np.concatenate([np.arange(-2 * n, -n),
                                           np.arange(n + 1, 2 * n + 1)]))
         n *= 2
@@ -173,9 +160,7 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
     """
     total = 0.0
     m_start, size = 0, 64
-    started = ctl.start_clock()
     while m_start <= ctl.max_order:
-        ctl.check_deadline(started)
         m = np.arange(m_start, min(m_start + size, ctl.max_order + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
@@ -192,6 +177,26 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
     )
 
 
+def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
+                         ctl: SummationControl, gamma_g2: float | None,
+                         path_factor=None) -> float:
+    """The body of both series oracles: lambda^2 (1 + |Gamma_g|^2) 2 /
+    (8 pi^2 r^4) * scene_factor * the reflection-order series of canyon g at
+    standoff_m over slant range r.  The back wall reflects fully,
+    |Gamma_w|^2 = 1, as in the closed forms; path_factor(r, d_m), if given,
+    multiplies each image term."""
+    lam = wavelength_m(link.frequency_hz)
+    wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
+    r = math.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
+    if gamma_g2 is None:
+        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
+                                 g.ground) ** 2
+    extra = None if path_factor is None else (lambda d_m: path_factor(r, d_m))
+    series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, extra)
+    return (lam**2 * scene_factor * enhancement_factors(gamma_g2, 1.0)
+            / (8.0 * math.pi**2 * r**4) * series)
+
+
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
                           link: Link, ctl: SummationControl = SummationControl(),
                           standoff_m: float | None = None,
@@ -199,23 +204,18 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
     """Outdoor-indoor canyon power by direct summation over reflection order.
 
     Each image at standoff d_m from the building face contributes
-    d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  standoff_m
-    is the source distance to that face (default mid-street).  The back
-    wall reflects fully, |Gamma_w|^2 = 1, as in the closed form.
+    d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  The scene
+    factor is T_eff times the indoor absorption.
+
+    standoff_m is the source distance to that face (default mid-street);
+    gamma_g2 replaces the ground bounce.  Only tests set them, as
+    independent paths: test_direct_illumination_limit (the m = 0 term at
+    gamma_g2 = 1) and test_reduces_to_oi_series_without_trees.
     """
-    lam = wavelength_m(link.frequency_hz)
-    wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
     d = geometry.width_m / 2.0 if standoff_m is None else standoff_m
-    dz = geometry.tx_height_m - geometry.rx_height_m
-    r = math.hypot(link.range_m, dz)
-    if gamma_g2 is None:
-        gamma_g2 = ground_bounce(geometry.tx_height_m + geometry.rx_height_m,
-                                 link.range_m, geometry.ground) ** 2
-    series = _standoff_series(r, geometry.width_m, wall_l, d, ctl)
-    return (lam**2 * t_eff(pen, indoor.depth_m)
-            * enhancement_factors(gamma_g2, 1.0)
-            * math.exp(-indoor.kappa_np_per_m * indoor.depth_m)
-            / (8.0 * math.pi**2 * r**4) * series)
+    scene_factor = (t_eff(pen, indoor.depth_m)
+                    * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
+    return _guided_series_power(geometry, link, d, scene_factor, ctl, gamma_g2)
 
 
 def guided_trees_series_power(scene: StreetScene, link: Link,
@@ -223,28 +223,22 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
                               gamma_g2: float | None = None) -> float:
     """Tree-lined sidewalk guided power by direct summation.
 
-    The outdoor-indoor series with T_eff = 1 and every image path attenuated
-    over its exact length: exp(-kappa_v rho_v sqrt(r^2 + d_m^2)).
-    """
-    g = scene.canyon
-    lam = wavelength_m(link.frequency_hz)
-    wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
-    rho = _scene_rho(scene)
-    k_rho = scene.foliage.kappa_np_per_m * rho
-    dz = g.tx_height_m - g.rx_height_m
-    r = math.hypot(link.range_m, dz)
-    if gamma_g2 is None:
-        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
-                                 g.ground) ** 2
+    The outdoor-indoor series with the foliage absorption as scene factor
+    and every image path attenuated over its exact length:
+    exp(-kappa_v rho_v sqrt(r^2 + d_m^2)).
 
-    def vegetation(d_m):
+    gamma_g2 replaces the ground bounce.  Only tests set it, as an
+    independent path: test_absorption_collapses_to_direct_term (the
+    standoff term at gamma_g2 = 1).
+    """
+    k_rho = scene.foliage.kappa_np_per_m * _scene_rho(scene)
+
+    def vegetation(r, d_m):
         return np.exp(-k_rho * np.sqrt(r * r + d_m * d_m))
 
-    series = _standoff_series(r, g.width_m, wall_l, scene.standoff_m, ctl,
-                              extra_factor=vegetation)
-    return (lam**2 * enhancement_factors(gamma_g2, 1.0)
-            * math.exp(-k_rho * scene.foliage.depth_m)
-            / (8.0 * math.pi**2 * r**4) * series)
+    return _guided_series_power(scene.canyon, link, scene.standoff_m,
+                                math.exp(-k_rho * scene.foliage.depth_m), ctl,
+                                gamma_g2, vegetation)
 
 
 # Kronrod 15-point nodes on [-1, 1] and their Kronrod and Gauss 7-point
@@ -405,6 +399,14 @@ def _hotwall_kernel(r_in, kappa: float, depth: float, approximate_kappa: bool):
     return radial / (4.0 * math.pi) ** 2 * (depth / r_in)
 
 
+def _hotwall_gain(link: DiffuseLink, material_t2: float, flux: float) -> float:
+    """Path gain from the hot-wall flux integral: lambda^2 times the
+    spreading prefactor 4 d_s^2 |T|^2 / (4 pi r^4) times the flux."""
+    prefactor = (4.0 * link.standoff_m**2 * material_t2
+                 / (4.0 * math.pi * link.range_m**4))
+    return link.wavelength_m**2 * prefactor * flux
+
+
 def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
                        ctl: QuadratureControl = QuadratureControl(),
                        approximate_kappa: bool = False) -> float:
@@ -420,7 +422,8 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     T_eff is checked through the aperture-to-street limit instead.
     approximate_kappa freezes the absorption at exp(-kappa d_in), the
     approximation the closed-form aperture expression makes; the default
-    integrates the exact exp(-kappa r') kernel.
+    integrates the exact exp(-kappa r') kernel.  Only tests set it, as the
+    frozen kernel of test_frozen_absorption_error_is_small_when_kappa_shallow.
     """
     d_in = link.depth_m
     kappa = link.kappa_np_per_m
@@ -450,25 +453,21 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
         value *= 4.0
     else:
         raise ValueError(f"no boundary integral for variant {spec.variant!r}")
-    prefactor = (4.0 * link.standoff_m**2 * spec.material_t2
-                 / (4.0 * math.pi * link.range_m**4))
-    return link.wavelength_m**2 * prefactor * value
+    return _hotwall_gain(link, spec.material_t2, value)
 
 
 def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
                          ctl: QuadratureControl = QuadratureControl()) -> float:
-    """1-D radial reduction of the unbounded hot-wall integral (cross-check).
+    """Radial reduction of the unbounded hot-wall integral (cross-check).
 
-    r' dr' = rho' drho' collapses the polar integral exactly; must agree
-    with the 2-D quadrature and with the closed form.
+    r' dr' = rho' drho' collapses the polar integral exactly into a 1-D
+    integral over [d_in, inf); it must agree with the closed form.
     """
     d_in, kappa = link.depth_m, link.kappa_np_per_m
     value, _, _ = gauss_kronrod(
         lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, False),
         ((d_in, math.inf),), ctl)
-    prefactor = (4.0 * link.standoff_m**2 * material_t2
-                 / (4.0 * math.pi * link.range_m**4))
-    return link.wavelength_m**2 * prefactor * 2.0 * math.pi * value
+    return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
 
 
 def roughness_loss_integral(theta_rad: float,
@@ -482,7 +481,9 @@ def roughness_loss_integral(theta_rad: float,
         2 k^2 theta sqrt(2/k) * integral G(chi) sqrt(|chi|) dchi
     general_bracket keeps [sin^2 t + 2 (chi/k) cos t - (chi/k)^2]^{1/2} over
     the band where it is real.  Returns the loss term; the closed-form
-    counterpart is surface.roughness_loss_rate(...) * theta.
+    counterpart is surface.roughness_loss_rate(...) * theta.  Only tests
+    set general_bracket, as the independent kernel of
+    test_general_bracket_restricts_to_propagating_band.
     """
     k = wavenumber
     if general_bracket:

@@ -118,6 +118,11 @@ class ThreeGppScenario:
         require(self.f_ghz > 0.0, "carrier frequency must be positive", self.f_ghz)
         require(self.indoor_depth_m >= 0.0, "indoor depth must be nonnegative",
                 self.indoor_depth_m)
+        if self.base_height_m is not None:
+            require(self.base_height_m > 0.0, "base station height must be positive",
+                    self.base_height_m)
+        require(self.mobile_height_m >= 0.0, "mobile height must be nonnegative",
+                self.mobile_height_m)
 
     @property
     def h_bs(self) -> float:

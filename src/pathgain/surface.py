@@ -174,17 +174,6 @@ def roughness_loss_rate(roughness: TelegraphRoughness,
             * math.sqrt(roughness.rate_sum_per_m))
 
 
-def specular_roughness_factor(theta_rad: float, roughness: TelegraphRoughness,
-                              wavenumber_rad_m: float) -> float:
-    """Reduction of the specular reflection magnitude by roughness scatter.
-
-    exp(-rate * theta) with the loss rate above; 1 at grazing or for a
-    smooth surface.
-    """
-    _check_grazing(theta_rad)
-    return math.exp(-roughness_loss_rate(roughness, wavenumber_rad_m) * theta_rad)
-
-
 def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
     """Dimensionless per-radian wall-loss parameter L.
 
@@ -202,13 +191,3 @@ def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
                 f"{rough.half_depth_m:g} m at wavenumber {wavenumber_rad_m:g} rad/m")
     return loss
 
-
-def reflection_total(theta_rad: float, surface: WallSurface,
-                     wavenumber_rad_m: float) -> float:
-    """Magnitude of the total wall reflection coefficient, exp(-L/2 * theta).
-
-    Combines the smooth-dielectric low-grazing loss with the roughness
-    scatter factor so that m bounces attenuate power by exp(-L * m * theta).
-    """
-    _check_grazing(theta_rad)
-    return math.exp(-0.5 * wall_loss(surface, wavenumber_rad_m) * theta_rad)

@@ -136,7 +136,8 @@ def suite_trees(profile: str = "default") -> list[Comparison]:
 
 
 def suite_diffuse(profile: str = "default") -> list[Comparison]:
-    """Diffuse half-space closed forms vs 2-D quadrature, and the
+    """Diffuse half-space closed forms vs boundary quadrature (1-D radial
+    for the unbounded boundary, 2-D for the aperture), and the
     aperture-to-street-to-unbounded limit chain."""
     _, quad_ctl = _controls(profile)
     out = []

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
 from pathgain.config import MORPHOLOGIES, load_config, make_evaluator
 from pathgain.diffuse import DiffuseLink, PenetrationSpec
+from pathgain.fitting import MeasurementDataset
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene)
+from pathgain.oracles import QuadratureControl, SummationControl
 from pathgain.reference import SlopeIntercept, ThreeGppScenario
 from pathgain.surface import Dielectric, TelegraphRoughness
 
@@ -61,6 +63,24 @@ CONSTRUCTORS = {
     "scenario_nan_frequency": lambda: ThreeGppScenario("UMa", "LOS", NAN),
     "scenario_inf_depth": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
                                                    indoor_depth_m=INF),
+    "scenario_nan_base_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
+                                                         base_height_m=NAN),
+    "scenario_inf_base_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
+                                                         base_height_m=INF),
+    "scenario_nan_mobile_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
+                                                           mobile_height_m=NAN),
+    "scenario_inf_mobile_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
+                                                           mobile_height_m=INF),
+    "dataset_inf_frequency": lambda: MeasurementDataset([1.0, 2.0],
+                                                        [-50.0, -60.0], INF),
+    "dataset_nan_frequency": lambda: MeasurementDataset([1.0, 2.0],
+                                                        [-50.0, -60.0], NAN),
+    "summation_nan_tail_tol": lambda: SummationControl(rel_tail_tol=NAN),
+    "summation_inf_tail_tol": lambda: SummationControl(rel_tail_tol=INF),
+    "quadrature_nan_abs_tol": lambda: QuadratureControl(abs_tol=NAN),
+    "quadrature_inf_abs_tol": lambda: QuadratureControl(abs_tol=INF),
+    "quadrature_nan_rel_tol": lambda: QuadratureControl(rel_tol=NAN),
+    "quadrature_inf_rel_tol": lambda: QuadratureControl(rel_tol=INF),
 }
 
 

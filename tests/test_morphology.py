@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pathgain import morphology as mo
 from pathgain.canyon import CanyonGeometry
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain
 from pathgain.morphology import (
@@ -59,11 +58,9 @@ class TestFoliageAbsorption:
         assert kappa_v_at_frequency(2e9) == pytest.approx(0.07, rel=1e-12)
         assert kappa_v_at_frequency(35e9) == pytest.approx(0.40, rel=1e-12)
 
-    def test_interpolated_28ghz_vs_recommended_default(self):
-        # the interpolation line gives 0.33 Np/m; the recommended default
-        # for 28 GHz scenes stays the larger measured value
+    def test_interpolated_28ghz(self):
+        # the interpolation line gives 0.33 Np/m at 28 GHz
         assert kappa_v_at_frequency(28e9) == pytest.approx(0.33, abs=1e-12)
-        assert mo.DEFAULT_KAPPA_V_28GHZ == 0.38
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

