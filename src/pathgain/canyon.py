@@ -51,6 +51,12 @@ class CanyonGeometry:
         require(abs(self.tx_offset_m) < half and abs(self.rx_offset_m) < half,
                 "antenna offsets must stay inside the canyon")
 
+    def wall_loss(self, frequency_hz: float) -> float:
+        """Per-radian wall-loss parameter L of the walls at a carrier."""
+        if self.wall is None:
+            raise ValueError("canyon laws need wall parameters on the geometry")
+        return surface.wall_loss(self.wall, wavenumber_rad_m(frequency_hz))
+
 
 @dataclass(frozen=True)
 class LosLink:
@@ -93,9 +99,7 @@ class LosLink:
     @property
     def wall_loss(self) -> float:
         """Per-radian wall-loss parameter L at this link's frequency."""
-        if self.geometry.wall is None:
-            raise ValueError("canyon laws need wall parameters on the geometry")
-        return surface.wall_loss(self.geometry.wall, self.wavenumber_rad_m)
+        return self.geometry.wall_loss(self.frequency_hz)
 
 
 def breakpoint_range_m(link: LosLink) -> float:

@@ -7,7 +7,6 @@ inputs; all dB values are printed with two decimals.
 """
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -123,6 +122,13 @@ def _write(path, text: str):
             handle.write(text)
 
 
+def _table(header, fields, columns) -> str:
+    """CSV text: the header, then one row per index of the columns, whose
+    cell i is column i's value formatted by fields[i]."""
+    row = ",".join(fields) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row.format, *columns))
+
+
 def _flag_labels(flags: dict[str, np.ndarray], n: int) -> list[str]:
     """The ';'-joined names of the flags set at each of n ranges."""
     codes = np.zeros(n, dtype=np.int64)
@@ -158,9 +164,7 @@ def cmd_predict(args) -> int:
                             for v, ok in zip(value_db, positive.tolist())])
     fields.append("{}")
     columns.append(_flag_labels(result.flags, len(ranges)))
-    row = ",".join(fields) + "\n"
-    _write(args.output, ",".join(header) + "\n"
-           + "".join(row.format(*values) for values in zip(*columns)))
+    _write(args.output, _table(header, fields, columns))
     return EXIT_OK
 
 
@@ -175,32 +179,22 @@ def cmd_verify(args) -> int:
     from . import verify
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     comparisons = verify.run_suites(names, args.tolerance_profile)
-    width = max(len(c.name) for c in comparisons) + 2
-    lines = [f"{'comparison':<{width}}{'closed_db':>11}{'oracle_db':>11}"
-             f"{'gap_db':>9}{'bound_db':>10}  status  flags"]
-    rows = [(c, *map(_two_decimals, (c.closed_db, c.oracle_db, c.gap_db)))
+    header = ("comparison", "closed_db", "oracle_db", "gap_db", "bound_db",
+              "status", "flags")
+    # each comparison's cells, for the table and the CSV alike
+    rows = [(c.name, *map(_two_decimals, (c.closed_db, c.oracle_db, c.gap_db)),
+             f"{c.bound_db:.2f}", "PASS" if c.passed else "FAIL", ";".join(c.flags))
             for c in comparisons]
-    failed = []
-    for c, closed, oracle, gap in rows:
-        status = "PASS" if c.passed else "FAIL"
-        if not c.passed:
-            failed.append(c.name)
-        lines.append(f"{c.name:<{width}}{closed:>11}{oracle:>11}"
-                     f"{gap:>9}{c.bound_db:>10.2f}  {status}"
-                     f"  {';'.join(c.flags)}")
+    width = max(len(c.name) for c in comparisons) + 2
+    line = f"{{:<{width}}}{{:>11}}{{:>11}}{{:>9}}{{:>10}}  {{}}  {{}}"
+    lines = [line.format(*cells) for cells in (header, *rows)]
+    failed = [c.name for c in comparisons if not c.passed]
     lines.append(f"{len(comparisons) - len(failed)}/{len(comparisons)} comparisons passed")
     if failed:
         lines.append("FAILED: " + ", ".join(failed))
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.output:
-        buf = io.StringIO()
-        buf.write("comparison,closed_db,oracle_db,gap_db,bound_db,status,flags\n")
-        for c, closed, oracle, gap in rows:
-            buf.write(f"{c.name},{closed},{oracle},{gap},{c.bound_db:.2f},"
-                      f"{'PASS' if c.passed else 'FAIL'},"
-                      f"{';'.join(c.flags)}\n")
-        _write(args.output, buf.getvalue())
+        _write(args.output, _table(header, ["{}"] * len(header), zip(*rows)))
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
@@ -208,17 +202,18 @@ def cmd_fit(args) -> int:
     # the fit is frequency-agnostic; the dataset carrier is irrelevant here
     dataset = load_dataset(args.dataset, frequency_hz=1.0)
     result = fit_slope_intercept(dataset)
+    model = result.model
     sys.stdout.write(
-        f"intercept_db_1m={result.model.intercept_db_1m:.2f} "
-        f"exponent_n={result.model.exponent_n:.4f} "
+        f"intercept_db_1m={model.intercept_db_1m:.2f} "
+        f"exponent_n={model.exponent_n:.4f} "
         f"rmse_db={result.rmse_db:.2f} n_points={result.n_points}\n"
     )
     if args.output:
-        _write(args.output,
-               "intercept_db_1m,exponent_n,rmse_db,n_points\n"
-               f"{result.model.intercept_db_1m:.2f},"
-               f"{result.model.exponent_n:.4f},"
-               f"{result.rmse_db:.2f},{result.n_points}\n")
+        _write(args.output, _table(
+            ("intercept_db_1m", "exponent_n", "rmse_db", "n_points"),
+            ("{:.2f}", "{:.4f}", "{:.2f}", "{}"),
+            ([model.intercept_db_1m], [model.exponent_n], [result.rmse_db],
+             [result.n_points])))
     return EXIT_OK
 
 
@@ -257,20 +252,19 @@ def _model_predictor(cfg, name: str):
 
 
 def cmd_evaluate(args) -> int:
-    from .fitting import model_predictions_db, rms_db
+    from .fitting import rms_db
     cfg = load_config(args.config)
     # built first: it rejects a config without [link] frequency_hz
     predict_db = _model_predictor(cfg, args.model)
     dataset = load_dataset(args.dataset, cfg.frequency_hz)
-    predicted = model_predictions_db(dataset, predict_db)
+    predicted = predict_db(dataset.ranges_m)
     residual = dataset.gains_db - predicted
     sys.stdout.write(f"rmse_db={rms_db(residual):.2f} n_points={len(dataset)}\n")
     if args.output:
-        row = "{:.6g},{:.2f},{:.2f},{:.2f}\n"
         columns = (dataset.ranges_m, dataset.gains_db, predicted, residual)
-        _write(args.output, "range_m,path_gain_db,predicted_db,residual_db\n"
-               + "".join(row.format(*values)
-                         for values in zip(*(c.tolist() for c in columns))))
+        _write(args.output, _table(
+            ("range_m", "path_gain_db", "predicted_db", "residual_db"),
+            ("{:.6g}", "{:.2f}", "{:.2f}", "{:.2f}"), [c.tolist() for c in columns]))
     return EXIT_OK
 
 

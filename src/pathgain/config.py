@@ -229,45 +229,36 @@ def load_config(path) -> EnvironmentConfig:
     return EnvironmentConfig(str(path), frequency_hz, flags=tuple(flags), **built)
 
 
-def _bind(law, f_hz: float, *scene):
-    """range -> law(*scene, Link(range, f_hz))."""
-    return lambda range_m: law(*scene, Link(range_m, f_hz))
-
-
-def _bind_los(law, f_hz: float, geometry: CanyonGeometry):
-    return lambda range_m: law(LosLink(geometry, range_m, f_hz))
-
-
-def _bind_friis(lam: float):
-    return lambda range_m: GainResult(friis_gain(lam, range_m), range_m)
-
-
 _STREET = ("foliage", "street", "canyon")
 
-# morphology -> (config blocks it needs, builder(cfg, frequency_hz) that
-# returns the range -> GainResult law)
+# morphology -> (config blocks it needs, law(cfg, range_m) -> GainResult)
 MORPHOLOGIES = {
-    "los_corridor": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
-        los_gain_incoherent, f_hz, cfg.canyon)),
-    "los_corridor_coherent": (("canyon", "wall"), lambda cfg, f_hz: _bind_los(
-        los_gain_coherent, f_hz, cfg.canyon)),
-    "suburban_street": (_STREET, lambda cfg, f_hz: _bind(
-        morphology.suburban_street_gain, f_hz, cfg.street)),
-    "suburban_indoor": (_STREET + ("indoor", "penetration"), lambda cfg, f_hz: _bind(
-        morphology.suburban_indoor_gain, f_hz, cfg.street, cfg.indoor,
-        cfg.penetration)),
-    "over_top": (("macro", "foliage"), lambda cfg, f_hz: _bind(
-        morphology.overtop_gain, f_hz, cfg.macro, cfg.foliage.kappa_np_per_m)),
-    "rural": (("macro", "foliage"), lambda cfg, f_hz: _bind(
-        morphology.rural_gain, f_hz, cfg.macro, cfg.foliage)),
-    "outdoor_indoor": (("canyon", "wall", "penetration", "indoor"), lambda cfg, f_hz: _bind(
-        morphology.outdoor_indoor_canyon_gain, f_hz, cfg.canyon, cfg.penetration,
-        cfg.indoor)),
-    "sidewalk_trees": (_STREET + ("wall",), lambda cfg, f_hz: _bind(
-        morphology.canyon_with_trees_gain, f_hz, cfg.street)),
-    "canyon_total": (_STREET + ("wall", "macro"), lambda cfg, f_hz: _bind(
-        morphology.canyon_total_gain, f_hz, cfg.street, cfg.macro)),
-    "friis": ((), lambda cfg, f_hz: _bind_friis(wavelength_m(f_hz))),
+    "los_corridor": (("canyon", "wall"), lambda cfg, r: los_gain_incoherent(
+        LosLink(cfg.canyon, r, cfg.frequency_hz))),
+    "los_corridor_coherent": (("canyon", "wall"), lambda cfg, r: los_gain_coherent(
+        LosLink(cfg.canyon, r, cfg.frequency_hz))),
+    "suburban_street": (_STREET, lambda cfg, r: morphology.suburban_street_gain(
+        cfg.street, Link(r, cfg.frequency_hz))),
+    "suburban_indoor": (_STREET + ("indoor", "penetration"),
+                        lambda cfg, r: morphology.suburban_indoor_gain(
+                            cfg.street, cfg.indoor, cfg.penetration,
+                            Link(r, cfg.frequency_hz))),
+    "over_top": (("macro", "foliage"), lambda cfg, r: morphology.overtop_gain(
+        cfg.macro, cfg.foliage.kappa_np_per_m, Link(r, cfg.frequency_hz))),
+    "rural": (("macro", "foliage"), lambda cfg, r: morphology.rural_gain(
+        cfg.macro, cfg.foliage, Link(r, cfg.frequency_hz))),
+    "outdoor_indoor": (("canyon", "wall", "penetration", "indoor"),
+                       lambda cfg, r: morphology.outdoor_indoor_canyon_gain(
+                           cfg.canyon, cfg.penetration, cfg.indoor,
+                           Link(r, cfg.frequency_hz))),
+    "sidewalk_trees": (_STREET + ("wall",),
+                       lambda cfg, r: morphology.canyon_with_trees_gain(
+                           cfg.street, Link(r, cfg.frequency_hz))),
+    "canyon_total": (_STREET + ("wall", "macro"),
+                     lambda cfg, r: morphology.canyon_total_gain(
+                         cfg.street, cfg.macro, Link(r, cfg.frequency_hz))),
+    "friis": ((), lambda cfg, r: GainResult(
+        friis_gain(wavelength_m(cfg.frequency_hz), r), r)),
 }
 
 
@@ -286,7 +277,7 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         raise ConfigError(
             f"unknown morphology {name!r}; choose from {', '.join(MORPHOLOGIES)}"
         )
-    blocks, build = MORPHOLOGIES[name]
+    blocks, law = MORPHOLOGIES[name]
     if cfg.frequency_hz is None:
         raise ConfigError(
             f"{cfg.path}: morphology {name!r} needs [link] frequency_hz"
@@ -297,7 +288,6 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
             f"{cfg.path}: morphology {name!r} needs config "
             f"block(s): {', '.join(missing)}"
         )
-    law = build(cfg, cfg.frequency_hz)
 
     def evaluate(range_m) -> GainResult:
         ranges = np.asarray(range_m, dtype=float)
@@ -305,7 +295,7 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         # a float power of a scene value raises instead
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                result = law(ranges)
+                result = law(cfg, ranges)
         except OverflowError:
             raise ValueError(
                 f"{name} gain overflows: a scene value is out of float range") from None

@@ -153,39 +153,14 @@ def rms_db(residual_db: np.ndarray) -> float:
     return float(np.sqrt(np.mean(residual_db**2)))
 
 
-def model_predictions_db(dataset: MeasurementDataset, predict_db) -> np.ndarray:
-    """predict_db (ranges in meters -> path gain in dB) at every record's
-    range, called once with the array of all of them.
-
-    When that call fails, predict_db is called record by record with each
-    range as a float, so a failure is reported with the first failing
-    record's index, and a predictor that takes only floats still works.
-    """
-    if len(dataset) == 0:
-        raise DatasetError("dataset is empty")
-    ranges = dataset.ranges_m
-    try:
-        return np.broadcast_to(np.asarray(predict_db(ranges), dtype=float),
-                               ranges.shape).copy()
-    except Exception:
-        pass  # searched for record by record below
-    predicted = np.empty(len(dataset))
-    for i, range_m in enumerate(ranges.tolist()):
-        try:
-            predicted[i] = predict_db(range_m)
-        except Exception as exc:
-            raise DatasetError(
-                f"model evaluation failed on record {i} (range "
-                f"{range_m} m): {exc}"
-            ) from exc
-    return predicted
-
-
 def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
     """RMS of (measured - predicted) path gain in dB over all records.
 
-    predict_db maps a range in meters to a predicted path gain in dB.  No
-    mean-bias removal: a constant model offset shows up in full.
-    Evaluation failures are reported with the record index.
+    predict_db maps an array of ranges in meters to predicted path gains in
+    dB; it is called once, with the ranges of all records, and an error it
+    raises reaches the caller unchanged.  No mean-bias removal: a constant
+    model offset shows up in full.
     """
-    return rms_db(dataset.gains_db - model_predictions_db(dataset, predict_db))
+    if len(dataset) == 0:
+        raise DatasetError("dataset is empty")
+    return rms_db(dataset.gains_db - predict_db(dataset.ranges_m))

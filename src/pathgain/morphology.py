@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import surface
 from .canyon import CanyonGeometry, ground_bounce
 from .diffuse import PenetrationSpec, quartic_constant, strip_t_eff, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
-from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
+from .units import positive_ranges, require, wavelength_m
 
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
@@ -125,6 +124,16 @@ class StreetScene:
         require(self.kappa_extra_np_per_m >= 0.0,
                 "extra absorption must be nonnegative", self.kappa_extra_np_per_m)
 
+    @property
+    def rho(self) -> float:
+        """Tree volume fraction rho_v: the given value, or the estimate from
+        the foliage tree-density fields and the canyon cross-section."""
+        if self.rho_v is not None:
+            return self.rho_v
+        f, g = self.foliage, self.canyon
+        return tree_density_fraction(f.n_tree_per_m, f.tree_height_m, g.rx_height_m,
+                                     g.tx_height_m, f.tree_width_m, g.width_m)
+
 
 @dataclass(frozen=True)
 class Link:
@@ -161,16 +170,6 @@ def tree_density_fraction(n_tree_per_m: float, tree_height_m: float,
             * 2.0 * tree_width_m
             / ((base_height_m - mobile_height_m) * street_width_m))
     return min(max(frac, 0.0), 1.0)
-
-
-def _scene_rho(scene: StreetScene) -> float:
-    if scene.rho_v is not None:
-        return scene.rho_v
-    f = scene.foliage
-    return tree_density_fraction(
-        f.n_tree_per_m, f.tree_height_m, scene.canyon.rx_height_m,
-        scene.canyon.tx_height_m, f.tree_width_m, scene.canyon.width_m,
-    )
 
 
 def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResult:
@@ -301,7 +300,7 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
         lambda^2 T_eff (1+|Gg|^2)(1+|Gw|^2) exp(-k_in d_in) sqrt(w)
             / (32 pi^1.5 L^1.5 r^2.5)
     """
-    wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(link.frequency_hz))
+    wall_l = geometry.wall_loss(link.frequency_hz)
     r = np.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
     return _guided(geometry, link, r, wall_l, t_eff=t_eff(pen, indoor.depth_m),
                    indoor=math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
@@ -316,9 +315,8 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
     reflections crossing the trees.
     """
     g = scene.canyon
-    k_rho = scene.foliage.kappa_np_per_m * _scene_rho(scene)
-    wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
-    l1 = wall_l + k_rho * g.width_m / 2.0
+    k_rho = scene.foliage.kappa_np_per_m * scene.rho
+    l1 = g.wall_loss(link.frequency_hz) + k_rho * g.width_m / 2.0
     r = np.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
     return _guided(g, link, r, l1,
                    foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
@@ -331,7 +329,7 @@ def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:
     by the tree volume fraction: exp(-kappa_v rho_v d_v).  Set the scene
     standoff to the street width for a base near the middle of the street.
     """
-    return _unguided(scene, link, _scene_rho(scene))
+    return _unguided(scene, link, scene.rho)
 
 
 def canyon_with_trees_gain(scene: StreetScene, link: Link) -> GainResult:

@@ -36,8 +36,8 @@ from .diffuse import (
     enhancement_factors,
     t_eff,
 )
-from .morphology import IndoorClutter, Link, StreetScene, _scene_rho
-from .units import require, wavelength_m, wavenumber_rad_m
+from .morphology import IndoorClutter, Link, StreetScene
+from .units import require, wavelength_m
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
     |Gamma_w|^2 = 1, as in the closed forms; path_factor(r, d_m), if given,
     multiplies each image term."""
     lam = wavelength_m(link.frequency_hz)
-    wall_l = surface.wall_loss(g.wall, wavenumber_rad_m(link.frequency_hz))
+    wall_l = g.wall_loss(link.frequency_hz)
     r = math.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
     if gamma_g2 is None:
         gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
@@ -231,7 +231,7 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
     independent path: test_absorption_collapses_to_direct_term (the
     standoff term at gamma_g2 = 1).
     """
-    k_rho = scene.foliage.kappa_np_per_m * _scene_rho(scene)
+    k_rho = scene.foliage.kappa_np_per_m * scene.rho
 
     def vegetation(r, d_m):
         return np.exp(-k_rho * np.sqrt(r * r + d_m * d_m))
@@ -440,17 +440,14 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
             ((0.0, *_geometric(d_in, radius, 8)),), ctl)
         value *= 2.0 * math.pi
     elif spec.variant == APERTURE:
-        # the kernel is even in x and in y: integrate the quadrant x, y >= 0,
-        # whose corner is the flux peak.  With a quarter of the absolute
-        # tolerance, e <= max(abs_tol/4, rel_tol v) on the quadrant gives
-        # 4e <= max(abs_tol, rel_tol 4v) on the aperture.
+        # the kernel is even in x and in y: the aperture integral is that of
+        # 4 x kernel over the quadrant x, y >= 0, whose corner is the flux
+        # peak, so the caller's tolerances apply to it as given
         value, _, _ = gauss_kronrod(
-            lambda x_, y: _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
-                                          kappa, d_in, approximate_kappa),
+            lambda x_, y: 4.0 * _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
+                                                kappa, d_in, approximate_kappa),
             (_aperture_edges(d_in, spec.width1_m / 2.0),
-             _aperture_edges(d_in, spec.width2_m / 2.0)),
-            replace(ctl, abs_tol=ctl.abs_tol / 4.0))
-        value *= 4.0
+             _aperture_edges(d_in, spec.width2_m / 2.0)), ctl)
     else:
         raise ValueError(f"no boundary integral for variant {spec.variant!r}")
     return _hotwall_gain(link, spec.material_t2, value)

@@ -93,7 +93,7 @@ def suite_outdoor_indoor(profile: str = "default") -> list[Comparison]:
     for label, geometry, f_hz in (("urban", URBAN_GEOMETRY, 3.5e9),
                                   ("corridor", CORRIDOR_GEOMETRY, 2.0e9),
                                   ("corridor", CORRIDOR_GEOMETRY, 28.0e9)):
-        wall_l = surface.wall_loss(geometry.wall, wavenumber_rad_m(f_hz))
+        wall_l = geometry.wall_loss(f_hz)
         for mult in (10.0, 30.0):
             r = mult * wall_l * geometry.width_m
             link = morphology.Link(r, f_hz)
@@ -120,7 +120,7 @@ def suite_trees(profile: str = "default") -> list[Comparison]:
     sum_ctl, _ = _controls(profile)
     scene = _sparse_tree_scene()
     f_hz = 28.0e9
-    wall_l = surface.wall_loss(scene.canyon.wall, wavenumber_rad_m(f_hz))
+    wall_l = scene.canyon.wall_loss(f_hz)
     out = []
     # the continuum form needs r beyond ~2.5 L w; the gap shrinks with range
     for mult in (2.5, 5.0):

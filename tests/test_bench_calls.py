@@ -9,9 +9,11 @@ cut in `src/` that removes one of them would otherwise pass every test.
 import importlib.util
 import inspect
 
+import numpy as np
 import pytest
 
-from pathgain import fitting, oracles
+from pathgain import cli, fitting, oracles
+from pathgain.config import load_config
 
 from conftest import REPO_ROOT
 
@@ -44,3 +46,13 @@ def test_probe_fitting_calls_exist(tmp_path):
     dataset = fitting.load_dataset(path, 28e9)
     assert dataset.frequency_hz == 28e9
     assert fitting.rmse_against_model(dataset, lambda r: -60.0) > 0.0
+
+
+@pytest.mark.parametrize("name", ("over_top",) + cli.REFERENCE_MODELS)
+def test_probe_model_predictor_takes_arrays(name):
+    # the probe builds these on the [macro] scene that uma_nlos_36814 needs
+    cfg = load_config(REPO_ROOT / "configs" / "vegetated_macro_28ghz.ini")
+    ranges = np.geomspace(10.0, 1000.0, 7)
+    predicted = cli._model_predictor(cfg, name)(ranges)
+    assert isinstance(predicted, np.ndarray) and predicted.shape == ranges.shape
+    assert np.isfinite(predicted).all()

@@ -207,7 +207,7 @@ class TestVerify:
         assert code == 1
         assert "unknown suite" in err
 
-    def test_perturbed_constant_fails_named_comparison(self, capsys,
+    def test_perturbed_constant_fails_named_comparison(self, capsys, tmp_path,
                                                        monkeypatch):
         # fault injection: scale one closed form and expect the verify gate
         # to catch it and name the comparison
@@ -221,9 +221,18 @@ class TestVerify:
                              dict(res.components))
 
         monkeypatch.setattr(morphology, "outdoor_indoor_canyon_gain", skewed)
-        code, out, _ = run_cli(capsys, "verify", "outdoor_indoor")
+        out_csv = tmp_path / "gaps.csv"
+        code, out, _ = run_cli(capsys, "verify", "outdoor_indoor",
+                               "--output", str(out_csv))
         assert code == 2
         assert "FAILED: outdoor_indoor/" in out
+        # the CSV row of each comparison holds the cells of its table row
+        table_rows = out.splitlines()[1:-2]
+        csv_rows = list(csv.reader(io.StringIO(out_csv.read_text(encoding="utf-8"))))[1:]
+        assert len(csv_rows) == len(table_rows) == 6
+        assert [line.split() for line in table_rows] == [
+            [cell for cell in row if cell] for row in csv_rows]
+        assert all(row[5] == "FAIL" for row in csv_rows)
 
     def test_gap_that_rounds_to_zero_prints_unsigned(self, capsys, tmp_path,
                                                      monkeypatch):
@@ -356,6 +365,19 @@ class TestEvaluateCommand:
         ranges = [float(row["range_m"]) for row in read_csv_text(data)]
         assert calls[0].tolist() == ranges
 
+        # records 40 and 41 are where the model underflows: the one call
+        # fails, and its own message is the whole error
+        with open(data, "a", encoding="utf-8") as handle:
+            handle.write("1e100,-90\n1e200,-90\n")
+        calls.clear()
+        code, out, err = run_cli(capsys, "evaluate", str(data),
+                                 "configs/sidewalk_sparse_trees_28ghz.ini",
+                                 "canyon_total")
+        assert (code, out) == (1, "")
+        assert err == ("pathgain: error: canyon_total gain underflows to 0 "
+                       "at range 1e+100 m\n")
+        assert len(calls) == 1
+        assert calls[0].tolist() == ranges + [1e100, 1e200]
 
     def test_frequency_option_is_a_usage_error(self, capsys, tmp_path):
         data = self.make_synthetic(tmp_path, capsys)

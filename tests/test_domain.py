@@ -1,6 +1,8 @@
 """The input-domain contract: every constructor rejects NaN and +-inf with
-a ValueError, and the evaluator from `make_evaluator` returns finite,
-positive gains or raises a ValueError, for any range array."""
+a ValueError, every law and oracle that needs wall parameters raises a
+ValueError on a canyon without them, and the evaluator from
+`make_evaluator` returns finite, positive gains or raises a ValueError,
+for any range array."""
 
 import math
 import warnings
@@ -14,8 +16,10 @@ from pathgain.config import MORPHOLOGIES, load_config, make_evaluator
 from pathgain.diffuse import DiffuseLink, PenetrationSpec
 from pathgain.fitting import MeasurementDataset
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
-                                 StreetScene)
-from pathgain.oracles import QuadratureControl, SummationControl
+                                 StreetScene, canyon_total_gain, canyon_with_trees_gain,
+                                 outdoor_indoor_canyon_gain, sidewalk_guided_gain)
+from pathgain.oracles import (QuadratureControl, SummationControl,
+                              guided_trees_series_power, oi_image_series_power)
 from pathgain.reference import SlopeIntercept, ThreeGppScenario
 from pathgain.surface import Dielectric, TelegraphRoughness
 
@@ -88,6 +92,32 @@ CONSTRUCTORS = {
 def test_constructor_rejects_nonfinite(case):
     with pytest.raises(ValueError):
         CONSTRUCTORS[case]()
+
+
+BARE_GEOMETRY = CanyonGeometry(1.6, 2.2, 1.0)
+BARE_STREET = StreetScene(BARE_GEOMETRY, FOLIAGE, 8.0)
+FACADE = PenetrationSpec.facade_mixture(0.3, 1.0, 0.05)
+ROOM = IndoorClutter(0.18, 2.0)
+STREET_LINK = Link(100.0, 28e9)
+
+WALL_LAWS = {
+    "outdoor_indoor_canyon_gain": lambda: outdoor_indoor_canyon_gain(
+        BARE_GEOMETRY, FACADE, ROOM, STREET_LINK),
+    "sidewalk_guided_gain": lambda: sidewalk_guided_gain(BARE_STREET, STREET_LINK),
+    "canyon_with_trees_gain": lambda: canyon_with_trees_gain(BARE_STREET, STREET_LINK),
+    "canyon_total_gain": lambda: canyon_total_gain(
+        BARE_STREET, MacroGeometry(30.0, 10.0, 1.5, 20.0), STREET_LINK),
+    "oi_image_series_power": lambda: oi_image_series_power(
+        BARE_GEOMETRY, FACADE, ROOM, STREET_LINK),
+    "guided_trees_series_power": lambda: guided_trees_series_power(
+        BARE_STREET, STREET_LINK),
+}
+
+
+@pytest.mark.parametrize("law", sorted(WALL_LAWS))
+def test_law_without_wall_parameters_raises_value_error(law):
+    with pytest.raises(ValueError, match="^canyon laws need wall parameters"):
+        WALL_LAWS[law]()
 
 
 def test_los_law_at_infinite_range_raises_instead_of_zero_gain():

@@ -240,6 +240,14 @@ class TestConvergenceContract:
             hotwall_quadrature(link, spec, QuadratureControl(max_subdivisions=10))
         assert hotwall_quadrature(link, spec) > 0.0
 
+    def test_smallest_absolute_tolerance_is_taken_as_given(self):
+        # the least positive float constructs, so the aperture may not divide
+        # it down to zero; the relative tolerance then decides
+        link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
+        spec = PenetrationSpec.aperture(3.0, 10.0)
+        value = hotwall_quadrature(link, spec, QuadratureControl(abs_tol=5e-324))
+        assert value == pytest.approx(hotwall_quadrature(link, spec), rel=1e-9)
+
     @pytest.mark.parametrize("edges", [((0.0, 1.0),), ((0.0, math.inf),),
                                        ((-1.0, 1.0), (-1.0, 1.0))])
     @pytest.mark.filterwarnings("error")
