@@ -57,6 +57,17 @@ class CanyonGeometry:
             raise ValueError("canyon laws need wall parameters on the geometry")
         return surface.wall_loss(self.wall, wavenumber_rad_m(frequency_hz))
 
+    def slant_range_m(self, horizontal_m):
+        """Direct source-receiver distance r at a horizontal range (or an
+        array of them)."""
+        return np.hypot(horizontal_m, self.tx_height_m - self.rx_height_m)
+
+    def ground_bounce(self, horizontal_m):
+        """Ground field coefficient Gamma_g of this canyon's antennas and
+        ground at a horizontal distance (or an array of them)."""
+        return ground_bounce(self.tx_height_m + self.rx_height_m, horizontal_m,
+                             self.ground)
+
 
 @dataclass(frozen=True)
 class LosLink:
@@ -79,8 +90,7 @@ class LosLink:
     @property
     def slant_range_m(self) -> np.ndarray:
         """Direct source-receiver distance r."""
-        dz = self.geometry.tx_height_m - self.geometry.rx_height_m
-        return np.hypot(self.range_x_m, dz)
+        return self.geometry.slant_range_m(self.range_x_m)
 
     @property
     def ground_image_range_m(self) -> np.ndarray:
@@ -114,8 +124,8 @@ def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
 
     The low-grazing parallel form at the ground-image grazing angle
     asin((z_s + z)/r_g), r_g = hypot(horizontal, z_s + z), for one
-    horizontal distance or an array of them.  Every law and oracle that
-    needs a default ground bounce calls this.
+    horizontal distance or an array of them.  Canyon scenes reach it
+    through CanyonGeometry.ground_bounce, the over-top laws directly.
     """
     theta_g = np.arcsin(height_sum_m / np.hypot(horizontal_m, height_sum_m))
     return surface.fresnel_low_grazing(theta_g, ground, surface.PARALLEL)
@@ -123,9 +133,7 @@ def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
 
 def ground_reflection(link: LosLink) -> tuple[np.ndarray, np.ndarray]:
     """Ground-bounce field coefficient and its path length (Gamma_g, r_g)."""
-    g = link.geometry
-    gamma = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_x_m, g.ground)
-    return gamma, link.ground_image_range_m
+    return link.geometry.ground_bounce(link.range_x_m), link.ground_image_range_m
 
 
 def _waveguide(link: LosLink, **factors) -> GainResult:

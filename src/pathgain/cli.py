@@ -109,7 +109,8 @@ def _parse_sweep(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise CliError(f"range spec must be min:max:points, got {spec!r}") from exc
-    if lo <= 0.0 or hi <= lo or n < 2:
+    # comparisons with nan are false, so the chain also rejects nan and inf
+    if not 0.0 < lo < hi < float("inf") or n < 2:
         raise CliError("range spec needs 0 < min < max and points >= 2")
     return np.geomspace(lo, hi, n)
 
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"pathgain: error: {exc}\n")
         return EXIT_VALIDATION
 

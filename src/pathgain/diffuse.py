@@ -20,7 +20,6 @@ from .units import everywhere, require
 UNBOUNDED = "unbounded"
 STREET = "street"
 APERTURE = "aperture"
-FACADE = "facade"
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,9 @@ class PenetrationSpec:
     material_t2: float = 1.0
     width1_m: float | None = None
     width2_m: float | None = None
-    p_window: float | None = None
-    t_window2: float | None = None
-    t_wall2: float | None = None
 
     def __post_init__(self):
-        if self.variant not in (UNBOUNDED, STREET, APERTURE, FACADE):
+        if self.variant not in (UNBOUNDED, STREET, APERTURE):
             raise ValueError(f"unknown penetration variant {self.variant!r}")
         if not 0.0 <= self.material_t2 <= 1.0:
             raise ValueError("material power transmission must be in [0, 1]")
@@ -51,11 +47,6 @@ class PenetrationSpec:
         if self.variant == APERTURE:
             require(self.width2_m is not None and self.width2_m > 0.0,
                     "aperture variant needs width2_m > 0", self.width2_m)
-        if self.variant == FACADE:
-            for name in ("p_window", "t_window2", "t_wall2"):
-                value = getattr(self, name)
-                if value is None or not 0.0 <= value <= 1.0:
-                    raise ValueError(f"facade variant needs {name} in [0, 1]")
 
     @classmethod
     def unbounded(cls, material_t2: float = 1.0) -> "PenetrationSpec":
@@ -73,8 +64,13 @@ class PenetrationSpec:
     @classmethod
     def facade_mixture(cls, p_window: float, t_window2: float,
                        t_wall2: float) -> "PenetrationSpec":
-        return cls(FACADE, p_window=p_window, t_window2=t_window2,
-                   t_wall2=t_wall2)
+        """An unbounded boundary whose transmission mixes windows and wall:
+        p |T_window|^2 + (1 - p) |T_wall|^2."""
+        for name, value in (("p_window", p_window), ("t_window2", t_window2),
+                            ("t_wall2", t_wall2)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"facade variant needs {name} in [0, 1]")
+        return cls(UNBOUNDED, p_window * t_window2 + (1.0 - p_window) * t_wall2)
 
 
 @dataclass(frozen=True)
@@ -112,32 +108,23 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
         |T|^2 (2/pi) atan(w1 w2 / (2 d sqrt(4 d^2 + w1^2 + w2^2)))
     street of width w1 (strip, w2 -> inf):
         |T|^2 (2/pi) atan(w1 / (2 d))
-    unbounded boundary: |T|^2
-    facade mixture: p |T_window|^2 + (1 - p) |T_wall|^2
+    unbounded boundary (a facade mixture among them): |T|^2
 
     depth_m is the terminal depth behind the boundary; it is required for
     the bounded variants and ignored otherwise.
     """
     if spec.variant == UNBOUNDED:
         return spec.material_t2
-    if spec.variant == FACADE:
-        return (spec.p_window * spec.t_window2
-                + (1.0 - spec.p_window) * spec.t_wall2)
     require(depth_m is not None and depth_m > 0.0,
             f"{spec.variant} variant needs a positive depth", depth_m)
-    if spec.variant == STREET:
-        return strip_t_eff(spec.width1_m, depth_m, spec.material_t2)
     w1, w2 = spec.width1_m, spec.width2_m
-    angle = np.arctan(
-        w1 * w2 / (2.0 * depth_m * np.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
-    )
+    if spec.variant == STREET:
+        angle = np.arctan(w1 / (2.0 * depth_m))
+    else:
+        angle = np.arctan(
+            w1 * w2 / (2.0 * depth_m * np.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
+        )
     return spec.material_t2 * (2.0 / math.pi) * angle
-
-
-def strip_t_eff(width_m: float, depth_m: float, material_t2: float = 1.0) -> float:
-    """T_eff of a street opening of width w1 at depth d > 0 behind it:
-    |T|^2 (2/pi) atan(w1 / (2 d)), without building a PenetrationSpec."""
-    return material_t2 * (2.0 / math.pi) * np.arctan(width_m / (2.0 * depth_m))
 
 
 def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
@@ -157,14 +144,3 @@ def quartic_constant(wavelength_m: float, standoff_m: float) -> float:
     """lambda^2 d_s^2 / (8 pi^2), the constant of every quartic law."""
     return wavelength_m**2 * standoff_m**2 / (8.0 * math.pi**2)
 
-
-def enhancement_factors(gamma_g2, gamma_w2):
-    """Incoherent power enhancement (1 + |Gamma_g|^2)(1 + |Gamma_w|^2).
-
-    gamma_g2 and gamma_w2 are the ground and back-wall power reflection
-    coefficients, floats or arrays over ranges; the product lies in [1, 4].
-    """
-    for name, value in (("gamma_g2", gamma_g2), ("gamma_w2", gamma_w2)):
-        if not everywhere((0.0 <= value) & (value <= 1.0)):
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return (1.0 + gamma_g2) * (1.0 + gamma_w2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canyon import CanyonGeometry, ground_bounce
-from .diffuse import PenetrationSpec, quartic_constant, strip_t_eff, t_eff
+from .diffuse import PenetrationSpec, quartic_constant, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
@@ -81,6 +81,11 @@ class IndoorClutter:
                 "indoor clutter parameters must be nonnegative",
                 self.kappa_np_per_m, self.depth_m)
 
+    @property
+    def absorption(self) -> float:
+        """Power surviving the clutter to the terminal: exp(-kappa_in d_in)."""
+        return math.exp(-self.kappa_np_per_m * self.depth_m)
+
 
 @dataclass(frozen=True)
 class MacroGeometry:
@@ -126,13 +131,23 @@ class StreetScene:
 
     @property
     def rho(self) -> float:
-        """Tree volume fraction rho_v: the given value, or the estimate from
-        the foliage tree-density fields and the canyon cross-section."""
+        """Tree volume fraction rho_v: the given value, or the fraction of the
+        canyon volume below the base occupied by tree crowns along both sides,
+
+            n_tree (z_tree - z_m) 2 w_tree / ((z_BS - z_m) w),
+
+        from the foliage tree-density fields and the canyon cross-section
+        (base z_BS at the transmitter, mobile z_m at the receiver), clamped
+        to [0, 1]."""
         if self.rho_v is not None:
             return self.rho_v
         f, g = self.foliage, self.canyon
-        return tree_density_fraction(f.n_tree_per_m, f.tree_height_m, g.rx_height_m,
-                                     g.tx_height_m, f.tree_width_m, g.width_m)
+        if g.tx_height_m <= g.rx_height_m:
+            raise ValueError("base must be above the mobile")
+        frac = (f.n_tree_per_m * max(f.tree_height_m - g.rx_height_m, 0.0)
+                * 2.0 * f.tree_width_m
+                / ((g.tx_height_m - g.rx_height_m) * g.width_m))
+        return min(max(frac, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,22 +171,6 @@ class Link:
         return wavelength_m(self.frequency_hz)
 
 
-def tree_density_fraction(n_tree_per_m: float, tree_height_m: float,
-                          mobile_height_m: float, base_height_m: float,
-                          tree_width_m: float, street_width_m: float) -> float:
-    """Fraction of the canyon volume below the base occupied by tree crowns.
-
-    n_tree (z_tree - z_m) 2 w_tree / ((z_BS - z_m) w), assuming trees along
-    both sides, clamped to [0, 1].
-    """
-    if base_height_m <= mobile_height_m:
-        raise ValueError("base must be above the mobile")
-    frac = (n_tree_per_m * max(tree_height_m - mobile_height_m, 0.0)
-            * 2.0 * tree_width_m
-            / ((base_height_m - mobile_height_m) * street_width_m))
-    return min(max(frac, 0.0), 1.0)
-
-
 def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResult:
     """Quartic law of the street scenes: lambda^2 d_s^2 / (8 pi^2 r^4) times
     the given factors, foliage exp(-kappa_v rho d_v) and the bounces, with r
@@ -179,17 +178,16 @@ def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResu
     g = scene.canyon
     dz = g.tx_height_m - g.rx_height_m
     r = np.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
-    gamma = ground_bounce(g.tx_height_m + g.rx_height_m,
-                          np.hypot(link.range_m, scene.standoff_m), g.ground)
+    gamma = g.ground_bounce(np.hypot(link.range_m, scene.standoff_m))
     foliage = math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
     constant = quartic_constant(link.wavelength_m, scene.standoff_m)
     return power_law(4.0, constant, r, **factors, foliage=foliage,
                      ground_bounce=1.0 + gamma**2, wall_bounce=WALL_BOUNCE)
 
 
-def _guided(geometry: CanyonGeometry, link: Link, r, wall_l: float,
+def _guided(geometry: CanyonGeometry, link: Link, wall_l: float,
             **factors) -> GainResult:
-    """Guided penetration law (exponent 2.5) at slant range r:
+    """Guided penetration law (exponent 2.5) at the canyon's slant range r:
 
         lambda^2 sqrt(w) / (32 pi^1.5 L^1.5 r^2.5)
 
@@ -197,7 +195,8 @@ def _guided(geometry: CanyonGeometry, link: Link, r, wall_l: float,
     r < L w.
     """
     g = geometry
-    gamma = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m, g.ground)
+    r = g.slant_range_m(link.range_m)
+    gamma = g.ground_bounce(link.range_m)
     constant = (link.wavelength_m**2 * math.sqrt(g.width_m)
                 / (32.0 * math.pi**1.5 * wall_l**1.5))
     return power_law(2.5, constant, r, [(FLAG_GUIDED_RANGE, r < wall_l * g.width_m)],
@@ -258,7 +257,7 @@ def suburban_indoor_gain(scene: StreetScene, indoor: IndoorClutter,
     exp(-kappa_in d_in) to the outdoor law.
     """
     return _unguided(scene, link, 1.0, t_eff=t_eff(pen, indoor.depth_m),
-                     indoor=math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
+                     indoor=indoor.absorption)
 
 
 def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult:
@@ -271,7 +270,7 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult
     """
     depth = macro.clutter_height_m - macro.mobile_height_m
     return _overtop(macro, kappa_v, link, DEFAULT_GROUND,
-                    t_eff=strip_t_eff(macro.street_width_m, depth))
+                    t_eff=t_eff(PenetrationSpec.street(macro.street_width_m), depth))
 
 
 def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainResult:
@@ -300,10 +299,8 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
         lambda^2 T_eff (1+|Gg|^2)(1+|Gw|^2) exp(-k_in d_in) sqrt(w)
             / (32 pi^1.5 L^1.5 r^2.5)
     """
-    wall_l = geometry.wall_loss(link.frequency_hz)
-    r = np.hypot(link.range_m, geometry.tx_height_m - geometry.rx_height_m)
-    return _guided(geometry, link, r, wall_l, t_eff=t_eff(pen, indoor.depth_m),
-                   indoor=math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
+    return _guided(geometry, link, geometry.wall_loss(link.frequency_hz),
+                   t_eff=t_eff(pen, indoor.depth_m), indoor=indoor.absorption)
 
 
 def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
@@ -317,9 +314,8 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
     g = scene.canyon
     k_rho = scene.foliage.kappa_np_per_m * scene.rho
     l1 = g.wall_loss(link.frequency_hz) + k_rho * g.width_m / 2.0
-    r = np.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
-    return _guided(g, link, r, l1,
-                   foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
+    r = g.slant_range_m(link.range_m)
+    return _guided(g, link, l1, foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
 
 
 def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:

@@ -27,16 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import surface
-from .canyon import LosLink, ground_bounce
-from .diffuse import (
-    APERTURE,
-    UNBOUNDED,
-    DiffuseLink,
-    PenetrationSpec,
-    enhancement_factors,
-    t_eff,
-)
-from .morphology import IndoorClutter, Link, StreetScene
+from .canyon import LosLink
+from .diffuse import APERTURE, UNBOUNDED, DiffuseLink, PenetrationSpec, t_eff
+from .morphology import WALL_BOUNCE, IndoorClutter, Link, StreetScene
 from .units import require, wavelength_m
 
 
@@ -150,8 +143,9 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
 
 
 def _standoff_series(r: float, width: float, wall_l: float, d: float,
-                     ctl: SummationControl, extra_factor=None) -> float:
-    """Sum over reflection order m of d_m^2 exp(-L m d_m / r) [* extra].
+                     ctl: SummationControl, path_factor=None) -> float:
+    """Sum over reflection order m of d_m^2 exp(-L m d_m / r)
+    [* path_factor(r, d_m)].
 
     Image standoffs alternate d_m = mw + d (even m) and mw + w - d (odd m);
     the per-bounce grazing angle of the m-bounce path is d_m / r.  The
@@ -164,8 +158,8 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
         m = np.arange(m_start, min(m_start + size, ctl.max_order + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
-        if extra_factor is not None:
-            terms = terms * extra_factor(d_m)
+        if path_factor is not None:
+            terms = terms * path_factor(r, d_m)
         block = float(np.sum(terms))
         total += block
         if m_start > 0 and block <= ctl.rel_tail_tol * total:
@@ -182,19 +176,17 @@ def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
                          path_factor=None) -> float:
     """The body of both series oracles: lambda^2 (1 + |Gamma_g|^2) 2 /
     (8 pi^2 r^4) * scene_factor * the reflection-order series of canyon g at
-    standoff_m over slant range r.  The back wall reflects fully,
-    |Gamma_w|^2 = 1, as in the closed forms; path_factor(r, d_m), if given,
+    standoff_m over slant range r.  The back wall reflects fully, a bounce
+    of WALL_BOUNCE as in the closed forms; path_factor(r, d_m), if given,
     multiplies each image term."""
     lam = wavelength_m(link.frequency_hz)
     wall_l = g.wall_loss(link.frequency_hz)
-    r = math.hypot(link.range_m, g.tx_height_m - g.rx_height_m)
+    r = float(g.slant_range_m(link.range_m))
     if gamma_g2 is None:
-        gamma_g2 = ground_bounce(g.tx_height_m + g.rx_height_m, link.range_m,
-                                 g.ground) ** 2
-    extra = None if path_factor is None else (lambda d_m: path_factor(r, d_m))
-    series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, extra)
-    return (lam**2 * scene_factor * enhancement_factors(gamma_g2, 1.0)
-            / (8.0 * math.pi**2 * r**4) * series)
+        gamma_g2 = g.ground_bounce(link.range_m) ** 2
+    series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, path_factor)
+    bounces = (1.0 + gamma_g2) * WALL_BOUNCE
+    return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * r**4) * series
 
 
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
@@ -213,8 +205,7 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
     gamma_g2 = 1) and test_reduces_to_oi_series_without_trees.
     """
     d = geometry.width_m / 2.0 if standoff_m is None else standoff_m
-    scene_factor = (t_eff(pen, indoor.depth_m)
-                    * math.exp(-indoor.kappa_np_per_m * indoor.depth_m))
+    scene_factor = t_eff(pen, indoor.depth_m) * indoor.absorption
     return _guided_series_power(geometry, link, d, scene_factor, ctl, gamma_g2)
 
 
@@ -416,10 +407,10 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     and applies the free-space spreading prefactor.  The full plane does
     not depend on the azimuth, so it is 2 pi times a radial integral out to
     the truncation radius; the rectangular aperture is 4 times a 2-D
-    cartesian integral over the quadrant x, y >= 0.  The street strip and
-    the facade mixture have no boundary integral here (the strip,
-    integrated as a very long aperture, does not converge); the street
-    T_eff is checked through the aperture-to-street limit instead.
+    cartesian integral over the quadrant x, y >= 0.  A facade mixture is an unbounded boundary and integrates as one.  The
+    street strip has no boundary integral here (integrated as a very long
+    aperture, it does not converge); the street T_eff is checked through
+    the aperture-to-street limit instead.
     approximate_kappa freezes the absorption at exp(-kappa d_in), the
     approximation the closed-form aperture expression makes; the default
     integrates the exact exp(-kappa r') kernel.  Only tests set it, as the

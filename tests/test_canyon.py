@@ -8,6 +8,7 @@ from pathgain.canyon import (
     CanyonGeometry,
     LosLink,
     breakpoint_range_m,
+    ground_bounce,
     ground_reflection,
     los_canyon_gain,
     los_gain_coherent,
@@ -90,6 +91,20 @@ class TestGroundReflection:
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] > 0.999
         assert all(g < 1.0 for g in gammas)
+
+
+class TestGeometryFactors:
+    @pytest.mark.parametrize("x", [20.0, np.geomspace(1.0, 1000.0, 7)],
+                             ids=["float", "array"])
+    def test_geometry_owns_the_link_values(self, x):
+        link = corridor_link(x, ground=Dielectric(3.0))
+        g = link.geometry
+        assert np.array_equal(g.slant_range_m(x), link.slant_range_m)
+        assert np.array_equal(g.slant_range_m(x), np.hypot(x, 2.2 - 1.0))
+        gamma, _ = ground_reflection(link)
+        assert np.array_equal(g.ground_bounce(x), gamma)
+        assert np.array_equal(g.ground_bounce(x),
+                              ground_bounce(3.2, x, Dielectric(3.0)))
 
 
 class TestGroundBounceVariants:

@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +99,28 @@ class TestPredict:
                 assert guided > float(row["component_over_top_db"])
                 assert guided > float(row["component_direct_db"])
 
-    def test_bad_range_spec_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
-                               "los_corridor", "70:5:60")
+    @pytest.mark.parametrize("spec", ["70:5:60", "nan:1:3", "1:nan:3",
+                                      "1:inf:3", "inf:inf:3"])
+    def test_bad_range_spec_is_validation_error(self, capsys, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
+                                     "los_corridor", spec)
         assert code == 1
-        assert "range spec" in err
+        assert out == ""
+        assert err == ("pathgain: error: range spec needs 0 < min < max "
+                       "and points >= 2\n")
+        assert caught == []
+
+    def test_unallocatable_sweep_is_one_line_error(self, capsys):
+        # 10^15 float64 points exceed the whole address space, so the
+        # request fails without touching memory
+        code, out, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
+                                 "los_corridor", "1:10:1000000000000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pathgain: error: ")
+        assert err.count("\n") == 1
 
     def test_unknown_morphology_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",

@@ -7,7 +7,6 @@ from pathgain.diffuse import (
     DiffuseLink,
     PenetrationSpec,
     diffuse_pathgain,
-    enhancement_factors,
     t_eff,
 )
 from pathgain.units import wavelength_m
@@ -102,21 +101,3 @@ class TestDiffusePathgain:
         with pytest.raises(ValueError):
             DiffuseLink(20.0, 100.0, 5.0, -0.1, 0.01)
 
-
-class TestEnhancementFactors:
-    @pytest.mark.parametrize("gg, gw, expected",
-                             [(0.0, 0.0, 1.0), (1.0, 1.0, 4.0),
-                              (0.5, 1.0, 3.0)])
-    def test_values(self, gg, gw, expected):
-        assert enhancement_factors(gg, gw) == pytest.approx(expected, rel=1e-14)
-
-    @given(gg=st.floats(min_value=0.0, max_value=1.0),
-           gw=st.floats(min_value=0.0, max_value=1.0))
-    def test_range(self, gg, gw):
-        assert 1.0 <= enhancement_factors(gg, gw) <= 4.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            enhancement_factors(1.2, 0.0)
-        with pytest.raises(ValueError):
-            enhancement_factors(0.0, -0.1)

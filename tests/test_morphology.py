@@ -22,7 +22,6 @@ from pathgain.morphology import (
     sidewalk_unguided_gain,
     suburban_indoor_gain,
     suburban_street_gain,
-    tree_density_fraction,
 )
 from pathgain.reference import friis_gain
 from pathgain.surface import wall_loss
@@ -68,14 +67,25 @@ class TestFoliageAbsorption:
 
 
 class TestTreeDensity:
+    @staticmethod
+    def rho(n_tree, tree_height, mobile, base, tree_width, street_width):
+        geometry = CanyonGeometry(street_width, base, mobile)
+        foliage = FoliageLayer(3.0, 0.38, n_tree_per_m=n_tree,
+                               tree_width_m=tree_width, tree_height_m=tree_height)
+        return StreetScene(geometry, foliage, standoff_m=8.0).rho
+
     def test_sparse_avenue_value(self):
-        rho = tree_density_fraction(0.05, 10.0, 1.5, 56.0, 4.0, 32.0)
+        rho = self.rho(0.05, 10.0, 1.5, 56.0, 4.0, 32.0)
         assert rho == pytest.approx(0.05 * 8.5 * 8.0 / (54.5 * 32.0), rel=1e-14)
         assert rho == pytest.approx(0.0019495412844036698, rel=1e-12)
 
     def test_clamped_to_unit_interval(self):
-        assert tree_density_fraction(10.0, 10.0, 1.5, 12.0, 5.0, 8.0) == 1.0
-        assert tree_density_fraction(0.1, 1.0, 1.5, 12.0, 5.0, 8.0) == 0.0
+        assert self.rho(10.0, 10.0, 1.5, 12.0, 5.0, 8.0) == 1.0
+        assert self.rho(0.1, 1.0, 1.5, 12.0, 5.0, 8.0) == 0.0
+
+    def test_base_below_mobile_rejected(self):
+        with pytest.raises(ValueError, match="base must be above the mobile"):
+            self.rho(0.05, 10.0, 1.5, 1.5, 4.0, 32.0)
 
 
 class TestSuburban:

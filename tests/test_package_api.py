@@ -22,8 +22,7 @@ EXPORTS = {
     "canyon": ("CanyonGeometry", "LosLink", "breakpoint_range_m",
                "ground_reflection", "los_canyon_gain", "los_gain_coherent",
                "los_gain_incoherent"),
-    "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain",
-                "enhancement_factors", "t_eff"),
+    "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain", "t_eff"),
     "fitting": ("FitResult", "MeasurementDataset", "fit_slope_intercept",
                 "load_dataset", "rmse_against_model"),
     "morphology": ("FoliageLayer", "IndoorClutter", "Link", "MacroGeometry",
@@ -31,7 +30,7 @@ EXPORTS = {
                    "kappa_v_at_frequency", "outdoor_indoor_canyon_gain",
                    "overtop_gain", "rural_gain", "sidewalk_guided_gain",
                    "sidewalk_unguided_gain", "suburban_indoor_gain",
-                   "suburban_street_gain", "tree_density_fraction"),
+                   "suburban_street_gain"),
     "reference": ("SlopeIntercept", "ThreeGppScenario", "friis_gain",
                   "slope_intercept_eval", "tr38901_pathloss", "uma_nlos_36814"),
     "result": ("GainResult",),
