@@ -7,6 +7,7 @@ inputs; all dB values are printed with two decimals.
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -82,6 +83,10 @@ def _build_parser() -> _Parser:
     predict.add_argument("config", help="environment config file")
     predict.add_argument("morphology", help="one of: " + ", ".join(MORPHOLOGY_NAMES))
     predict.add_argument("ranges", help="sweep spec min:max:points (meters)")
+    # argparse reads an argument that starts with '-' as an option unless it
+    # looks like a negative number; here that includes a spec such as
+    # -1:10:3, so `_parse_sweep` rejects it with its own message
+    predict._negative_number_matcher = re.compile(r"-[\d.].*")
     predict.add_argument("--output", help="CSV output path (default stdout)")
 
     ver = sub.add_parser("verify", help="run oracle-vs-closed-form suites")

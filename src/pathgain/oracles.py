@@ -8,16 +8,21 @@ roughness integrals are evaluated by adaptive quadrature with the
 unapproximated kernels.  The quadrature is the module's own vectorized
 Gauss-Kronrod rule (`gauss_kronrod`), so no command loads scipy.
 
-Each oracle stops once its own tolerance is met:
+Each oracle stops once its own tolerance is met, and most often after
+its first evaluation:
 
 - the image sum starts at 64 orders and doubles them, adding only the new
-  shell of images, until a shell is within rel_tail_tol of the total;
+  shell of images, until a shell is within rel_tail_tol of the total; one
+  evaluation of 128 orders gives the total at 64 and the first shell;
 - the reflection-order series sums blocks of 64, 128, 256, ... orders
-  until a block after the first is within rel_tail_tol of the total;
+  until a block after the first is within rel_tail_tol of the total; one
+  evaluation of orders 0..191 gives the first two blocks;
 - the quadratures bisect their worst boxes until the summed error estimate
   meets the tolerance.  The rectangular aperture integrates one quadrant
   of its even kernel, and the unbounded boundary one radius, each with
-  breakpoints in geometric steps from the depth d_in, the kernel's scale.
+  breakpoints at d_in/2 and then in geometric steps of about 2, on the
+  scale of the depth d_in, the kernel's own: fine enough that the initial
+  boxes meet the tolerance, so bisection is only the safety net.
 """
 
 import itertools
@@ -66,6 +71,12 @@ class OracleConvergenceError(RuntimeError):
     """A truncated sum or quadrature failed to meet its tolerance."""
 
 
+# the sign of y_s, and the offset of the bounce count 2k, of the two images
+# of order k
+_SIGNS = np.array([[1.0], [-1.0]])
+_BOUNCE_OFFSETS = np.array([[0], [1]])
+
+
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
                     include_ground: bool = False, coherent: bool = False,
                     wall_loss_override: float | None = None,
@@ -88,7 +99,8 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     |2k - 1| wall bounces, so orders -n..n truncate the sum at 2n bounces.
     The sum starts at n = 64 and doubles n, adding only the new shell of
     orders n < |k| <= 2n, until that shell is within rel_tail_tol of the
-    total.
+    total.  One evaluation of the orders |k| <= 128 gives the total at
+    n = 64 and its first shell.
     """
     g = link.geometry
     w = g.width_m
@@ -98,14 +110,16 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     y_s = g.tx_offset_m + w / 2.0
     y_r = g.rx_offset_m + w / 2.0
     # one row of images at the direct height offset, one at the ground image's
-    dz = np.array([[g.tx_height_m - g.rx_height_m],
-                   [g.tx_height_m + g.rx_height_m]])[:1 + include_ground]
+    dz = np.array([[[g.tx_height_m - g.rx_height_m]],
+                   [[g.tx_height_m + g.rx_height_m]]])[:1 + include_ground]
     if include_ground:
         g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
 
-    def image_sum(k):
-        dy = np.concatenate([2.0 * k * w + y_s, 2.0 * k * w - y_s]) - y_r
-        refl = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
+    def image_terms(k):
+        """The terms of orders k, as (rows, 2, len(k)): the images 2kw + y_s,
+        then the images 2kw - y_s."""
+        dy = 2.0 * k * w + _SIGNS * y_s - y_r
+        refl = np.abs(2 * k - _BOUNCE_OFFSETS)
         dist = np.sqrt(x * x + dy * dy + dz * dz)
         theta_wall = np.arcsin(np.abs(dy) / dist)
         amp = np.exp(-0.5 * wall_l * theta_wall * refl)
@@ -117,7 +131,11 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
             gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[1]))
             terms[1] = (terms[1] * gamma_g if coherent
                         else terms[1] * gamma_g * gamma_g)
-        return terms.sum(axis=1).sum()
+        return terms
+
+    def summed(terms):
+        # each row over its images, both signs in one line, then the rows
+        return terms.reshape(len(terms), -1).sum(axis=1).sum()
 
     lam = link.wavelength_m
     scale = lam * lam / (4.0 * math.pi) ** 2
@@ -127,12 +145,19 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
 
     if fixed_order is not None:
         n = max(fixed_order, 1)
-        return finish(image_sum(np.arange(-n, n + 1)))
+        return finish(summed(image_terms(np.arange(-n, n + 1))))
     n = 64
-    total = image_sum(np.arange(-n, n + 1))
     while 2 * n <= ctl.max_order:
-        shell = image_sum(np.concatenate([np.arange(-2 * n, -n),
-                                          np.arange(n + 1, 2 * n + 1)]))
+        if n == 64:
+            # the first pass: one evaluation of the orders |k| <= 2n, split
+            # into the total of |k| <= n and the first shell
+            terms = image_terms(np.arange(-2 * n, 2 * n + 1))
+            total = summed(terms[..., n:3 * n + 1])
+            shell = summed(np.concatenate([terms[..., :n], terms[..., 3 * n + 1:]],
+                                          axis=-1))
+        else:
+            shell = summed(image_terms(np.concatenate([np.arange(-2 * n, -n),
+                                                       np.arange(n + 1, 2 * n + 1)])))
         n *= 2
         total = total + shell
         if abs(shell) <= ctl.rel_tail_tol * abs(total):
@@ -150,22 +175,26 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
     Image standoffs alternate d_m = mw + d (even m) and mw + w - d (odd m);
     the per-bounce grazing angle of the m-bounce path is d_m / r.  The
     terms are summed in blocks of 64, 128, 256, ... orders, until a block
-    after the first sums to within rel_tail_tol of the running total.
+    after the first sums to within rel_tail_tol of the running total; one
+    evaluation of orders 0..191 gives the first two blocks.
     """
-    total = 0.0
-    m_start, size = 0, 64
-    while m_start <= ctl.max_order:
-        m = np.arange(m_start, min(m_start + size, ctl.max_order + 1))
+    def block_terms(start, size):
+        m = np.arange(start, min(start + size, ctl.max_order + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
-        if path_factor is not None:
-            terms = terms * path_factor(r, d_m)
-        block = float(np.sum(terms))
-        total += block
-        if m_start > 0 and block <= ctl.rel_tail_tol * total:
+        return terms if path_factor is None else terms * path_factor(r, d_m)
+
+    first = block_terms(0, 192)
+    total = float(np.sum(first[:64]))
+    m_start, size, block = 64, 128, first[64:]
+    while m_start <= ctl.max_order:
+        block_sum = float(np.sum(block))
+        total += block_sum
+        if block_sum <= ctl.rel_tail_tol * total:
             return total
-        m_start += len(m)
+        m_start += size
         size *= 2
+        block = block_terms(m_start, size)
     raise OracleConvergenceError(
         f"reflection-order series did not converge within max_order={ctl.max_order}"
     )
@@ -263,20 +292,36 @@ def _contract(values, axes: int):
     return values
 
 
+def _line_rule(lines):
+    """Kronrod value and QUADPACK's qk15 error estimate of each line of 15
+    node values (the last axis) on [-1, 1]: |K15 - G7| scaled by the
+    line's spread about its mean."""
+    rules = lines @ _RULES
+    kronrod = rules[..., 0]
+    spread = np.abs(lines - kronrod[..., None] / 2.0) @ _KRONROD
+    error = np.abs(kronrod - rules[..., 1])
+    ratio = np.divide(200.0 * error, spread, out=np.zeros_like(error),
+                      where=spread > 0.0)
+    return kronrod, np.maximum(spread * np.minimum(1.0, ratio**1.5),
+                               50.0 * _EPS * (np.abs(lines) @ _KRONROD))
+
+
 def _box_rule(f, boxes):
     """Kronrod value and per-axis error estimate of f on each box.
 
     boxes is (count, dims, 2), the low and high edge of each box on each
     axis; f is called once on node arrays that broadcast to (count, 15,
-    ..., 15).  Along each axis, every line of nodes gets QUADPACK's qk15
-    error estimate, |K15 - G7| scaled by the line's spread about its mean;
-    the axis's error is the Kronrod integral of those line errors over the
-    other axes.
+    ..., 15).  Along each axis, every line of nodes gets the qk15 error
+    estimate of `_line_rule`; the axis's error is the Kronrod integral of
+    those line errors over the other axes.
     """
     count, dims, _ = boxes.shape
     low, high = boxes[:, :, 0], boxes[:, :, 1]
     half = (high - low) / 2.0
     center = (low + high) / 2.0
+    if dims == 1:
+        kronrod, error = _line_rule(f(center + half * _NODES))
+        return kronrod * half[:, 0], error[:, None] * half
     nodes = [(center[:, j, None] + half[:, j, None] * _NODES).reshape(
         (count,) + (1,) * j + (15,) + (1,) * (dims - j - 1)) for j in range(dims)]
     values = f(*nodes)
@@ -284,18 +329,21 @@ def _box_rule(f, boxes):
     for j in range(1, dims):
         jacobian = jacobian * half[:, j]
     # the lines of nodes along each axis, stacked: (dims, count, 15, ..., 15)
-    lines = np.stack([values.swapaxes(j + 1, -1) for j in range(dims)])
-    rules = lines @ _RULES
-    kronrod = rules[..., 0]
-    spread = np.abs(lines - kronrod[..., None] / 2.0) @ _KRONROD
-    error = np.abs(kronrod - rules[..., 1])
-    ratio = np.divide(200.0 * error, spread, out=np.zeros_like(error),
-                      where=spread > 0.0)
-    error = np.maximum(spread * np.minimum(1.0, ratio**1.5),
-                       50.0 * _EPS * (np.abs(lines) @ _KRONROD))
+    kronrod, error = _line_rule(np.stack([values.swapaxes(j + 1, -1)
+                                          for j in range(dims)]))
     errors = (_contract(error, dims - 1) * jacobian).T
     # the last axis's line sums, contracted over the other axes
     return _contract(kronrod[-1], dims - 1) * jacobian, errors
+
+
+def _initial_boxes(edges):
+    """The products of the segments between each axis's breakpoints, as
+    (count, dims, 2), the first axis outermost."""
+    if len(edges) == 1:
+        e = np.asarray(edges[0], dtype=float)
+        return np.array([e[:-1], e[1:]]).T[:, None]
+    return np.array(list(itertools.product(
+        *[list(zip(e[:-1], e[1:])) for e in edges])), dtype=float)
 
 
 def gauss_kronrod(f, edges, ctl: QuadratureControl):
@@ -314,12 +362,16 @@ def gauss_kronrod(f, edges, ctl: QuadratureControl):
     summed error estimate meets max(abs_tol, rel_tol * |value|) of ctl.
     Returns (value, abs_error, evaluations).
     Raises OracleConvergenceError when that takes more than
-    ctl.max_subdivisions boxes or an error estimate is not finite.
+    ctl.max_subdivisions boxes, checked before the first pass against the
+    initial boxes, or when an error estimate is not finite.
     """
     if edges[0][-1] == math.inf:
         f, edges = _to_infinity(f, edges[0][0]), (_UNIT_EDGES,)
-    boxes = np.array(list(itertools.product(
-        *[list(zip(e[:-1], e[1:])) for e in edges])), dtype=float)
+    initial = math.prod(len(e) - 1 for e in edges)
+    if initial > ctl.max_subdivisions:
+        raise OracleConvergenceError(
+            f"{initial} initial boxes exceed max_subdivisions={ctl.max_subdivisions}")
+    boxes = _initial_boxes(edges)
     values, errors = _box_rule(f, boxes)
     evaluations = len(boxes) * 15 ** len(edges)
     while True:
@@ -373,12 +425,15 @@ def _geometric(start: float, stop: float, count: int) -> list[float]:
 
 
 def _aperture_edges(d_in: float, half_width: float):
-    """Breakpoints 0, d_in, ..., half_width, in ratios of at most 4: the
-    hot-wall flux falls on the scale of d_in from its peak at 0."""
-    if half_width <= d_in:
+    """Breakpoints 0, d_in/2, ..., half_width, in ratios of at most 2: the
+    hot-wall flux falls on the scale of d_in from its peak at 0, and on
+    segments this narrow the K15 rule meets the tolerance without
+    bisection."""
+    start = d_in / 2.0
+    if half_width <= start:
         return (0.0, half_width)
-    steps = math.ceil(math.log(half_width / d_in) / math.log(4.0))
-    return (0.0, *_geometric(d_in, half_width, steps + 1))
+    steps = math.ceil(math.log2(half_width / start))
+    return (0.0, *_geometric(start, half_width, steps + 1))
 
 
 def _hotwall_kernel(r_in, kappa: float, depth: float, approximate_kappa: bool):
@@ -407,10 +462,13 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     and applies the free-space spreading prefactor.  The full plane does
     not depend on the azimuth, so it is 2 pi times a radial integral out to
     the truncation radius; the rectangular aperture is 4 times a 2-D
-    cartesian integral over the quadrant x, y >= 0.  A facade mixture is an unbounded boundary and integrates as one.  The
-    street strip has no boundary integral here (integrated as a very long
-    aperture, it does not converge); the street T_eff is checked through
-    the aperture-to-street limit instead.
+    cartesian integral over the quadrant x, y >= 0.  Both are split at 0
+    and d_in/2, around the flux peak, and then in geometric steps of about
+    2 out to their edge, so that the first pass meets the tolerance.
+    A facade mixture is an unbounded boundary and
+    integrates as one.  The street strip has no boundary integral here
+    (integrated as a very long aperture, it does not converge); the street
+    T_eff is checked through the aperture-to-street limit instead.
     approximate_kappa freezes the absorption at exp(-kappa d_in), the
     approximation the closed-form aperture expression makes; the default
     integrates the exact exp(-kappa r') kernel.  Only tests set it, as the
@@ -424,11 +482,13 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
         radius = max(2.0e4 * d_in, 100.0 * d_in)
         if kappa > 0.0:
             radius = min(radius, d_in + 60.0 / kappa)
-        # breakpoints in geometric steps: the flux falls on the scale of rho
+        # breakpoints at d_in/2 and at 15 points in geometric steps from
+        # d_in to the radius: ratios of about 2 at the unabsorbed 2e4 d_in,
+        # finer where absorption shortens the radius and steepens the flux
         value, _, _ = gauss_kronrod(
             lambda rho: rho * _hotwall_kernel(np.hypot(d_in, rho), kappa, d_in,
                                               approximate_kappa),
-            ((0.0, *_geometric(d_in, radius, 8)),), ctl)
+            ((0.0, d_in / 2.0, *_geometric(d_in, radius, 15)),), ctl)
         value *= 2.0 * math.pi
     elif spec.variant == APERTURE:
         # the kernel is even in x and in y: the aperture integral is that of

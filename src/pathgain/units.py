@@ -23,19 +23,19 @@ def require(condition, message: str, *finite) -> None:
     condition positively (`x > 0`, not `not x <= 0`): NaN then fails it,
     as it fails every comparison, and the finiteness test rejects +-inf.
     """
-    if not (everywhere(condition) and all(_finite(v) for v in finite)):
+    if isinstance(condition, np.ndarray):
+        condition = condition.all()
+    if not condition:
         raise ValueError(message)
+    for value in finite:
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                else math.isfinite(value)):
+            raise ValueError(message)
 
 
 def everywhere(condition) -> bool:
     """Whether a bool, or every element of a boolean array, is true."""
     return condition.all() if isinstance(condition, np.ndarray) else bool(condition)
-
-
-def _finite(value) -> bool:
-    if isinstance(value, np.ndarray):
-        return np.isfinite(value).all()
-    return math.isfinite(value)
 
 
 def positive_ranges(range_m, message: str):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -9,6 +10,15 @@ from pathgain.config import ConfigError, load_config, make_evaluator
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_gapmap():
+    """bench/gapmap.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "gapmap", REPO_ROOT / "bench" / "gapmap.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -100,7 +100,8 @@ class TestPredict:
                 assert guided > float(row["component_direct_db"])
 
     @pytest.mark.parametrize("spec", ["70:5:60", "nan:1:3", "1:nan:3",
-                                      "1:inf:3", "inf:inf:3"])
+                                      "1:inf:3", "inf:inf:3", "-1:10:3",
+                                      "-.5:-0.1:3"])
     def test_bad_range_spec_is_validation_error(self, capsys, spec):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -22,6 +22,7 @@ from pathgain.oracles import (QuadratureControl, SummationControl,
                               guided_trees_series_power, oi_image_series_power)
 from pathgain.reference import SlopeIntercept, ThreeGppScenario
 from pathgain.surface import Dielectric, TelegraphRoughness
+from pathgain.units import require
 
 from conftest import CORRIDOR_WALL, evaluator_for
 
@@ -92,6 +93,44 @@ CONSTRUCTORS = {
 def test_constructor_rejects_nonfinite(case):
     with pytest.raises(ValueError):
         CONSTRUCTORS[case]()
+
+
+# (condition, values that must be finite) for `require`: bools, numpy bools,
+# 0-d arrays and arrays, as the constructors and laws pass them
+REQUIRE_HOLDS = {
+    "bool": (True, ()),
+    "numpy_bool": (np.bool_(True), (1.0, np.float64(2.0), 3)),
+    "0d_arrays": (np.array(2.0) > 0.0, (np.array(2.0),)),
+    "arrays": (np.array([1.0, 2.0]) > 0.0, (np.array([1.0, 2.0]), 5e-324)),
+    "empty_array": (np.array([]) > 0.0, (np.array([]),)),
+}
+REQUIRE_FAILS = {
+    "false": (False, ()),
+    "numpy_false": (np.bool_(False), (1.0,)),
+    "nan_condition": (NAN > 0.0, ()),
+    "nan_0d_condition": (np.array(NAN) > 0.0, ()),
+    "array_condition_one_false": (np.array([1.0, -1.0]) > 0.0, ()),
+    "nan_value": (True, (1.0, NAN)),
+    "inf_value": (True, (INF,)),
+    "minus_inf_value": (True, (-INF,)),
+    "numpy_nan_value": (True, (np.float64(NAN),)),
+    "inf_0d_array": (True, (np.array(INF),)),
+    "nan_in_array": (True, (np.array([1.0, NAN]),)),
+    "minus_inf_in_array": (np.array([True, True]), (np.array([-INF, 1.0]),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REQUIRE_HOLDS))
+def test_require_passes_true_finite_inputs(case):
+    condition, finite = REQUIRE_HOLDS[case]
+    assert require(condition, "message", *finite) is None
+
+
+@pytest.mark.parametrize("case", sorted(REQUIRE_FAILS))
+def test_require_rejects_false_conditions_and_nonfinite_values(case):
+    condition, finite = REQUIRE_FAILS[case]
+    with pytest.raises(ValueError, match="^message$"):
+        require(condition, "message", *finite)
 
 
 BARE_GEOMETRY = CanyonGeometry(1.6, 2.2, 1.0)

@@ -2,24 +2,14 @@
 its whole grid: every oracle converges without a warning, and every gap
 judged against a suite's bound stays within it."""
 
-import importlib.util
-
 import pytest
 
-from conftest import REPO_ROOT
-
-
-def _load_gapmap():
-    spec = importlib.util.spec_from_file_location(
-        "gapmap", REPO_ROOT / "bench" / "gapmap.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_gapmap
 
 
 @pytest.mark.filterwarnings("error")
 def test_every_point_converges_within_its_bounds():
-    gapmap = _load_gapmap()
+    gapmap = load_gapmap()
     points = gapmap.grid()
     assert len(points) == 183
     beyond = []

@@ -22,7 +22,7 @@ from pathgain.oracles import (
 from pathgain.surface import TelegraphRoughness, roughness_spectrum
 from pathgain.units import wavelength_m, wavenumber_rad_m
 
-from conftest import CORRIDOR_WALL, URBAN_WALL
+from conftest import CORRIDOR_WALL, URBAN_WALL, load_gapmap
 
 DEFAULT = QuadratureControl()
 STRICT = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
@@ -170,7 +170,7 @@ class TestAgainstScipy:
 
 class TestWorkBudget:
     # quadrature evaluations over `verify all` at both profiles; the bound
-    # sits between the 42,780 of a quadrant aperture split in geometric
+    # sits between the 36,600 of a quadrant aperture split in geometric
     # steps from d_in and the 112,530 of a full aperture split at its centre
     MAX_EVALUATIONS = 60_000
 
@@ -189,6 +189,40 @@ class TestWorkBudget:
                 verify.run_suites(list(verify.SUITES), profile)
         assert len(evaluations) == 2 * (8 + 18)
         assert sum(evaluations) <= self.MAX_EVALUATIONS
+
+
+def _initial_box_count(edges):
+    if edges[0][-1] == math.inf:
+        return len(oracles._UNIT_EDGES) - 1
+    return math.prod(len(e) - 1 for e in edges)
+
+
+class TestFirstPass:
+    def test_verify_and_gap_map_quadratures_need_no_bisection(self):
+        # every quadrature of `verify all` at both profiles and of the whole
+        # gap-map grid meets its tolerance on its initial boxes
+        calls = []
+        original = oracles.gauss_kronrod
+
+        def recording(f, edges, ctl):
+            result = original(f, edges, ctl)
+            calls.append((edges, result[2]))
+            return result
+
+        gapmap = load_gapmap()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", recording)
+            for profile in ("default", "strict"):
+                verify.run_suites(list(verify.SUITES), profile)
+            points = gapmap.grid()
+            for point in points:
+                gapmap.evaluate(point)
+        # four quadratures per grid point: the unbounded and aperture hot
+        # wall, the radial flux and the roughness loss
+        assert len(calls) == 2 * (8 + 18) + 4 * len(points)
+        bisected = [(edges, evaluations) for edges, evaluations in calls
+                    if evaluations != 15 ** len(edges) * _initial_box_count(edges)]
+        assert not bisected
 
 
 class TestAnalytic:
@@ -239,6 +273,29 @@ class TestConvergenceContract:
         with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
             hotwall_quadrature(link, spec, QuadratureControl(max_subdivisions=10))
         assert hotwall_quadrature(link, spec) > 0.0
+
+    @pytest.mark.parametrize("edges", [(np.linspace(0.0, 1.0, 12),),
+                                       ((0.0, math.inf),),
+                                       ((0.0, 1.0, 2.0, 3.0, 4.0),
+                                        (0.0, 1.0, 2.0, 3.0))])
+    def test_initial_boxes_beyond_the_cap_raise_before_any_evaluation(self, edges):
+        # 11, 16 and 12 initial boxes, against a cap of 10
+        evaluated = []
+
+        def f(*x):
+            evaluated.append(x)
+            return 1.0 + 0.0 * sum(x)
+
+        with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
+            gauss_kronrod(f, edges, QuadratureControl(max_subdivisions=10))
+        assert evaluated == []
+
+    def test_initial_boxes_at_the_cap_are_evaluated(self):
+        value, _, evaluations = gauss_kronrod(
+            lambda x: x, (np.linspace(0.0, 1.0, 11),),
+            QuadratureControl(max_subdivisions=10))
+        assert value == pytest.approx(0.5, rel=1e-14)
+        assert evaluations == 150
 
     def test_smallest_absolute_tolerance_is_taken_as_given(self):
         # the least positive float constructs, so the aperture may not divide
