@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .result import power_law
-from .units import everywhere, require
+from .units import require
 
 UNBOUNDED = "unbounded"
 STREET = "street"
@@ -92,9 +92,8 @@ class DiffuseLink:
     wavelength_m: float
 
     def __post_init__(self):
-        lengths = (self.standoff_m, self.range_m, self.depth_m, self.wavelength_m)
-        require(all(everywhere(x > 0.0) for x in lengths), "lengths must be positive",
-                *lengths)
+        for length in (self.standoff_m, self.range_m, self.depth_m, self.wavelength_m):
+            require(length > 0.0, "lengths must be positive", length)
         require(self.kappa_np_per_m >= 0.0, "absorption must be nonnegative",
                 self.kappa_np_per_m)
         require(self.range_m >= self.standoff_m,

@@ -30,6 +30,11 @@ KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
 # Back wall power bounce 1 + |Gamma_w|^2 at its maximum |Gamma_w| = 1.
 WALL_BOUNCE = 2.0
 
+# Slant range, in guiding lengths L w, below which the outdoor-indoor law is
+# flagged guided_range: on the gap map's grid it sits past its oracle's
+# 1.5 dB bound up to 2.83 L w, on every scene, wall index and carrier.
+OUTDOOR_INDOOR_GUIDED_LW = 3.0
+
 
 def kappa_v_at_frequency(frequency_hz: float) -> float:
     """Foliage absorption (Np/m) linearly interpolated between the anchors.
@@ -186,20 +191,21 @@ def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResu
 
 
 def _guided(geometry: CanyonGeometry, link: Link, wall_l: float,
-            **factors) -> GainResult:
+            guided_lw: float, **factors) -> GainResult:
     """Guided penetration law (exponent 2.5) at the canyon's slant range r:
 
         lambda^2 sqrt(w) / (32 pi^1.5 L^1.5 r^2.5)
 
     times the given factors and the bounces; flagged guided_range for
-    r < L w.
+    r < guided_lw L w, the caller's measured edge of its continuum form.
     """
     g = geometry
     r = g.slant_range_m(link.range_m)
     gamma = g.ground_bounce(link.range_m)
     constant = (link.wavelength_m**2 * math.sqrt(g.width_m)
                 / (32.0 * math.pi**1.5 * wall_l**1.5))
-    return power_law(2.5, constant, r, [(FLAG_GUIDED_RANGE, r < wall_l * g.width_m)],
+    guided = r < guided_lw * wall_l * g.width_m
+    return power_law(2.5, constant, r, [(FLAG_GUIDED_RANGE, guided)],
                      **factors, ground_bounce=1.0 + gamma**2,
                      wall_bounce=WALL_BOUNCE)
 
@@ -300,7 +306,8 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
             / (32 pi^1.5 L^1.5 r^2.5)
     """
     return _guided(geometry, link, geometry.wall_loss(link.frequency_hz),
-                   t_eff=t_eff(pen, indoor.depth_m), indoor=indoor.absorption)
+                   OUTDOOR_INDOOR_GUIDED_LW, t_eff=t_eff(pen, indoor.depth_m),
+                   indoor=indoor.absorption)
 
 
 def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
@@ -315,7 +322,8 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
     k_rho = scene.foliage.kappa_np_per_m * scene.rho
     l1 = g.wall_loss(link.frequency_hz) + k_rho * g.width_m / 2.0
     r = g.slant_range_m(link.range_m)
-    return _guided(g, link, l1, foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
+    return _guided(g, link, l1, 1.0,
+                   foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
 
 
 def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT_M_S, everywhere, require
+from .units import SPEED_OF_LIGHT_M_S, require
 
 
 def friis_gain(wavelength_m: float, range_m):
     """Free-space path gain (lambda / 4 pi r)^2 as a linear power ratio, at
     one range or an array of ranges."""
-    require(wavelength_m > 0.0 and everywhere(range_m > 0.0),
+    require(wavelength_m > 0.0 and range_m > 0.0,
             "wavelength and range must be positive", wavelength_m, range_m)
     return (wavelength_m / (4.0 * math.pi * range_m)) ** 2
 
@@ -54,8 +54,7 @@ def uma_nlos_36814(street_width_m: float, building_height_m: float,
                         ("base_height_m", base_height_m),
                         ("mobile_height_m", mobile_height_m),
                         ("f_ghz", f_ghz), ("d3d_m", d3d_m)):
-        if not (everywhere(value > 0.0) and everywhere(np.isfinite(value))):
-            raise ValueError(f"{name} must be positive, got {value}")
+        require(value > 0.0, lambda: f"{name} must be positive, got {value}", value)
     w, z_b, z_bs, z_m = street_width_m, building_height_m, base_height_m, mobile_height_m
     return (161.04
             - 7.1 * math.log10(w)

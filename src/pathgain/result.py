@@ -17,7 +17,7 @@ FLAG_SHORT_RANGE = "short_range"                # r < 2w, continuum sum marginal
 FLAG_FREE_SPACE_FLOOR = "free_space_floor"      # direct term exceeds waveguide law
 FLAG_SPREADING_REGIME = "spreading_loss_regime"  # wall loss L <= w/r
 FLAG_NEAR_WALL = "near_wall"                    # antenna within a wavelength of a wall
-FLAG_GUIDED_RANGE = "guided_range"              # r < L*w, guided continuum marginal
+FLAG_GUIDED_RANGE = "guided_range"              # r < c*L*w, c per law: continuum marginal
 FLAG_KAPPA_EXTRAPOLATED = "kappa_extrapolated"  # foliage absorption outside anchor band
 
 

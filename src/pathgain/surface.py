@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import everywhere, require
+from .units import require
 
 PERPENDICULAR = "perpendicular"
 PARALLEL = "parallel"
@@ -95,8 +95,8 @@ def _check_polarization(polarization: str):
 
 
 def _check_grazing(theta_rad):
-    if not everywhere((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0)):
-        raise ValueError(f"grazing angle must be in [0, pi/2], got {theta_rad}")
+    require((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0),
+            lambda: f"grazing angle must be in [0, pi/2], got {theta_rad}")
 
 
 def fresnel_exact(theta_rad: float, dielectric: Dielectric,

@@ -15,27 +15,26 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 NEPER_TO_DB = 10.0 / math.log(10.0)
 
 
-def require(condition, message: str, *finite) -> None:
+def require(condition, message, *finite) -> None:
     """Raise ValueError(message) unless condition holds at every element
     and every element of each value in `finite` is finite.
 
     The one input check of the package's dataclasses and laws.  Write the
     condition positively (`x > 0`, not `not x <= 0`): NaN then fails it,
     as it fails every comparison, and the finiteness test rejects +-inf.
+    message is a string, or a function that returns one: a message that
+    prints an array is then formatted only when the check fails.
     """
     if isinstance(condition, np.ndarray):
         condition = condition.all()
-    if not condition:
-        raise ValueError(message)
-    for value in finite:
-        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                else math.isfinite(value)):
-            raise ValueError(message)
-
-
-def everywhere(condition) -> bool:
-    """Whether a bool, or every element of a boolean array, is true."""
-    return condition.all() if isinstance(condition, np.ndarray) else bool(condition)
+    if condition:
+        for value in finite:
+            if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                    else math.isfinite(value)):
+                break
+        else:
+            return
+    raise ValueError(message() if callable(message) else message)
 
 
 def positive_ranges(range_m, message: str):

@@ -5,13 +5,19 @@ first-principles oracle at representative parameter sets, with a pass bound
 per comparison.  The CLI `verify` command prints the gap table and fails on
 any exceedance.  Parameter sets cover an office corridor at 1.6 m width, an
 urban canyon at 8.6 m with deep corrugation, and a wide avenue wall with
-shallow corrugation, at 2, 3.5 and 28 GHz.
+shallow corrugation, at 2, 3.5 and 28 GHz.  A suite runs its closed form
+once per scene, over the swept values, and its oracle once per value.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import canyon, diffuse, morphology, oracles, surface
+from .canyon import LosLink
+from .morphology import Link
+from .result import GainResult
 from .units import to_db, wavelength_m, wavenumber_rad_m
 
 # Wall parameter sets used across the verification suites and example
@@ -31,6 +37,15 @@ AVENUE_WALL = surface.WallSurface(
 
 CORRIDOR_GEOMETRY = canyon.CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL)
 URBAN_GEOMETRY = canyon.CanyonGeometry(8.6, 5.0, 1.5, URBAN_WALL)
+
+# Swept values of the suites, read at call time: range in widths w (canyon,
+# slant) or guiding lengths L w, aperture widths in depths d_in, and angles.
+CANYON_R_OVER_W = (10.0, 32.0, 100.0, 200.0)
+OUTDOOR_INDOOR_R_OVER_LW = (10.0, 30.0)
+TREES_R_OVER_LW = (2.5, 5.0)  # the continuum form needs r beyond ~2.5 L w
+APERTURE_W1_OVER_D = (0.1, 1.0, 100.0)
+APERTURE_W2_OVER_D = (0.1, 10.0)
+GRAZING_RAD = (0.001, 0.01, 0.05)
 
 
 @dataclass(frozen=True)
@@ -62,150 +77,115 @@ def _controls(profile: str):
     raise ValueError(f"unknown tolerance profile {profile!r}")
 
 
-def suite_canyon(profile: str = "default") -> list[Comparison]:
+def _suite(scenes):
+    """The suite of scenes(summation control, quadrature control), which yields
+    per scene a name pattern, the swept values, the closed form over their
+    array (a gain, or a GainResult whose flag masks flag each comparison),
+    the oracle value per swept value, and the bound in dB."""
+    def suite(profile: str = "default") -> list[Comparison]:
+        out = []
+        for pattern, values, closed, oracle, bound in scenes(*_controls(profile)):
+            closed, flags = ((closed.gain, closed.flags)
+                             if isinstance(closed, GainResult) else (closed, {}))
+            closed_db, oracle_db = np.ravel(to_db(closed)), to_db(oracle)
+            out.extend(Comparison(pattern.format(value), closed_db[i], oracle_db[i],
+                                  bound, tuple(f for f, mask in flags.items() if mask[i]))
+                       for i, value in enumerate(values))
+        return out
+    return suite
+
+
+def _canyon_scenes(sum_ctl, _):
     """LOS canyon closed form vs the exact image sum, with ground bounce."""
-    sum_ctl, _ = _controls(profile)
-    out = []
-    for label, geometry in (("corridor", CORRIDOR_GEOMETRY),
-                            ("urban", URBAN_GEOMETRY)):
+    for label, geometry in (("corridor", CORRIDOR_GEOMETRY), ("urban", URBAN_GEOMETRY)):
+        dz = geometry.tx_height_m - geometry.rx_height_m
+        x = [math.sqrt(max(r * r - dz * dz, 1e-12))
+             for r in (r_w * geometry.width_m for r_w in CANYON_R_OVER_W)]
         for f_hz in (2.0e9, 28.0e9):
-            for r_over_w in (10.0, 32.0, 100.0, 200.0):
-                r = r_over_w * geometry.width_m
-                dz = geometry.tx_height_m - geometry.rx_height_m
-                x = math.sqrt(max(r * r - dz * dz, 1e-12))
-                link = canyon.LosLink(geometry, x, f_hz)
-                closed = canyon.los_gain_incoherent(link)
-                oracle = oracles.image_sum_power(link, sum_ctl,
-                                                 include_ground=True)
-                out.append(Comparison(
-                    f"canyon/{label}/{f_hz/1e9:g}GHz/r={r_over_w:g}w",
-                    to_db(closed.gain), to_db(oracle), 1.5, tuple(closed.flags),
-                ))
-    return out
+            yield (f"canyon/{label}/{f_hz/1e9:g}GHz/r={{:g}}w", CANYON_R_OVER_W,
+                   canyon.los_gain_incoherent(LosLink(geometry, x, f_hz)),
+                   [oracles.image_sum_power(LosLink(geometry, xi, f_hz), sum_ctl,
+                                            include_ground=True) for xi in x], 1.5)
 
 
-def suite_outdoor_indoor(profile: str = "default") -> list[Comparison]:
+def _outdoor_indoor_scenes(sum_ctl, _):
     """Outdoor-indoor canyon continuum law vs the reflection-order series."""
-    sum_ctl, _ = _controls(profile)
     pen = diffuse.PenetrationSpec.facade_mixture(0.3, 1.0, 0.05)
     indoor = morphology.IndoorClutter(0.18, 2.0)
-    out = []
+    r_lw = OUTDOOR_INDOOR_R_OVER_LW
     for label, geometry, f_hz in (("urban", URBAN_GEOMETRY, 3.5e9),
                                   ("corridor", CORRIDOR_GEOMETRY, 2.0e9),
                                   ("corridor", CORRIDOR_GEOMETRY, 28.0e9)):
         wall_l = geometry.wall_loss(f_hz)
-        for mult in (10.0, 30.0):
-            r = mult * wall_l * geometry.width_m
-            link = morphology.Link(r, f_hz)
-            closed = morphology.outdoor_indoor_canyon_gain(
-                geometry, pen, indoor, link)
-            oracle = oracles.oi_image_series_power(geometry, pen, indoor,
-                                                   link, sum_ctl)
-            out.append(Comparison(
-                f"outdoor_indoor/{label}/{f_hz/1e9:g}GHz/r={mult:g}Lw",
-                to_db(closed.gain), to_db(oracle), 1.5, tuple(closed.flags),
-            ))
-    return out
+        ranges = [mult * wall_l * geometry.width_m for mult in r_lw]
+        yield (f"outdoor_indoor/{label}/{f_hz/1e9:g}GHz/r={{:g}}Lw", r_lw,
+               morphology.outdoor_indoor_canyon_gain(geometry, pen, indoor,
+                                                     Link(ranges, f_hz)),
+               [oracles.oi_image_series_power(geometry, pen, indoor, Link(r, f_hz),
+                                              sum_ctl) for r in ranges], 1.5)
 
 
-def _sparse_tree_scene() -> morphology.StreetScene:
+def _trees_scenes(sum_ctl, _):
+    """Guided sidewalk law vs the vegetated reflection-order series."""
     geometry = canyon.CanyonGeometry(32.0, 56.0, 1.5, AVENUE_WALL)
     foliage = morphology.FoliageLayer(3.0, 0.38, n_tree_per_m=0.05,
                                       tree_width_m=4.0, tree_height_m=10.0)
-    return morphology.StreetScene(geometry, foliage, standoff_m=8.0)
+    scene = morphology.StreetScene(geometry, foliage, standoff_m=8.0)
+    f_hz, r_lw = 28.0e9, TREES_R_OVER_LW
+    ranges = [mult * geometry.wall_loss(f_hz) * geometry.width_m for mult in r_lw]
+    yield ("trees/sparse/28GHz/r={:g}Lw", r_lw,
+           morphology.sidewalk_guided_gain(scene, Link(ranges, f_hz)),
+           [oracles.guided_trees_series_power(scene, Link(r, f_hz), sum_ctl)
+            for r in ranges], 2.0)
 
 
-def suite_trees(profile: str = "default") -> list[Comparison]:
-    """Guided sidewalk law vs the vegetated reflection-order series."""
-    sum_ctl, _ = _controls(profile)
-    scene = _sparse_tree_scene()
-    f_hz = 28.0e9
-    wall_l = scene.canyon.wall_loss(f_hz)
-    out = []
-    # the continuum form needs r beyond ~2.5 L w; the gap shrinks with range
-    for mult in (2.5, 5.0):
-        r = mult * wall_l * scene.canyon.width_m
-        link = morphology.Link(r, f_hz)
-        closed = morphology.sidewalk_guided_gain(scene, link)
-        oracle = oracles.guided_trees_series_power(scene, link, sum_ctl)
-        out.append(Comparison(
-            f"trees/sparse/28GHz/r={mult:g}Lw",
-            to_db(closed.gain), to_db(oracle), 2.0, tuple(closed.flags),
-        ))
-    return out
-
-
-def suite_diffuse(profile: str = "default") -> list[Comparison]:
+def _diffuse_scenes(_, quad_ctl):
     """Diffuse half-space closed forms vs boundary quadrature (1-D radial
     for the unbounded boundary, 2-D for the aperture), and the
     aperture-to-street-to-unbounded limit chain."""
-    _, quad_ctl = _controls(profile)
-    out = []
+    lam, spec = wavelength_m(28.0e9), diffuse.PenetrationSpec
     # unbounded boundary, exact absorption kernel: closed form is exact
     for kappa, d_in in ((0.38, 10.0), (0.0, 1.0)):
-        link = diffuse.DiffuseLink(20.0, 100.0, d_in, kappa,
-                                   wavelength_m(28.0e9))
-        spec = diffuse.PenetrationSpec.unbounded()
-        closed = diffuse.diffuse_pathgain(link, spec)
-        oracle = oracles.hotwall_quadrature(link, spec, quad_ctl)
-        out.append(Comparison(
-            f"diffuse/unbounded/kappa={kappa:g}",
-            to_db(closed), to_db(oracle), 0.05,
-        ))
+        link = diffuse.DiffuseLink(20.0, 100.0, d_in, kappa, lam)
+        yield ("diffuse/unbounded/kappa={:g}", (kappa,),
+               diffuse.diffuse_pathgain(link, spec.unbounded()),
+               [oracles.hotwall_quadrature(link, spec.unbounded(), quad_ctl)], 0.05)
     # rectangular aperture with the frozen-absorption kernel the closed
     # form assumes (kappa = 0 isolates the aperture geometry)
-    d_in = 1.0
-    for w1_rel in (0.1, 1.0, 100.0):
-        for w2_rel in (0.1, 10.0):
-            link = diffuse.DiffuseLink(20.0, 100.0, d_in, 0.0,
-                                       wavelength_m(28.0e9))
-            spec = diffuse.PenetrationSpec.aperture(w1_rel * d_in, w2_rel * d_in)
-            closed = diffuse.diffuse_pathgain(link, spec)
-            oracle = oracles.hotwall_quadrature(link, spec, quad_ctl)
-            out.append(Comparison(
-                f"diffuse/aperture/w1={w1_rel:g}d/w2={w2_rel:g}d",
-                to_db(closed), to_db(oracle), 0.05,
-            ))
+    d_in, w2_d = 1.0, APERTURE_W2_OVER_D
+    link = diffuse.DiffuseLink(20.0, 100.0, d_in, 0.0, lam)
+    w2 = np.multiply(w2_d, d_in)
+    for w1_d in APERTURE_W1_OVER_D:
+        yield (f"diffuse/aperture/w1={w1_d:g}d/w2={{:g}}d", w2_d,
+               diffuse.diffuse_pathgain(link, spec.aperture(w1_d * d_in, w2)),
+               [oracles.hotwall_quadrature(link, spec.aperture(w1_d * d_in, w), quad_ctl)
+                for w in w2], 0.05)
     # limit chain: aperture -> street -> unbounded, 1e-4 relative
-    bound_db = to_db(1.0 + 1e-4)
-    aperture = diffuse.t_eff(
-        diffuse.PenetrationSpec.aperture(3.0, 1e6 * d_in), d_in)
-    street = diffuse.t_eff(diffuse.PenetrationSpec.street(3.0), d_in)
-    out.append(Comparison("diffuse/limit/aperture->street",
-                          to_db(aperture), to_db(street), bound_db))
-    wide = diffuse.t_eff(diffuse.PenetrationSpec.street(1e6 * d_in), d_in)
-    out.append(Comparison("diffuse/limit/street->unbounded",
-                          to_db(wide), 0.0, bound_db))
-    return out
+    yield ("diffuse/limit/{}", ("aperture->street", "street->unbounded"),
+           [diffuse.t_eff(spec.aperture(3.0, 1e6 * d_in), d_in),
+            diffuse.t_eff(spec.street(1e6 * d_in), d_in)],
+           [diffuse.t_eff(spec.street(3.0), d_in), 1.0], to_db(1.0 + 1e-4))
 
 
-def suite_roughness(profile: str = "default") -> list[Comparison]:
+def _roughness_scenes(_, quad_ctl):
     """Closed-form roughness loss term vs quadrature of the spectrum
     integral (2% bound)."""
-    _, quad_ctl = _controls(profile)
-    bound_db = to_db(1.02)
-    out = []
+    theta = GRAZING_RAD
     for label, wall in (("corridor", CORRIDOR_WALL), ("urban", URBAN_WALL)):
-        rough = wall.roughness
         for f_hz in (2.0e9, 3.5e9, 28.0e9):
             k = wavenumber_rad_m(f_hz)
-            for theta in (0.001, 0.01, 0.05):
-                closed = surface.roughness_loss_rate(rough, k) * theta
-                oracle = oracles.roughness_loss_integral(theta, rough, k,
-                                                         quad_ctl)
-                out.append(Comparison(
-                    f"roughness/{label}/{f_hz/1e9:g}GHz/theta={theta:g}",
-                    to_db(closed), to_db(oracle), bound_db,
-                ))
-    return out
+            yield (f"roughness/{label}/{f_hz/1e9:g}GHz/theta={{:g}}", theta,
+                   surface.roughness_loss_rate(wall.roughness, k) * np.array(theta),
+                   [oracles.roughness_loss_integral(t, wall.roughness, k, quad_ctl)
+                    for t in theta], to_db(1.02))
 
 
 SUITES = {
-    "canyon": suite_canyon,
-    "outdoor_indoor": suite_outdoor_indoor,
-    "trees": suite_trees,
-    "diffuse": suite_diffuse,
-    "roughness": suite_roughness,
+    "canyon": _suite(_canyon_scenes),
+    "outdoor_indoor": _suite(_outdoor_indoor_scenes),
+    "trees": _suite(_trees_scenes),
+    "diffuse": _suite(_diffuse_scenes),
+    "roughness": _suite(_roughness_scenes),
 }
 
 
