@@ -140,9 +140,11 @@ def _flag_labels(flags: dict[str, np.ndarray], n: int) -> list[str]:
     codes = np.zeros(n, dtype=np.int64)
     for bit, mask in enumerate(flags.values()):
         codes |= mask.astype(np.int64) << bit
+    # deduplicated in Python: np.unique would load numpy.ma into every predict
+    codes = codes.tolist()
     labels = {code: ";".join(name for bit, name in enumerate(flags) if code >> bit & 1)
-              for code in np.unique(codes).tolist()}
-    return [labels[code] for code in codes.tolist()]
+              for code in set(codes)}
+    return [labels[code] for code in codes]
 
 
 def cmd_predict(args) -> int:

@@ -8,6 +8,12 @@ roughness integrals are evaluated by adaptive quadrature with the
 unapproximated kernels.  The quadrature is the module's own vectorized
 Gauss-Kronrod rule (`gauss_kronrod`), so no command loads scipy.
 
+The image sum and both series oracles take the swept range as a float or
+an array, and the roughness oracle its grazing angle and wavenumber as
+arrays that broadcast; a float gives a float.  An array runs through the
+same numpy code as a float, so each element gets, bit for bit, what its
+float call gets.
+
 Each oracle stops once its own tolerance is met, and most often after
 its first evaluation:
 
@@ -17,6 +23,11 @@ its first evaluation:
 - the reflection-order series sums blocks of 64, 128, 256, ... orders
   until a block after the first is within rel_tail_tol of the total; one
   evaluation of orders 0..191 gives the first two blocks;
+- over an array of ranges, both sums test each range on its own: a range
+  that has met its tolerance keeps its total, and only the others take
+  the next shell or block;
+- the roughness integral does not depend on the angle or the wavenumber,
+  so one quadrature serves every pair of them;
 - the quadratures bisect their worst boxes until the summed error estimate
   meets the tolerance.  The rectangular aperture integrates one quadrant
   of its even kernel, and the unbounded boundary one radius, each with
@@ -77,11 +88,21 @@ _SIGNS = np.array([[1.0], [-1.0]])
 _BOUNCE_OFFSETS = np.array([[0], [1]])
 
 
+def _per_float(f, values):
+    """f at each element of values, taken as a Python number (a numpy scalar
+    for one value): a power or an absolute value of a float can differ in
+    its last bit from numpy's vector form, and an oracle gives an array,
+    element for element, what it gives each float."""
+    values = np.asarray(values)
+    return np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)[()]
+
+
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
                     include_ground: bool = False, coherent: bool = False,
                     wall_loss_override: float | None = None,
-                    fixed_order: int | None = None) -> float:
-    """Brute-force image-sum path gain for a LOS canyon link.
+                    fixed_order: int | None = None):
+    """Brute-force image-sum path gain for a LOS canyon link, at its one
+    range (a float) or its array of ranges (an array of that shape).
 
     Sums wall-reflection images with exact image distances
     sqrt(x^2 + dy^2 + dz^2) and exact per-bounce grazing angles
@@ -100,11 +121,14 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     The sum starts at n = 64 and doubles n, adding only the new shell of
     orders n < |k| <= 2n, until that shell is within rel_tail_tol of the
     total.  One evaluation of the orders |k| <= 128 gives the total at
-    n = 64 and its first shell.
+    n = 64 and its first shell.  Each range stops at its own shell: its
+    total stays as it is while the ranges still short of the tolerance
+    take the next shell.
     """
     g = link.geometry
     w = g.width_m
-    x = link.range_x_m
+    # one row per range, before the (ground row, sign, order) axes of its images
+    x_all = np.asarray(link.range_x_m).reshape(-1, 1, 1, 1)
     wall_l = link.wall_loss if wall_loss_override is None else wall_loss_override
     # shift so the walls sit at y = 0 and y = w
     y_s = g.tx_offset_m + w / 2.0
@@ -115,9 +139,9 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     if include_ground:
         g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
 
-    def image_terms(k):
-        """The terms of orders k, as (rows, 2, len(k)): the images 2kw + y_s,
-        then the images 2kw - y_s."""
+    def image_terms(k, x):
+        """The terms of orders k at ranges x, as (len(x), rows, 2, len(k)):
+        the images 2kw + y_s, then the images 2kw - y_s."""
         dy = 2.0 * k * w + _SIGNS * y_s - y_r
         refl = np.abs(2 * k - _BOUNCE_OFFSETS)
         dist = np.sqrt(x * x + dy * dy + dz * dz)
@@ -128,73 +152,91 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
         else:
             terms = amp * amp / (dist * dist)
         if include_ground:
-            gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[1]))
-            terms[1] = (terms[1] * gamma_g if coherent
-                        else terms[1] * gamma_g * gamma_g)
+            gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[:, 1]))
+            terms[:, 1] = (terms[:, 1] * gamma_g if coherent
+                           else terms[:, 1] * gamma_g * gamma_g)
         return terms
 
     def summed(terms):
         # each row over its images, both signs in one line, then the rows
-        return terms.reshape(len(terms), -1).sum(axis=1).sum()
+        return terms.reshape(*terms.shape[:2], -1).sum(axis=2).sum(axis=1)
 
     lam = link.wavelength_m
     scale = lam * lam / (4.0 * math.pi) ** 2
 
     def finish(total):
-        return scale * (abs(total) ** 2 if coherent else float(total))
+        if coherent:
+            total = _per_float(lambda field: abs(field) ** 2, total)
+        power = scale * total
+        if np.ndim(link.range_x_m):
+            return power.reshape(np.shape(link.range_x_m))
+        return float(power[0])
 
     if fixed_order is not None:
         n = max(fixed_order, 1)
-        return finish(summed(image_terms(np.arange(-n, n + 1))))
+        return finish(summed(image_terms(np.arange(-n, n + 1), x_all)))
+    # the ranges still short of the tolerance, as indices into x_all
+    active = np.arange(len(x_all))
     n = 64
     while 2 * n <= ctl.max_order:
         if n == 64:
             # the first pass: one evaluation of the orders |k| <= 2n, split
             # into the total of |k| <= n and the first shell
-            terms = image_terms(np.arange(-2 * n, 2 * n + 1))
+            terms = image_terms(np.arange(-2 * n, 2 * n + 1), x_all)
             total = summed(terms[..., n:3 * n + 1])
             shell = summed(np.concatenate([terms[..., :n], terms[..., 3 * n + 1:]],
                                           axis=-1))
         else:
             shell = summed(image_terms(np.concatenate([np.arange(-2 * n, -n),
-                                                       np.arange(n + 1, 2 * n + 1)])))
+                                                       np.arange(n + 1, 2 * n + 1)]),
+                                       x_all[active]))
         n *= 2
-        total = total + shell
-        if abs(shell) <= ctl.rel_tail_tol * abs(total):
+        total[active] += shell
+        active = active[~(np.abs(shell) <= ctl.rel_tail_tol * np.abs(total[active]))]
+        if not len(active):
             return finish(total)
     raise OracleConvergenceError(
         f"image sum did not converge within max_order={ctl.max_order}"
     )
 
 
-def _standoff_series(r: float, width: float, wall_l: float, d: float,
-                     ctl: SummationControl, path_factor=None) -> float:
+def _standoff_series(r, width: float, wall_l: float, d: float,
+                     ctl: SummationControl, path_factor=None):
     """Sum over reflection order m of d_m^2 exp(-L m d_m / r)
-    [* path_factor(r, d_m)].
+    [* path_factor(r, d_m)], at one slant range r (a numpy float for a
+    float) or an array of them (an array of that shape).
 
     Image standoffs alternate d_m = mw + d (even m) and mw + w - d (odd m);
     the per-bounce grazing angle of the m-bounce path is d_m / r.  The
     terms are summed in blocks of 64, 128, 256, ... orders, until a block
     after the first sums to within rel_tail_tol of the running total; one
-    evaluation of orders 0..191 gives the first two blocks.
+    evaluation of orders 0..191 gives the first two blocks.  Each range
+    stops at its own block: its total stays as it is while the ranges still
+    short of the tolerance take the next block.
     """
-    def block_terms(start, size):
+    r_all = np.asarray(r).reshape(-1, 1)
+
+    def block_terms(start, size, r):
+        """The terms of orders start.. at the ranges r, as (len(r), size)."""
         m = np.arange(start, min(start + size, ctl.max_order + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
         return terms if path_factor is None else terms * path_factor(r, d_m)
 
-    first = block_terms(0, 192)
-    total = float(np.sum(first[:64]))
-    m_start, size, block = 64, 128, first[64:]
+    first = block_terms(0, 192, r_all)
+    total = first[:, :64].sum(axis=1)
+    # the ranges still short of the tolerance, as indices into r_all
+    active = np.arange(len(r_all))
+    m_start, size, block = 64, 128, first[:, 64:]
     while m_start <= ctl.max_order:
-        block_sum = float(np.sum(block))
-        total += block_sum
-        if block_sum <= ctl.rel_tail_tol * total:
-            return total
+        block_sum = block.sum(axis=1)
+        total[active] += block_sum
+        active = active[~(block_sum <= ctl.rel_tail_tol * total[active])]
+        if not len(active):
+            return total.reshape(np.shape(r))[()]
         m_start += size
         size *= 2
-        block = block_terms(m_start, size)
+        block = block_terms(m_start, size, r_all[active])
     raise OracleConvergenceError(
         f"reflection-order series did not converge within max_order={ctl.max_order}"
     )
@@ -202,27 +244,30 @@ def _standoff_series(r: float, width: float, wall_l: float, d: float,
 
 def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
                          ctl: SummationControl, gamma_g2: float | None,
-                         path_factor=None) -> float:
+                         path_factor=None):
     """The body of both series oracles: lambda^2 (1 + |Gamma_g|^2) 2 /
     (8 pi^2 r^4) * scene_factor * the reflection-order series of canyon g at
-    standoff_m over slant range r.  The back wall reflects fully, a bounce
-    of WALL_BOUNCE as in the closed forms; path_factor(r, d_m), if given,
-    multiplies each image term."""
+    standoff_m over slant range r, at the link's one range or array of
+    ranges.  The back wall reflects fully, a bounce of WALL_BOUNCE as in
+    the closed forms; path_factor(r, d_m), if given, multiplies each image
+    term."""
     lam = wavelength_m(link.frequency_hz)
     wall_l = g.wall_loss(link.frequency_hz)
-    r = float(g.slant_range_m(link.range_m))
+    r = g.slant_range_m(link.range_m)
     if gamma_g2 is None:
-        gamma_g2 = g.ground_bounce(link.range_m) ** 2
+        gamma_g2 = _per_float(lambda gamma: gamma ** 2, g.ground_bounce(link.range_m))
     series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, path_factor)
     bounces = (1.0 + gamma_g2) * WALL_BOUNCE
-    return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * r**4) * series
+    r4 = _per_float(lambda r: r ** 4, r)
+    return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * r4) * series
 
 
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
                           link: Link, ctl: SummationControl = SummationControl(),
                           standoff_m: float | None = None,
-                          gamma_g2: float | None = None) -> float:
-    """Outdoor-indoor canyon power by direct summation over reflection order.
+                          gamma_g2: float | None = None):
+    """Outdoor-indoor canyon power by direct summation over reflection order,
+    at the link's one range or array of ranges.
 
     Each image at standoff d_m from the building face contributes
     d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  The scene
@@ -240,8 +285,9 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
 
 def guided_trees_series_power(scene: StreetScene, link: Link,
                               ctl: SummationControl = SummationControl(),
-                              gamma_g2: float | None = None) -> float:
-    """Tree-lined sidewalk guided power by direct summation.
+                              gamma_g2: float | None = None):
+    """Tree-lined sidewalk guided power by direct summation, at the link's
+    one range or array of ranges.
 
     The outdoor-indoor series with the foliage absorption as scene factor
     and every image path attenuated over its exact length:
@@ -476,7 +522,8 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     """
     d_in = link.depth_m
     kappa = link.kappa_np_per_m
-    ctl = replace(ctl, rel_tol=max(ctl.rel_tol, 1e-11))
+    if ctl.rel_tol < 1e-11:
+        ctl = replace(ctl, rel_tol=1e-11)
     if spec.variant == UNBOUNDED:
         # truncate where the 1/r^3 tail falls below tolerance of the total
         radius = max(2.0e4 * d_in, 100.0 * d_in)
@@ -518,19 +565,21 @@ def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
     return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
 
 
-def roughness_loss_integral(theta_rad: float,
-                            roughness: surface.TelegraphRoughness,
-                            wavenumber: float,
-                            ctl: QuadratureControl = QuadratureControl(),
-                            general_bracket: bool = False) -> float:
+def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
+                            wavenumber, ctl: QuadratureControl = QuadratureControl(),
+                            general_bracket: bool = False):
     """Specular roughness loss term by quadrature of the spectrum integral.
 
     Simplified (grazing incidence, large-scale roughness) bracket:
         2 k^2 theta sqrt(2/k) * integral G(chi) sqrt(|chi|) dchi
+    The integral depends on neither theta nor k, so theta_rad and
+    wavenumber may be arrays that broadcast against each other: one
+    quadrature gives the loss term at every pair, as an array of their
+    broadcast shape (a float for two floats).
     general_bracket keeps [sin^2 t + 2 (chi/k) cos t - (chi/k)^2]^{1/2} over
-    the band where it is real.  Returns the loss term; the closed-form
-    counterpart is surface.roughness_loss_rate(...) * theta.  Only tests
-    set general_bracket, as the independent kernel of
+    the band where it is real, for one float theta and k.  Returns the loss
+    term; the closed-form counterpart is surface.roughness_loss_rate(...) *
+    theta.  Only tests set general_bracket, as the independent kernel of
     test_general_bracket_restricts_to_propagating_band.
     """
     k = wavenumber
@@ -550,4 +599,5 @@ def roughness_loss_integral(theta_rad: float,
     value, _, _ = gauss_kronrod(
         lambda chi: surface.roughness_spectrum(roughness, chi) * np.sqrt(chi),
         ((0.0, math.inf),), ctl)
-    return 2.0 * k * k * theta_rad * math.sqrt(2.0 / k) * (2.0 * value)
+    loss = 2.0 * k * k * theta_rad * np.sqrt(2.0 / k) * (2.0 * value)
+    return loss if np.ndim(loss) else float(loss)

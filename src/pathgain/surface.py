@@ -187,7 +187,7 @@ def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
     rough = surface.roughness
     if rough is not None:
         loss += 2.0 * roughness_loss_rate(rough, wavenumber_rad_m)
-        require(math.isfinite(loss), f"wall loss overflows for roughness A = "
+        require(math.isfinite(loss), lambda: f"wall loss overflows for roughness A = "
                 f"{rough.half_depth_m:g} m at wavenumber {wavenumber_rad_m:g} rad/m")
     return loss
 

@@ -61,6 +61,12 @@ def wavenumber_rad_m(frequency_hz: float) -> float:
 
 def to_db(power_ratio):
     """Linear power ratio, a float or an array, to dB."""
+    if isinstance(power_ratio, float):
+        # one float: the same check and log10 without building arrays
+        if not 0.0 < power_ratio < math.inf:
+            raise ValueError(f"power ratio must be finite and positive, "
+                             f"got {power_ratio}")
+        return 10.0 * np.log10(power_ratio)
     ratio = np.asarray(power_ratio, dtype=float)
     bad = ~(ratio > 0.0) | ~np.isfinite(ratio)
     if bad.any():

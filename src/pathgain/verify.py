@@ -6,7 +6,11 @@ per comparison.  The CLI `verify` command prints the gap table and fails on
 any exceedance.  Parameter sets cover an office corridor at 1.6 m width, an
 urban canyon at 8.6 m with deep corrugation, and a wide avenue wall with
 shallow corrugation, at 2, 3.5 and 28 GHz.  A suite runs its closed form
-once per scene, over the swept values, and its oracle once per value.
+once per scene, over the array of its swept values.  The image-sum and
+series oracles run once per scene over that array too, and the roughness
+oracle once per wall, over every grazing angle and carrier: its spectrum
+integral depends on neither.  The hot-wall quadrature runs once per
+aperture or boundary.
 """
 
 import math
@@ -81,7 +85,8 @@ def _suite(scenes):
     """The suite of scenes(summation control, quadrature control), which yields
     per scene a name pattern, the swept values, the closed form over their
     array (a gain, or a GainResult whose flag masks flag each comparison),
-    the oracle value per swept value, and the bound in dB."""
+    the oracle at the swept values (an array over them, or a list of one
+    value each), and the bound in dB."""
     def suite(profile: str = "default") -> list[Comparison]:
         out = []
         for pattern, values, closed, oracle, bound in scenes(*_controls(profile)):
@@ -102,10 +107,10 @@ def _canyon_scenes(sum_ctl, _):
         x = [math.sqrt(max(r * r - dz * dz, 1e-12))
              for r in (r_w * geometry.width_m for r_w in CANYON_R_OVER_W)]
         for f_hz in (2.0e9, 28.0e9):
+            link = LosLink(geometry, x, f_hz)
             yield (f"canyon/{label}/{f_hz/1e9:g}GHz/r={{:g}}w", CANYON_R_OVER_W,
-                   canyon.los_gain_incoherent(LosLink(geometry, x, f_hz)),
-                   [oracles.image_sum_power(LosLink(geometry, xi, f_hz), sum_ctl,
-                                            include_ground=True) for xi in x], 1.5)
+                   canyon.los_gain_incoherent(link),
+                   oracles.image_sum_power(link, sum_ctl, include_ground=True), 1.5)
 
 
 def _outdoor_indoor_scenes(sum_ctl, _):
@@ -117,12 +122,10 @@ def _outdoor_indoor_scenes(sum_ctl, _):
                                   ("corridor", CORRIDOR_GEOMETRY, 2.0e9),
                                   ("corridor", CORRIDOR_GEOMETRY, 28.0e9)):
         wall_l = geometry.wall_loss(f_hz)
-        ranges = [mult * wall_l * geometry.width_m for mult in r_lw]
+        link = Link([mult * wall_l * geometry.width_m for mult in r_lw], f_hz)
         yield (f"outdoor_indoor/{label}/{f_hz/1e9:g}GHz/r={{:g}}Lw", r_lw,
-               morphology.outdoor_indoor_canyon_gain(geometry, pen, indoor,
-                                                     Link(ranges, f_hz)),
-               [oracles.oi_image_series_power(geometry, pen, indoor, Link(r, f_hz),
-                                              sum_ctl) for r in ranges], 1.5)
+               morphology.outdoor_indoor_canyon_gain(geometry, pen, indoor, link),
+               oracles.oi_image_series_power(geometry, pen, indoor, link, sum_ctl), 1.5)
 
 
 def _trees_scenes(sum_ctl, _):
@@ -132,11 +135,11 @@ def _trees_scenes(sum_ctl, _):
                                       tree_width_m=4.0, tree_height_m=10.0)
     scene = morphology.StreetScene(geometry, foliage, standoff_m=8.0)
     f_hz, r_lw = 28.0e9, TREES_R_OVER_LW
-    ranges = [mult * geometry.wall_loss(f_hz) * geometry.width_m for mult in r_lw]
+    link = Link([mult * geometry.wall_loss(f_hz) * geometry.width_m for mult in r_lw],
+                f_hz)
     yield ("trees/sparse/28GHz/r={:g}Lw", r_lw,
-           morphology.sidewalk_guided_gain(scene, Link(ranges, f_hz)),
-           [oracles.guided_trees_series_power(scene, Link(r, f_hz), sum_ctl)
-            for r in ranges], 2.0)
+           morphology.sidewalk_guided_gain(scene, link),
+           oracles.guided_trees_series_power(scene, link, sum_ctl), 2.0)
 
 
 def _diffuse_scenes(_, quad_ctl):
@@ -169,15 +172,19 @@ def _diffuse_scenes(_, quad_ctl):
 
 def _roughness_scenes(_, quad_ctl):
     """Closed-form roughness loss term vs quadrature of the spectrum
-    integral (2% bound)."""
-    theta = GRAZING_RAD
+    integral (2% bound), one quadrature per wall for every carrier and
+    angle."""
+    theta = np.array(GRAZING_RAD)
+    carriers_hz = (2.0e9, 3.5e9, 28.0e9)
+    wavenumbers = [wavenumber_rad_m(f_hz) for f_hz in carriers_hz]
     for label, wall in (("corridor", CORRIDOR_WALL), ("urban", URBAN_WALL)):
-        for f_hz in (2.0e9, 3.5e9, 28.0e9):
-            k = wavenumber_rad_m(f_hz)
-            yield (f"roughness/{label}/{f_hz/1e9:g}GHz/theta={{:g}}", theta,
-                   surface.roughness_loss_rate(wall.roughness, k) * np.array(theta),
-                   [oracles.roughness_loss_integral(t, wall.roughness, k, quad_ctl)
-                    for t in theta], to_db(1.02))
+        # one row of angles per carrier
+        oracle = oracles.roughness_loss_integral(
+            theta, wall.roughness, np.array(wavenumbers)[:, None], quad_ctl)
+        for f_hz, k, row in zip(carriers_hz, wavenumbers, oracle):
+            yield (f"roughness/{label}/{f_hz/1e9:g}GHz/theta={{:g}}", GRAZING_RAD,
+                   surface.roughness_loss_rate(wall.roughness, k) * theta, row,
+                   to_db(1.02))
 
 
 SUITES = {

@@ -118,11 +118,20 @@ class TestAgainstScipy:
 
     @pytest.mark.parametrize("profile", ["default", "strict"])
     def test_roughness_suite(self, profile):
+        # one quadrature per wall gives every angle at every carrier; each
+        # of the 18 values is checked at its own theta and k
         calls = _suite_calls("roughness", profile, "roughness_loss_integral")
-        assert len(calls) == 18
-        for args, kwargs, value in calls:
-            assert value == pytest.approx(scipy_roughness(*args, **kwargs),
+        assert len(calls) == 2
+        checked = 0
+        for (theta, rough, k, ctl), kwargs, value in calls:
+            thetas, ks = np.broadcast_arrays(theta, k)
+            assert thetas.shape == np.shape(value)
+            for t, k_i, v in zip(thetas.ravel().tolist(), ks.ravel().tolist(),
+                                 np.ravel(value).tolist()):
+                assert v == pytest.approx(scipy_roughness(t, rough, k_i, ctl, **kwargs),
                                           rel=1e-10)
+                checked += 1
+        assert checked == 18
 
     @pytest.mark.parametrize("ctl", [DEFAULT, STRICT], ids=["default", "strict"])
     @pytest.mark.parametrize("depth, kappa", [(5.0, 0.1), (2.0, 0.18), (1.0, 0.0)])
@@ -171,7 +180,9 @@ class TestAgainstScipy:
 class TestWorkBudget:
     # quadrature evaluations over `verify all` at both profiles; the bound
     # sits between the 36,600 of a quadrant aperture split in geometric
-    # steps from d_in and the 112,530 of a full aperture split at its centre
+    # steps from d_in and the 112,530 of a full aperture split at its centre.
+    # With one roughness quadrature per wall instead of per value, the
+    # count is 28,920
     MAX_EVALUATIONS = 60_000
 
     def test_verify_all_evaluations(self):
@@ -187,7 +198,8 @@ class TestWorkBudget:
             patch.setattr(oracles, "gauss_kronrod", counting)
             for profile in ("default", "strict"):
                 verify.run_suites(list(verify.SUITES), profile)
-        assert len(evaluations) == 2 * (8 + 18)
+        # eight hot-wall quadratures and one roughness quadrature per wall
+        assert len(evaluations) == 2 * (8 + 2)
         assert sum(evaluations) <= self.MAX_EVALUATIONS
 
 
@@ -219,7 +231,7 @@ class TestFirstPass:
                 gapmap.evaluate(point)
         # four quadratures per grid point: the unbounded and aperture hot
         # wall, the radial flux and the roughness loss
-        assert len(calls) == 2 * (8 + 18) + 4 * len(points)
+        assert len(calls) == 2 * (8 + 2) + 4 * len(points)
         bisected = [(edges, evaluations) for edges, evaluations in calls
                     if evaluations != 15 ** len(edges) * _initial_box_count(edges)]
         assert not bisected

@@ -23,7 +23,7 @@ from pathgain import cli
 
 # runs pathgain.cli.main on argv, then reports its exit code (that of
 # SystemExit for --help), every scipy module and every pathgain submodule
-# loaded by then as the last line of stderr
+# loaded by then, and whether numpy.ma was, as the last line of stderr
 _WRAPPER = """
 import json, sys
 from pathgain import cli
@@ -33,7 +33,8 @@ except SystemExit as exc:
     code = exc.code
 loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top
                       and m != top) for top in ("scipy", "pathgain")}
-print(json.dumps({"code": code, **loaded}), file=sys.stderr)
+print(json.dumps({"code": code, **loaded, "numpy.ma": "numpy.ma" in sys.modules}),
+      file=sys.stderr)
 """
 
 
@@ -95,6 +96,12 @@ def test_law_command_loads_no_oracle(command, sweep):
     loaded = set(_report(*_argv(command, sweep))["pathgain"])
     assert {"pathgain.config", "pathgain.canyon"} <= loaded
     assert not loaded & {"pathgain.verify", "pathgain.oracles"}
+
+
+def test_predict_leaves_numpy_ma_unloaded(sweep):
+    # np.unique imports numpy.ma, about 15 ms of start-up; predict labels
+    # its flags without it
+    assert _report(*_argv("predict", sweep))["numpy.ma"] is False
 
 
 def test_verify_loads_no_config_or_fitting():

@@ -1,11 +1,12 @@
 """The verify suites as scene generators: each closed form runs once per
-scene over the array of its swept values, and every suite holds its bound
-over the whole box it sweeps, at seeded samples as well as at its points."""
+scene over the array of its swept values, and so does each image-sum and
+series oracle, and every suite holds its bound over the whole box it
+sweeps, at seeded samples as well as at its points."""
 
 import numpy as np
 import pytest
 
-from pathgain import canyon, diffuse, morphology, surface, verify
+from pathgain import canyon, diffuse, morphology, oracles, surface, verify
 
 PROFILES = ("default", "strict")
 
@@ -18,6 +19,20 @@ LAWS = {
     "trees": (morphology, "sidewalk_guided_gain", 1, ("TREES_R_OVER_LW", "range_m")),
     "diffuse": (diffuse, "diffuse_pathgain", 5, None),
     "roughness": (surface, "roughness_loss_rate", 6, None),
+}
+
+# each suite's oracle, its calls per profile and the shape of what each call
+# returns: the image sum and the series once per scene over its swept
+# ranges, the roughness integral once per wall over every carrier and angle,
+# and the hot-wall quadrature once per boundary or aperture; 18 calls per
+# profile in all
+ORACLES = {
+    "canyon": ("image_sum_power", 4, (len(verify.CANYON_R_OVER_W),)),
+    "outdoor_indoor": ("oi_image_series_power", 3,
+                       (len(verify.OUTDOOR_INDOOR_R_OVER_LW),)),
+    "trees": ("guided_trees_series_power", 1, (len(verify.TREES_R_OVER_LW),)),
+    "diffuse": ("hotwall_quadrature", 8, ()),
+    "roughness": ("roughness_loss_integral", 2, (3, len(verify.GRAZING_RAD))),
 }
 
 # the swept-value tuples of each suite, the log-uniform samples drawn for
@@ -51,6 +66,23 @@ def test_each_law_runs_once_per_scene(suite, profile, monkeypatch):
         values, field = swept
         shapes = [np.shape(getattr(args[-1], field)) for args in calls]
         assert shapes == [(len(getattr(verify, values)),)] * scenes
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("suite", list(ORACLES))
+def test_each_oracle_runs_once_per_scene(suite, profile, monkeypatch):
+    attr, calls, shape = ORACLES[suite]
+    shapes = []
+    oracle = getattr(oracles, attr)
+
+    def recording(*args, **kwargs):
+        value = oracle(*args, **kwargs)
+        shapes.append(np.shape(value))
+        return value
+
+    monkeypatch.setattr(oracles, attr, recording)
+    verify.SUITES[suite](profile)
+    assert shapes == [shape] * calls
 
 
 def _log_uniform(rng, values, n):
