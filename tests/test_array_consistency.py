@@ -82,7 +82,7 @@ def _assert_float_calls(oracle, link, values):
 @pytest.mark.parametrize("include_ground", [False, True])
 @pytest.mark.parametrize("coherent", [False, True])
 def test_image_sum_array_call_matches_float_calls(coherent, include_ground, ctl):
-    # the corridor at 2 GHz: 10 w stops at the first shell, 10,000 w later,
+    # the corridor at 2 GHz: 10 w stops at the first pass, 10,000 w later,
     # so the near total must stay as it was while the far one goes on
     near, far = 10.0 * CORRIDOR.width_m, 1.0e4 * CORRIDOR.width_m
     kwargs = dict(include_ground=include_ground, coherent=coherent)
