@@ -84,8 +84,7 @@ class LosLink:
     def __post_init__(self):
         object.__setattr__(self, "range_x_m", positive_ranges(
             self.range_x_m, "horizontal range must be positive"))
-        require(self.frequency_hz > 0.0, "frequency must be positive",
-                self.frequency_hz)
+        wavelength_m(self.frequency_hz)
 
     @property
     def slant_range_m(self) -> np.ndarray:

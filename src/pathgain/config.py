@@ -59,8 +59,7 @@ _VARIANTS = {
 
 
 def _link(v: dict, built: dict, flags: list) -> float:
-    if v["frequency_hz"] <= 0.0:
-        raise ValueError("frequency_hz must be positive")
+    wavelength_m(v["frequency_hz"])
     return v["frequency_hz"]
 
 
@@ -163,7 +162,7 @@ def _parse_sections(path) -> dict[str, dict[str, str]]:
     parser.optionxform = str  # keys are case-sensitive
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"{path}: cannot read config file")

@@ -7,6 +7,7 @@ among slope-intercept models under exactly the metric reported here.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -81,37 +82,41 @@ def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
     are ignored, so any CSV this package emits can be read back, and blank
     lines are skipped.  A cell float() rejects, or a record that is not
     finite, has a range <= 0 or a gain at the sanity bound, is reported
-    with the line it is on.
+    with the line it is on; a file that is not UTF-8, with its path.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     ranges, gains, lines = [], [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        missing = [c for c in CSV_REQUIRED if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
-        # the last of repeated column names wins, as in csv.DictReader
-        columns = [len(header) - 1 - header[::-1].index(c) for c in CSV_REQUIRED]
-        i_range, i_gain = columns
-        for row in reader:
-            if not row:
-                continue
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    missing = [c for c in CSV_REQUIRED if c not in header]
+    if missing:
+        raise DatasetError(f"{path}: missing column(s) {', '.join(missing)}")
+    # the last of repeated column names wins, as in csv.DictReader
+    columns = [len(header) - 1 - header[::-1].index(c) for c in CSV_REQUIRED]
+    i_range, i_gain = columns
+    for row in reader:
+        if not row:
+            continue
+        try:
+            range_m, gain_db = float(row[i_range]), float(row[i_gain])
+        except (IndexError, ValueError):
+            _record_arrays(path, ranges, gains, lines)  # an earlier record fails first
+            # convert again for the message, reading a cell past the end
+            # of a short row as None, as csv.DictReader does
             try:
-                range_m, gain_db = float(row[i_range]), float(row[i_gain])
-            except (IndexError, ValueError):
-                _record_arrays(path, ranges, gains, lines)  # an earlier record fails first
-                # convert again for the message, reading a cell past the end
-                # of a short row as None, as csv.DictReader does
-                try:
-                    for i in columns:
-                        float(row[i] if i < len(row) else None)
-                except (TypeError, ValueError) as exc:
-                    raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from exc
-            ranges.append(range_m)
-            gains.append(gain_db)
-            lines.append(reader.line_num)
+                for i in columns:
+                    float(row[i] if i < len(row) else None)
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from exc
+        ranges.append(range_m)
+        gains.append(gain_db)
+        lines.append(reader.line_num)
     if not ranges:
         raise DatasetError(f"{path}: no data rows")
     ranges, gains = _record_arrays(path, ranges, gains, lines)

@@ -167,9 +167,9 @@ class Link:
     frequency_hz: float
 
     def __post_init__(self):
-        message = "range and frequency must be positive"
-        object.__setattr__(self, "range_m", positive_ranges(self.range_m, message))
-        require(self.frequency_hz > 0.0, message, self.frequency_hz)
+        object.__setattr__(self, "range_m", positive_ranges(
+            self.range_m, "range must be positive"))
+        wavelength_m(self.frequency_hz)
 
     @property
     def wavelength_m(self) -> float:

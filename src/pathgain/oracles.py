@@ -29,11 +29,11 @@ its first evaluation:
 - the roughness integral does not depend on the angle or the wavenumber,
   so one quadrature serves every pair of them;
 - the quadratures bisect their worst boxes until the summed error estimate
-  meets the tolerance.  The rectangular aperture integrates one quadrant
-  of its even kernel, and the unbounded boundary one radius, each with
-  breakpoints at d_in/2 and then in geometric steps of about 2, on the
-  scale of the depth d_in, the kernel's own: fine enough that the initial
-  boxes meet the tolerance, so bisection is only the safety net.
+  meets the tolerance.  The unbounded boundary is one radial integral over
+  [d_in, inf); the aperture one quadrant, split at d_in/2 and then in
+  geometric steps of at most 2, on the kernel's own scale d_in.  On these
+  partitions the initial boxes meet the tolerance, so bisection is only
+  the safety net.
 """
 
 import itertools
@@ -86,15 +86,6 @@ class OracleConvergenceError(RuntimeError):
 # of order k
 _SIGNS = np.array([[1.0], [-1.0]])
 _BOUNCE_OFFSETS = np.array([[0], [1]])
-
-
-def _per_float(f, values):
-    """f at each element of values, taken as a Python number (a numpy scalar
-    for one value): a power or an absolute value of a float can differ in
-    its last bit from numpy's vector form, and an oracle gives an array,
-    element for element, what it gives each float."""
-    values = np.asarray(values)
-    return np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)[()]
 
 
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
@@ -166,7 +157,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
 
     def finish(total):
         if coherent:
-            total = _per_float(lambda field: abs(field) ** 2, total)
+            total = total.real * total.real + total.imag * total.imag
         power = scale * total
         if np.ndim(link.range_x_m):
             return power.reshape(np.shape(link.range_x_m))
@@ -255,11 +246,12 @@ def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
     wall_l = g.wall_loss(link.frequency_hz)
     r = g.slant_range_m(link.range_m)
     if gamma_g2 is None:
-        gamma_g2 = _per_float(lambda gamma: gamma ** 2, g.ground_bounce(link.range_m))
+        gamma = g.ground_bounce(link.range_m)
+        gamma_g2 = gamma * gamma
     series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, path_factor)
     bounces = (1.0 + gamma_g2) * WALL_BOUNCE
-    r4 = _per_float(lambda r: r ** 4, r)
-    return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * r4) * series
+    r2 = r * r
+    return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * (r2 * r2)) * series
 
 
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
@@ -294,8 +286,8 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
     exp(-kappa_v rho_v sqrt(r^2 + d_m^2)).
 
     gamma_g2 replaces the ground bounce.  Only tests set it, as an
-    independent path: test_absorption_collapses_to_direct_term (the
-    standoff term at gamma_g2 = 1).
+    independent path: test_absorption_leaves_first_image_terms (the first
+    four image terms at gamma_g2 = 1).
     """
     k_rho = scene.foliage.kappa_np_per_m * scene.rho
 
@@ -463,23 +455,17 @@ def _to_infinity(f, start: float):
     return mapped
 
 
-def _geometric(start: float, stop: float, count: int) -> list[float]:
-    """count points from start to stop in equal ratios (np.geomspace without
-    its per-call cost)."""
-    ratio = stop / start
-    return [start * ratio ** (i / (count - 1)) for i in range(count - 1)] + [stop]
-
-
 def _aperture_edges(d_in: float, half_width: float):
-    """Breakpoints 0, d_in/2, ..., half_width, in ratios of at most 2: the
-    hot-wall flux falls on the scale of d_in from its peak at 0, and on
+    """Breakpoints 0, d_in/2, ..., half_width, in equal ratios of at most 2:
+    the hot-wall flux falls on the scale of d_in from its peak at 0, and on
     segments this narrow the K15 rule meets the tolerance without
     bisection."""
     start = d_in / 2.0
     if half_width <= start:
         return (0.0, half_width)
-    steps = math.ceil(math.log2(half_width / start))
-    return (0.0, *_geometric(start, half_width, steps + 1))
+    ratio = half_width / start
+    steps = math.ceil(math.log2(ratio))
+    return (0.0, *[start * ratio ** (i / steps) for i in range(steps)], half_width)
 
 
 def _hotwall_kernel(r_in, kappa: float, depth: float, approximate_kappa: bool):
@@ -505,62 +491,50 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     """Path gain into the diffuse half-space by boundary quadrature.
 
     Integrates the hot-wall surface flux over the radiating boundary region
-    and applies the free-space spreading prefactor.  The full plane does
-    not depend on the azimuth, so it is 2 pi times a radial integral out to
-    the truncation radius; the rectangular aperture is 4 times a 2-D
-    cartesian integral over the quadrant x, y >= 0.  Both are split at 0
-    and d_in/2, around the flux peak, and then in geometric steps of about
-    2 out to their edge, so that the first pass meets the tolerance.
-    A facade mixture is an unbounded boundary and
-    integrates as one.  The street strip has no boundary integral here
-    (integrated as a very long aperture, it does not converge); the street
-    T_eff is checked through the aperture-to-street limit instead.
-    approximate_kappa freezes the absorption at exp(-kappa d_in), the
-    approximation the closed-form aperture expression makes; the default
-    integrates the exact exp(-kappa r') kernel.  Only tests set it, as the
-    frozen kernel of test_frozen_absorption_error_is_small_when_kappa_shallow.
+    and applies the free-space spreading prefactor.  An unbounded boundary,
+    a facade mixture among them, is `radial_flux_integral` with its
+    material_t2.  A rectangular aperture is 4 times a 2-D integral over the
+    quadrant x, y >= 0, split at d_in/2 around the flux peak and then in
+    geometric steps of at most 2; only here is the relative tolerance taken
+    no lower than 1e-11.  The street strip has no boundary integral (as a
+    very long aperture it does not converge); its T_eff is checked through
+    the aperture-to-street limit.  approximate_kappa freezes the absorption
+    at exp(-kappa d_in), as the closed-form aperture expression does; the
+    default integrates the exact exp(-kappa r') kernel.  Only tests set it:
+    test_frozen_absorption_error_is_small_when_kappa_shallow and
+    test_unbounded_is_the_radial_flux_integral.
     """
-    d_in = link.depth_m
-    kappa = link.kappa_np_per_m
+    if spec.variant == UNBOUNDED:
+        return radial_flux_integral(link, spec.material_t2, ctl, approximate_kappa)
+    if spec.variant != APERTURE:
+        raise ValueError(f"no boundary integral for variant {spec.variant!r}")
+    d_in, kappa = link.depth_m, link.kappa_np_per_m
     if ctl.rel_tol < 1e-11:
         ctl = replace(ctl, rel_tol=1e-11)
-    if spec.variant == UNBOUNDED:
-        # truncate where the 1/r^3 tail falls below tolerance of the total
-        radius = max(2.0e4 * d_in, 100.0 * d_in)
-        if kappa > 0.0:
-            radius = min(radius, d_in + 60.0 / kappa)
-        # breakpoints at d_in/2 and at 15 points in geometric steps from
-        # d_in to the radius: ratios of about 2 at the unabsorbed 2e4 d_in,
-        # finer where absorption shortens the radius and steepens the flux
-        value, _, _ = gauss_kronrod(
-            lambda rho: rho * _hotwall_kernel(np.hypot(d_in, rho), kappa, d_in,
-                                              approximate_kappa),
-            ((0.0, d_in / 2.0, *_geometric(d_in, radius, 15)),), ctl)
-        value *= 2.0 * math.pi
-    elif spec.variant == APERTURE:
-        # the kernel is even in x and in y: the aperture integral is that of
-        # 4 x kernel over the quadrant x, y >= 0, whose corner is the flux
-        # peak, so the caller's tolerances apply to it as given
-        value, _, _ = gauss_kronrod(
-            lambda x_, y: 4.0 * _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
-                                                kappa, d_in, approximate_kappa),
-            (_aperture_edges(d_in, spec.width1_m / 2.0),
-             _aperture_edges(d_in, spec.width2_m / 2.0)), ctl)
-    else:
-        raise ValueError(f"no boundary integral for variant {spec.variant!r}")
+    # the kernel is even in x and in y: the aperture integral is that of
+    # 4 x kernel over the quadrant x, y >= 0, whose corner is the flux peak,
+    # so the tolerances apply to the quadrant as to the whole
+    value, _, _ = gauss_kronrod(
+        lambda x_, y: 4.0 * _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
+                                            kappa, d_in, approximate_kappa),
+        (_aperture_edges(d_in, spec.width1_m / 2.0),
+         _aperture_edges(d_in, spec.width2_m / 2.0)), ctl)
     return _hotwall_gain(link, spec.material_t2, value)
 
 
 def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
-                         ctl: QuadratureControl = QuadratureControl()) -> float:
-    """Radial reduction of the unbounded hot-wall integral (cross-check).
+                         ctl: QuadratureControl = QuadratureControl(),
+                         approximate_kappa: bool = False) -> float:
+    """Path gain through the unbounded hot wall, by its radial flux integral.
 
-    r' dr' = rho' drho' collapses the polar integral exactly into a 1-D
-    integral over [d_in, inf); it must agree with the closed form.
+    The flux does not depend on the azimuth, and r' dr' = rho' drho' turns
+    the integral over the plane exactly into 2 pi times a 1-D integral over
+    [d_in, inf), with no cut-off radius and ctl's tolerances as given.
+    approximate_kappa freezes the absorption as in `hotwall_quadrature`.
     """
     d_in, kappa = link.depth_m, link.kappa_np_per_m
     value, _, _ = gauss_kronrod(
-        lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, False),
+        lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, approximate_kappa),
         ((d_in, math.inf),), ctl)
     return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
 

@@ -177,13 +177,13 @@ def roughness_loss_rate(roughness: TelegraphRoughness,
 def wall_loss(surface: WallSurface, wavenumber_rad_m: float) -> float:
     """Dimensionless per-radian wall-loss parameter L.
 
-    L = 4/n_eff + 32 k^{3/2} A^2 p1 p2 sqrt(mu1 + mu2): smooth dielectric
-    loss plus twice the roughness loss rate (the reflected power decays as
-    exp(-L * theta) per bounce).  Raises ValueError where the roughness term
-    overflows a float.
+    L = 4/n_eff + 32 k^{3/2} A^2 p1 p2 sqrt(mu1 + mu2): twice the
+    perpendicular low-grazing rate plus twice the roughness loss rate (the
+    reflected power decays as exp(-L * theta) per bounce).  Raises
+    ValueError where the roughness term overflows a float.
     """
     require(wavenumber_rad_m > 0.0, "wavenumber must be positive", wavenumber_rad_m)
-    loss = 4.0 / surface.dielectric.refraction_index
+    loss = 2.0 * low_grazing_rate(surface.dielectric)
     rough = surface.roughness
     if rough is not None:
         loss += 2.0 * roughness_loss_rate(rough, wavenumber_rad_m)

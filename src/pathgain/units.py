@@ -6,10 +6,12 @@ appear only at presentation boundaries (CLI output, fitting, reports).
 """
 
 import math
+import sys
 
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299792458.0
+_MIN_FREQUENCY_HZ = SPEED_OF_LIGHT_M_S / sys.float_info.max  # c/DBL_MAX
 
 # 1 neper = 10/ln(10) dB ~= 4.343 dB
 NEPER_TO_DB = 10.0 / math.log(10.0)
@@ -47,9 +49,13 @@ def positive_ranges(range_m, message: str):
     return ranges
 
 
-def wavelength_m(frequency_hz: float) -> float:
-    """Free-space wavelength (m) for a carrier frequency (Hz)."""
-    require(frequency_hz > 0.0, f"frequency must be positive, got {frequency_hz}",
+def wavelength_m(frequency_hz):
+    """Free-space wavelength (m) for a carrier frequency (Hz), or an array
+    of them: the one check of a carrier.  Raises ValueError for one that is
+    not finite or lies below c/DBL_MAX (about 1.7e-300 Hz), where c/f
+    overflows."""
+    require(frequency_hz >= _MIN_FREQUENCY_HZ,
+            f"frequency must be positive with a finite wavelength, got {frequency_hz}",
             frequency_hz)
     return SPEED_OF_LIGHT_M_S / frequency_hz
 

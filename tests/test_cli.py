@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathgain import cli, verify
 from pathgain.config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
+from pathgain.fitting import DatasetError, load_dataset
 
 from conftest import REPO_ROOT
 
@@ -258,7 +259,7 @@ class TestVerify:
         # an exact closed form leaves only quadrature round-off in the gap;
         # its sign must not reach the table or the CSV
         comparison = verify.Comparison("exact/case", -12.19, -12.19 + 1e-14, 0.09)
-        assert comparison.gap_db == pytest.approx(-1e-14, rel=0.1)
+        assert comparison.gap_db == pytest.approx(-1e-14, rel=0.1, abs=0.0)
         monkeypatch.setattr(verify, "run_suites", lambda names, profile: [comparison])
         out_csv = tmp_path / "gaps.csv"
         code, out, _ = run_cli(capsys, "verify", "all", "--output", str(out_csv))
@@ -294,6 +295,16 @@ class TestFitCommand:
         assert code == 0
         exponent = float(out.split("exponent_n=")[1].split()[0])
         assert 3.5 < exponent < 4.3
+
+    def test_non_utf8_file_is_one_line_error_with_its_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"range_m,path_gain_db\n10,-60\ncaf\xe9,-61\n")
+        message = (f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 31: "
+                   "invalid continuation byte")
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(path, 2e9)
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out, err) == (1, "", f"pathgain: error: {message}\n")
 
     def test_empty_file_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -557,6 +568,33 @@ class TestConfigValidation:
         path.write_text("[link]\nfrequency_hz = fast\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="must be a number"):
             load_config(path)
+
+    @pytest.mark.parametrize("frequency", ["5e-324", "1e-320", "1e-300"])
+    def test_carrier_without_finite_wavelength_names_file_and_block(
+            self, capsys, tmp_path, frequency):
+        path = tmp_path / "link.ini"
+        path.write_text(f"[link]\nfrequency_hz = {frequency}\n", encoding="utf-8")
+        message = (f"{path}: [link] frequency must be positive with a finite "
+                   f"wavelength, got {frequency}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        code, out, err = run_cli(capsys, "predict", str(path), "friis", "1:1000:5")
+        assert (code, out, err) == (1, "", f"pathgain: error: {message}\n")
+
+    def test_carrier_above_the_overflow_loads(self, tmp_path):
+        path = tmp_path / "link.ini"
+        path.write_text("[link]\nfrequency_hz = 1e-299\n", encoding="utf-8")
+        assert load_config(path).frequency_hz == 1e-299
+
+    def test_non_utf8_config_is_one_line_error_with_its_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[link]\nfrequency_hz = 28e9  # caf\xe9\n")
+        message = (f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 33: "
+                   "invalid continuation byte")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        code, out, err = run_cli(capsys, "predict", str(path), "friis", "1:1000:5")
+        assert (code, out, err) == (1, "", f"pathgain: error: {message}\n")
 
     def test_canyon_error_names_file_and_block(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -67,7 +67,7 @@ class TestDiffusePathgain:
         expected = (link.wavelength_m**2 * 20.0**2
                     / (8.0 * math.pi**2 * 100.0**4))
         assert diffuse_pathgain(link, PenetrationSpec.unbounded()) == \
-            pytest.approx(expected, rel=1e-14)
+            pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_quartic_law(self):
         spec = PenetrationSpec.unbounded()
@@ -84,7 +84,7 @@ class TestDiffusePathgain:
         link = self.link()
         unbounded = diffuse_pathgain(link, PenetrationSpec.unbounded())
         assert diffuse_pathgain(link, spec) == pytest.approx(
-            unbounded * t_eff(spec, link.depth_m), rel=1e-14)
+            unbounded * t_eff(spec, link.depth_m), rel=1e-14, abs=0.0)
 
     def test_monotone_in_absorption_and_depth(self):
         spec = PenetrationSpec.street(4.0)

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from pathgain import units
+from pathgain.canyon import CanyonGeometry, LosLink
 from pathgain.diffuse import DiffuseLink
+from pathgain.morphology import Link
 from pathgain.reference import friis_gain, uma_nlos_36814
 from pathgain.surface import Dielectric, fresnel_exact, fresnel_low_grazing
-from pathgain.units import require
+from pathgain.units import require, wavelength_m
 
 GLASS = Dielectric(2.0)
 UMA = (20.0, 20.0, 25.0, 1.5, 3.5)  # street width, building, base, mobile, GHz
@@ -77,3 +80,37 @@ def test_message_function_runs_only_on_failure():
     with pytest.raises(ValueError, match="^checked value$"):
         require(True, message, math.inf)
     assert len(calls) == 1
+
+
+# every carrier goes through units.wavelength_m: a frequency at or below
+# c/DBL_MAX (about 1.7e-300 Hz) has no finite wavelength
+CARRIER_CHECKS = {
+    "wavelength_m": wavelength_m,
+    "link": lambda f: Link(100.0, f),
+    "los_link": lambda f: LosLink(CanyonGeometry(1.6, 2.2, 1.0), 100.0, f),
+}
+
+
+@pytest.mark.parametrize("check", list(CARRIER_CHECKS))
+@pytest.mark.parametrize("frequency_hz", [5e-324, 1e-320, 1e-300])
+def test_carrier_without_finite_wavelength_is_rejected(check, frequency_hz):
+    with pytest.raises(ValueError) as info:
+        CARRIER_CHECKS[check](frequency_hz)
+    assert str(info.value) == ("frequency must be positive with a finite "
+                               f"wavelength, got {frequency_hz}")
+
+
+@pytest.mark.parametrize("check", list(CARRIER_CHECKS))
+def test_carrier_above_the_overflow_is_accepted(check):
+    CARRIER_CHECKS[check](1e-299)
+    assert 0.0 < wavelength_m(1e-299) < math.inf
+
+
+def test_least_carrier_is_the_overflow_edge():
+    # the check is tight: just below the least frequency, c/f overflows
+    least = units._MIN_FREQUENCY_HZ
+    assert wavelength_m(least) < math.inf
+    below = math.nextafter(least, 0.0)
+    assert units.SPEED_OF_LIGHT_M_S / below == math.inf
+    with pytest.raises(ValueError, match="finite wavelength"):
+        wavelength_m(below)

@@ -97,7 +97,7 @@ class TestSuburban:
         dlink = DiffuseLink(20.0, res.range_m, 5.0, 0.0, wavelength_m(28e9))
         bounces = res.factors["ground_bounce"] * res.factors["wall_bounce"]
         assert res.gain / bounces == pytest.approx(
-            diffuse_pathgain(dlink, PenetrationSpec.unbounded()), rel=1e-14)
+            diffuse_pathgain(dlink, PenetrationSpec.unbounded()), rel=1e-14, abs=0.0)
 
     def test_effective_range_includes_standoff_and_heights(self):
         res = suburban_street_gain(suburban_scene(), Link(100.0, 28e9))
@@ -131,7 +131,7 @@ class TestSuburbanIndoor:
         indoor = IndoorClutter(0.18, 0.0)
         pen = PenetrationSpec.unbounded()
         assert suburban_indoor_gain(scene, indoor, pen, link).gain == \
-            pytest.approx(suburban_street_gain(scene, link).gain, rel=1e-14)
+            pytest.approx(suburban_street_gain(scene, link).gain, rel=1e-14, abs=0.0)
 
     def test_penetration_and_clutter_offsets(self):
         # 10% window facade costs 10 dB; 1 m of indoor clutter ~0.78 dB
@@ -161,7 +161,7 @@ class TestOvertop:
         res = overtop_gain(self.MACRO, 0.38, link)
         wide = res.gain / res.factors["t_eff"]
         huge = overtop_gain(MacroGeometry(14.0, 10.0, 1.5, 1e9), 0.38, link).gain
-        assert huge == pytest.approx(wide, rel=1e-6)
+        assert huge == pytest.approx(wide, rel=1e-6, abs=0.0)
         narrow = overtop_gain(self.MACRO, 0.38, link).gain
         assert narrow < wide
 
@@ -200,7 +200,7 @@ class TestRural:
         macro = MacroGeometry(14.0, 10.0, 9.999999999, 30.0)
         res = rural_gain(macro, FoliageLayer(0.0, 0.38), Link(200.0, 28e9))
         friis = friis_gain(wavelength_m(28e9), res.range_m)
-        assert res.components["direct"] == pytest.approx(friis, rel=1e-6)
+        assert res.components["direct"] == pytest.approx(friis, rel=1e-6, abs=0.0)
 
     def _term_gap(self, kappa_v):
         def gap(x):
@@ -225,7 +225,7 @@ class TestRural:
         res = rural_gain(self.MACRO, FoliageLayer(0.0, 0.07),
                          Link(crossover, 28e9))
         assert res.components["direct"] == pytest.approx(
-            res.components["over_top"], rel=1e-6)
+            res.components["over_top"], rel=1e-6, abs=0.0)
         assert gap(crossover / 2.0) > 0.0 > gap(crossover * 2.0)
 
 
@@ -280,7 +280,7 @@ class TestSidewalk:
             scene.canyon, PenetrationSpec.unbounded(), IndoorClutter(0.0, 0.0),
             link)
         assert guided.gain / guided.factors["ground_bounce"] == pytest.approx(
-            reference.gain / reference.factors["ground_bounce"], rel=1e-14)
+            reference.gain / reference.factors["ground_bounce"], rel=1e-14, abs=0.0)
 
     def test_guided_range_decay_beyond_power_law(self):
         # gain * r^2.5 * exp(+kappa rho r) is range-free once the ground
@@ -292,7 +292,7 @@ class TestSidewalk:
             res = sidewalk_guided_gain(scene, Link(x, 28e9))
             g.append(res.gain / res.factors["ground_bounce"]
                      * res.range_m**2.5 * math.exp(k_rho * res.range_m))
-        assert max(g) == pytest.approx(min(g), rel=1e-9)
+        assert max(g) == pytest.approx(min(g), rel=1e-9, abs=0.0)
 
     def test_unguided_matches_suburban_with_scaled_kappa(self):
         scene = sparse_street_scene(rho_v=0.5)
@@ -303,7 +303,7 @@ class TestSidewalk:
             scene.standoff_m)
         link = Link(300.0, 28e9)
         assert sidewalk_unguided_gain(scene, link).gain == pytest.approx(
-            suburban_street_gain(equivalent, link).gain, rel=1e-14)
+            suburban_street_gain(equivalent, link).gain, rel=1e-14, abs=0.0)
 
     def test_full_density_vegetation_loss(self):
         lossless = sparse_street_scene(rho_v=0.0)
@@ -375,7 +375,7 @@ class TestCanyonTotal:
         macro = MacroGeometry(20.0, 10.0, 1.5, 20.0)
         near = canyon_total_gain(scene, macro, Link(150.0, 28e9))
         assert near.components["direct"] == pytest.approx(
-            friis_gain(wavelength_m(28e9), near.range_m), rel=1e-14)
+            friis_gain(wavelength_m(28e9), near.range_m), rel=1e-14, abs=0.0)
         far = canyon_total_gain(scene, macro, Link(400.0, 28e9))
         assert far.components["direct"] < friis_gain(wavelength_m(28e9),
                                                      far.range_m)

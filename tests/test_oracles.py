@@ -46,7 +46,7 @@ class TestImageSum:
         link = corridor_link(30.0)
         value = image_sum_power(link, wall_loss_override=1e9)
         assert value == pytest.approx(
-            friis_gain(link.wavelength_m, link.slant_range_m), rel=1e-12)
+            friis_gain(link.wavelength_m, link.slant_range_m), rel=1e-12, abs=0.0)
 
     def test_corridor_close_to_waveguide_law(self):
         link = corridor_link(30.0)
@@ -110,7 +110,7 @@ class TestImageSum:
         link = corridor_link(24.0)
         coherent = image_sum_power(link, coherent=True, wall_loss_override=1e9)
         incoherent = image_sum_power(link, wall_loss_override=1e9)
-        assert coherent == pytest.approx(incoherent, rel=1e-12)
+        assert coherent == pytest.approx(incoherent, rel=1e-12, abs=0.0)
 
     def test_coherent_sum_near_power_sum_on_frequency_average(self):
         # a 10% frequency comb only partially decorrelates the image
@@ -150,7 +150,7 @@ class TestImageSum:
                     image_sum_power(link, replace(ctl, max_order=n // 2),
                                     **kwargs)
             assert image_sum_power(link, ctl, **kwargs) == pytest.approx(
-                image_sum_power(link, fixed_order=n, **kwargs), rel=1e-13)
+                image_sum_power(link, fixed_order=n, **kwargs), rel=1e-13, abs=0.0)
 
 
 class TestOiSeries:
@@ -172,7 +172,7 @@ class TestOiSeries:
         r = math.hypot(60.0, 3.5)
         direct = (lam**2 * t_eff(self.PEN, 2.0) * 4.0 * math.exp(-0.18 * 2.0)
                   * d * d / (8.0 * math.pi**2 * r**4))
-        assert value == pytest.approx(direct, rel=1e-9)
+        assert value == pytest.approx(direct, rel=1e-9, abs=0.0)
 
     def test_continuum_law_close_beyond_10lw(self):
         k = wavenumber_rad_m(3.5e9)
@@ -222,18 +222,25 @@ class TestGuidedTreesSeries:
         reference = oi_image_series_power(
             scene.canyon, PenetrationSpec.unbounded(), IndoorClutter(0.0, 0.0),
             link, standoff_m=8.0, gamma_g2=0.8)
-        assert value == pytest.approx(reference, rel=1e-12)
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
-    def test_absorption_collapses_to_direct_term(self):
+    def test_absorption_leaves_first_image_terms(self):
+        # at rho_v = 1 the foliage absorbs the series down to its first
+        # images, not to the direct (m = 0) term: the m = 1 image at a 56 m
+        # standoff adds 0.711 of it.  Orders m = 0..3, summed by hand, leave
+        # a tail below 1e-11 of the total
         scene = self.scene(1.0)
         link = Link(300.0, 28e9)
         value = guided_trees_series_power(scene, link, gamma_g2=1.0)
         lam = wavelength_m(28e9)
+        loss = wall_loss(AVENUE_WALL, wavenumber_rad_m(28e9))
         r = math.hypot(300.0, 54.5)
-        r0 = math.hypot(r, 8.0)
-        direct = (lam**2 * 4.0 * math.exp(-0.38 * 3.0) * 8.0**2
-                  * math.exp(-0.38 * r0) / (8.0 * math.pi**2 * r**4))
-        assert value == pytest.approx(direct, rel=1e-9)
+        series = sum(d_m**2 * math.exp(-loss * m * d_m / r)
+                     * math.exp(-0.38 * math.hypot(r, d_m))
+                     for m, d_m in enumerate((8.0, 56.0, 72.0, 120.0)))
+        expected = (lam**2 * 4.0 * math.exp(-0.38 * 3.0) * series
+                    / (8.0 * math.pi**2 * r**4))
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_closed_form_gap_at_fig_scale_ranges(self):
         # measured series-vs-continuum gaps on the sparse avenue, frozen.
@@ -306,7 +313,7 @@ class TestSeriesEarlyStop:
         assert len(calls) == 2
         for args, kwargs, value in calls:
             assert value == pytest.approx(direct_series(*args, **kwargs),
-                                          rel=1e-12)
+                                          rel=1e-12, abs=0.0)
 
 
 class TestHotwallQuadrature:
@@ -328,9 +335,9 @@ class TestHotwallQuadrature:
         link = DiffuseLink(20.0, 100.0, 5.0, 0.1, wavelength_m(28e9))
         radial = radial_flux_integral(link)
         closed = diffuse_pathgain(link, PenetrationSpec.unbounded())
-        assert radial == pytest.approx(closed, rel=1e-8)
+        assert radial == pytest.approx(closed, rel=1e-8, abs=0.0)
         two_d = hotwall_quadrature(link, PenetrationSpec.unbounded())
-        assert two_d == pytest.approx(radial, rel=1e-3)
+        assert two_d == pytest.approx(radial, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("w1_rel", [0.1, 1.0, 100.0])
     @pytest.mark.parametrize("w2_rel", [0.1, 10.0])
@@ -389,6 +396,32 @@ class TestHotwallQuadrature:
         assert value == hotwall_quadrature(
             link, PenetrationSpec.unbounded(material_t2=mix))
         assert abs(db(value) - db(diffuse_pathgain(link, facade))) < 0.05
+
+    @pytest.mark.parametrize("approximate_kappa", [False, True])
+    @pytest.mark.parametrize("ctl", [QuadratureControl(), STRICT_QUAD],
+                             ids=["default", "strict"])
+    def test_unbounded_is_the_radial_flux_integral(self, monkeypatch, ctl,
+                                                   approximate_kappa):
+        # one 1-D form: the unbounded boundary passes its material_t2 and the
+        # kernel choice through to radial_flux_integral
+        link = DiffuseLink(20.0, 100.0, 10.0, 0.38, wavelength_m(28e9))
+        kernels = []
+        kernel = oracles._hotwall_kernel
+
+        def recording(r_in, kappa, depth, approximate):
+            kernels.append(approximate)
+            return kernel(r_in, kappa, depth, approximate)
+
+        monkeypatch.setattr(oracles, "_hotwall_kernel", recording)
+        value = hotwall_quadrature(link, PenetrationSpec.unbounded(0.7), ctl,
+                                   approximate_kappa=approximate_kappa)
+        assert kernels == [approximate_kappa]
+        assert value == radial_flux_integral(link, 0.7, ctl,
+                                             approximate_kappa=approximate_kappa)
+        # over the whole plane both kernels integrate to exp(-kappa d_in)
+        # times the lossless flux, the closed form
+        closed = diffuse_pathgain(link, PenetrationSpec.unbounded(0.7))
+        assert value == pytest.approx(closed, rel=1e-10, abs=0.0)
 
 
 class TestRoughnessIntegral:
