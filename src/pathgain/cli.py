@@ -10,8 +10,6 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
@@ -29,7 +27,9 @@ SUITE_NAMES = ("canyon", "outdoor_indoor", "trees", "diffuse", "roughness")
 
 # The layers the commands call.  Each imports its module on the first call,
 # and the commands call them through this module, so a caller can replace
-# one here (the per-layer trace of the benchmark does).
+# one here (the per-layer trace of the benchmark does).  Numpy too is
+# imported only by the code that computes, so `--help` and a usage error
+# load argparse and this module alone.
 def load_config(path):
     from .config import load_config
     return load_config(path)
@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_sweep(spec: str) -> np.ndarray:
+def _parse_sweep(spec: str):
     try:
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -117,6 +117,7 @@ def _parse_sweep(spec: str) -> np.ndarray:
     # comparisons with nan are false, so the chain also rejects nan and inf
     if not 0.0 < lo < hi < float("inf") or n < 2:
         raise CliError("range spec needs 0 < min < max and points >= 2")
+    import numpy as np
     return np.geomspace(lo, hi, n)
 
 
@@ -135,8 +136,10 @@ def _table(header, fields, columns) -> str:
     return ",".join(header) + "\n" + "".join(map(row.format, *columns))
 
 
-def _flag_labels(flags: dict[str, np.ndarray], n: int) -> list[str]:
-    """The ';'-joined names of the flags set at each of n ranges."""
+def _flag_labels(flags: dict, n: int) -> list[str]:
+    """The ';'-joined names of the flags set at each of n ranges (each a
+    boolean array)."""
+    import numpy as np
     codes = np.zeros(n, dtype=np.int64)
     for bit, mask in enumerate(flags.values()):
         codes |= mask.astype(np.int64) << bit
@@ -148,6 +151,7 @@ def _flag_labels(flags: dict[str, np.ndarray], n: int) -> list[str]:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
     cfg = load_config(args.config)
     evaluator = make_evaluator(cfg, args.morphology)
     ranges = _parse_sweep(args.ranges)

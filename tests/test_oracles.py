@@ -1,6 +1,8 @@
 import math
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -336,8 +338,27 @@ class TestHotwallQuadrature:
         radial = radial_flux_integral(link)
         closed = diffuse_pathgain(link, PenetrationSpec.unbounded())
         assert radial == pytest.approx(closed, rel=1e-8, abs=0.0)
-        two_d = hotwall_quadrature(link, PenetrationSpec.unbounded())
-        assert two_d == pytest.approx(radial, rel=1e-3, abs=0.0)
+        # the 2-D aperture quadrature, which shares neither the radial
+        # reduction nor its [d_in, inf) range: at kappa W = 60 the flux
+        # beyond the square is about e^-30 of the total
+        two_d = hotwall_quadrature(link, PenetrationSpec.aperture(600.0, 600.0))
+        assert two_d == pytest.approx(radial, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.38, 2.0])
+    @pytest.mark.parametrize("depth", [0.5, 5.0])
+    def test_kernel_is_radial_flux_of_greens_function(self, kappa, depth):
+        # -d/dr of e^{-kappa r}/((4 pi)^2 r), projected through depth/r, with
+        # the derivative taken by mpmath at 30 digits
+        def green(r):
+            return mpmath.exp(-kappa * r) / ((4 * mpmath.pi) ** 2 * r)
+
+        with mpmath.workdps(30):
+            for r_in in (depth * ratio for ratio in (1.0, 2.0, 10.0, 100.0)):
+                expected = float(-mpmath.diff(green, r_in) * depth / r_in)
+                if expected < sys.float_info.min:
+                    continue  # the float kernel underflows here
+                kernel = oracles._hotwall_kernel(r_in, kappa, depth, False)
+                assert kernel == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("w1_rel", [0.1, 1.0, 100.0])
     @pytest.mark.parametrize("w2_rel", [0.1, 10.0])

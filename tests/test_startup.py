@@ -2,13 +2,14 @@
 
 `pathgain/__init__.py` imports its public names on first access, and
 `cli.py` imports `config`, `fitting`, `reference` or `verify` only in the
-commands that run them.  With bytecode not written, each process compiles
-the source of every module it imports, so a module a command does not run
-costs it start-up time.  The quadrature oracles behind `verify` use the
-package's own Gauss-Kronrod rule, so importing scipy.integrate, which would
-take most of a process's start-up, is never needed.  Each command runs in a
-fresh interpreter, so the checks see exactly the modules that command
-imports.
+commands that run them, and numpy only in the code that computes, so
+`--help` and a usage error load no numpy.  With bytecode not written, each
+process compiles the source of every module it imports, so a module a
+command does not run costs it start-up time.  The quadrature oracles behind
+`verify` use the package's own Gauss-Kronrod rule, so importing
+scipy.integrate, which would take most of a process's start-up, is never
+needed.  Each command runs in a fresh interpreter, so the checks see
+exactly the modules that command imports.
 """
 
 import json
@@ -23,7 +24,8 @@ from pathgain import cli
 
 # runs pathgain.cli.main on argv, then reports its exit code (that of
 # SystemExit for --help), every scipy module and every pathgain submodule
-# loaded by then, and whether numpy.ma was, as the last line of stderr
+# loaded by then, and whether numpy and numpy.ma were, as the last line of
+# stderr
 _WRAPPER = """
 import json, sys
 from pathgain import cli
@@ -33,8 +35,8 @@ except SystemExit as exc:
     code = exc.code
 loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top
                       and m != top) for top in ("scipy", "pathgain")}
-print(json.dumps({"code": code, **loaded, "numpy.ma": "numpy.ma" in sys.modules}),
-      file=sys.stderr)
+print(json.dumps({"code": code, **loaded, "numpy": "numpy" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules}), file=sys.stderr)
 """
 
 
@@ -46,11 +48,11 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def _report(*argv):
+def _report(*argv, code=0):
     proc = _python("-c", _WRAPPER, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
-    assert report["code"] == 0, proc.stderr
+    assert report["code"] == code, proc.stderr
     return report
 
 
@@ -73,6 +75,7 @@ def _argv(command, sweep):
         "fit": ("fit", sweep),
         "evaluate": ("evaluate", sweep, "configs/corridor_2ghz.ini",
                      "los_corridor"),
+        "verify": ("verify", "trees"),
     }[command]
 
 
@@ -111,9 +114,25 @@ def test_verify_loads_no_config_or_fitting():
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("predict", "--help"),
-                                  ("verify", "--help")])
+                                  ("verify", "--help"), ("fit", "--help"),
+                                  ("evaluate", "--help")])
 def test_help_loads_no_law_module(argv):
-    assert _report(*argv)["pathgain"] == ["pathgain.cli"]
+    report = _report(*argv)
+    assert report["pathgain"] == ["pathgain.cli"]
+    assert report["numpy"] is False
+
+
+def test_usage_error_loads_no_law_module():
+    # predict without its arguments: argparse rejects it, exit code 1
+    report = _report("predict", code=cli.EXIT_VALIDATION)
+    assert report["pathgain"] == ["pathgain.cli"]
+    assert report["numpy"] is False
+
+
+@pytest.mark.parametrize("command", ["predict", "fit", "evaluate", "verify"])
+def test_computing_command_loads_numpy(command, sweep):
+    # the control: the report does see numpy once a command computes
+    assert _report(*_argv(command, sweep))["numpy"] is True
 
 
 def test_wrapper_sees_scipy_when_loaded():
