@@ -23,7 +23,7 @@ from .result import (
     power_law,
 )
 from .surface import Dielectric, WallSurface
-from .units import positive_ranges, require, wavelength_m, wavenumber_rad_m
+from .units import checked_gain, positive_ranges, require, wavelength_m, wavenumber_rad_m
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,7 @@ def _waveguide(link: LosLink, **factors) -> GainResult:
     return power_law(1.5, constant, r, flags, free_space_floor=floor, **factors)
 
 
+@checked_gain
 def los_canyon_gain(link: LosLink) -> GainResult:
     """Canyon waveguide law lambda^2 / (16 pi^1.5 sqrt(w L) r^1.5).
 
@@ -164,6 +165,7 @@ def los_canyon_gain(link: LosLink) -> GainResult:
     return _waveguide(link)
 
 
+@checked_gain
 def los_gain_incoherent(link: LosLink) -> GainResult:
     """Waveguide law with ground bounce added in power: factor 1 + |Gamma_g|^2.
 
@@ -173,6 +175,7 @@ def los_gain_incoherent(link: LosLink) -> GainResult:
     return _waveguide(link, ground_bounce=1.0 + gamma * gamma)
 
 
+@checked_gain
 def los_gain_coherent(link: LosLink) -> GainResult:
     """Waveguide law with the two-ray ground interference retained.
 

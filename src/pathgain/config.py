@@ -22,7 +22,7 @@ from .morphology import FoliageLayer, IndoorClutter, Link, MacroGeometry, Street
 from .reference import friis_gain
 from .result import FLAG_KAPPA_EXTRAPOLATED, GainResult
 from .surface import DEFAULT_GROUND, Dielectric, TelegraphRoughness, WallSurface
-from .units import wavelength_m
+from .units import GainError, wavelength_m
 
 
 class ConfigError(ValueError):
@@ -267,10 +267,10 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
     The evaluator takes one range or an array of ranges (the whole sweep in
     one call) and returns gains, components and flags over them.  Raises
     ConfigError naming any missing blocks.  The evaluator raises ValueError
-    for a range that is not finite and positive, one naming the morphology
-    and the first range where the gain is not finite and positive (for
-    example where it underflows to 0), and one naming the morphology where
-    a scene value overflows a float power.
+    for a range that is not finite and positive, and the law's GainError,
+    its message prefixed with the morphology name, where the gain is not
+    finite and positive (see units.checked_gain).  Its gain is finite and
+    positive at every range; a component may underflow to 0.
     """
     if name not in MORPHOLOGIES:
         raise ConfigError(
@@ -289,23 +289,10 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         )
 
     def evaluate(range_m) -> GainResult:
-        ranges = np.asarray(range_m, dtype=float)
-        # overflow and division by zero end in a gain the check below rejects;
-        # a float power of a scene value raises instead
         try:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                result = law(cfg, ranges)
-        except OverflowError:
-            raise ValueError(
-                f"{name} gain overflows: a scene value is out of float range") from None
-        gain = np.atleast_1d(result.gain)
-        bad = ~(gain > 0.0) | ~np.isfinite(gain)
-        if bad.any():
-            first = bad.argmax()
-            value, where = gain[first], np.atleast_1d(ranges)[first]
-            if value == 0.0:
-                raise ValueError(f"{name} gain underflows to 0 at range {where:g} m")
-            raise ValueError(f"{name} gain is {value} at range {where:g} m")
+            result = law(cfg, np.asarray(range_m, dtype=float))
+        except GainError as exc:
+            raise GainError(f"{name} {exc}") from None
         return result.with_flags(*cfg.flags) if cfg.flags else result
 
     return evaluate

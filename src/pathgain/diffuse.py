@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .result import power_law
-from .units import require
+from .units import checked_gain, require
 
 UNBOUNDED = "unbounded"
 STREET = "street"
@@ -126,6 +126,7 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 
+@checked_gain
 def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     """Average path gain into the diffuse half-space (linear power ratio).
 

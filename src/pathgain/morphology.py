@@ -9,7 +9,8 @@ comes from the scene geometry and the back wall bounce is its maximum,
 WALL_BOUNCE.  For a slope analysis, divide a factor out of the gain, e.g.
 result.gain / result.factors["ground_bounce"].  The composite laws (rural,
 tree-lined sidewalk, canyon total) sum or compare power laws and return
-their terms as components.
+their terms as components, built from the unchecked laws (`__wrapped__`):
+a term may underflow to 0 where the total does not.
 """
 
 import math
@@ -22,7 +23,7 @@ from .diffuse import PenetrationSpec, quartic_constant, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
-from .units import positive_ranges, require, wavelength_m
+from .units import checked_gain, positive_ranges, require, wavelength_m
 
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
@@ -242,9 +243,10 @@ def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
     if veg_path_m is None:
         veg_path_m = cover * np.maximum(r - veg_start_m, 0.0) * below_frac
     attenuation = kappa_v * veg_path_m + kappa_extra * r * below_frac
-    return friis_gain(link.wavelength_m, r) * np.exp(-attenuation), r
+    return friis_gain.__wrapped__(link.wavelength_m, r) * np.exp(-attenuation), r
 
 
+@checked_gain
 def suburban_street_gain(scene: StreetScene, link: Link) -> GainResult:
     """Outdoor terminal behind a continuous foliage layer (quartic law).
 
@@ -255,6 +257,7 @@ def suburban_street_gain(scene: StreetScene, link: Link) -> GainResult:
     return _unguided(scene, link, 1.0)
 
 
+@checked_gain
 def suburban_indoor_gain(scene: StreetScene, indoor: IndoorClutter,
                          pen: PenetrationSpec, link: Link) -> GainResult:
     """Suburban street law with the terminal moved indoors.
@@ -266,6 +269,7 @@ def suburban_indoor_gain(scene: StreetScene, indoor: IndoorClutter,
                      indoor=indoor.absorption)
 
 
+@checked_gain
 def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult:
     """Above-rooftop base to a terminal below clutter height (quartic law).
 
@@ -279,6 +283,7 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult
                     t_eff=t_eff(PenetrationSpec.street(macro.street_width_m), depth))
 
 
+@checked_gain
 def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainResult:
     """Rural macro: direct path through vegetation plus the over-top term.
 
@@ -294,6 +299,7 @@ def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainR
                       components={"direct": direct, "over_top": over.gain})
 
 
+@checked_gain
 def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
                                indoor: IndoorClutter, link: Link) -> GainResult:
     """Base in a canyon (or corridor) to a terminal inside a building (room).
@@ -310,6 +316,7 @@ def outdoor_indoor_canyon_gain(geometry: CanyonGeometry, pen: PenetrationSpec,
                    indoor=indoor.absorption)
 
 
+@checked_gain
 def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
     """Wall-guided contribution for a terminal on a tree-lined sidewalk.
 
@@ -326,6 +333,7 @@ def sidewalk_guided_gain(scene: StreetScene, link: Link) -> GainResult:
                    foliage=np.exp(-k_rho * (scene.foliage.depth_m + r)))
 
 
+@checked_gain
 def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:
     """Direct side illumination of the sidewalk clutter (quartic law).
 
@@ -336,6 +344,7 @@ def sidewalk_unguided_gain(scene: StreetScene, link: Link) -> GainResult:
     return _unguided(scene, link, scene.rho)
 
 
+@checked_gain
 def canyon_with_trees_gain(scene: StreetScene, link: Link) -> GainResult:
     """Tree-lined sidewalk: the larger of the guided and unguided terms.
 
@@ -343,8 +352,8 @@ def canyon_with_trees_gain(scene: StreetScene, link: Link) -> GainResult:
     and the unguided quartic term dominates; with sparse trees the guided
     exponent-2.5 term takes over at long range.
     """
-    guided = sidewalk_guided_gain(scene, link)
-    unguided = sidewalk_unguided_gain(scene, link)
+    guided = sidewalk_guided_gain.__wrapped__(scene, link)
+    unguided = sidewalk_unguided_gain.__wrapped__(scene, link)
     value = np.maximum(guided.gain, unguided.gain)
     # a range carries the guided term's flags where that term wins; the
     # unguided term sets none
@@ -356,6 +365,7 @@ def canyon_with_trees_gain(scene: StreetScene, link: Link) -> GainResult:
                                   "unguided": unguided.gain})
 
 
+@checked_gain
 def canyon_total_gain(scene: StreetScene, macro: MacroGeometry,
                       link: Link) -> GainResult:
     """Total urban-canyon model: sidewalk term + over-top + attenuated direct.
@@ -367,7 +377,7 @@ def canyon_total_gain(scene: StreetScene, macro: MacroGeometry,
     through any declared pedestrian or scaffolding absorption.  Components
     are returned for diagnostics and always sum to the total.
     """
-    trees = canyon_with_trees_gain(scene, link)
+    trees = canyon_with_trees_gain.__wrapped__(scene, link)
     over = _overtop(macro, scene.foliage.kappa_np_per_m, link, scene.canyon.ground)
     f = scene.foliage
     direct, r_direct = _direct_gain(

@@ -46,7 +46,7 @@ from . import surface
 from .canyon import LosLink
 from .diffuse import APERTURE, UNBOUNDED, DiffuseLink, PenetrationSpec, t_eff
 from .morphology import WALL_BOUNCE, IndoorClutter, Link, StreetScene
-from .units import require, wavelength_m
+from .units import checked_gain, require, wavelength_m
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,7 @@ def _standoff_series(r, width: float, wall_l: float, d: float,
     )
 
 
+@checked_gain
 def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
                          ctl: SummationControl, gamma_g2: float | None,
                          path_factor=None):
@@ -241,7 +242,7 @@ def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
     standoff_m over slant range r, at the link's one range or array of
     ranges.  The back wall reflects fully, a bounce of WALL_BOUNCE as in
     the closed forms; path_factor(r, d_m), if given, multiplies each image
-    term."""
+    term.  Checked as a law is (units.checked_gain)."""
     lam = wavelength_m(link.frequency_hz)
     wall_l = g.wall_loss(link.frequency_hz)
     r = g.slant_range_m(link.range_m)

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT_M_S, require
+from .units import SPEED_OF_LIGHT_M_S, checked_gain, require
 
 
+@checked_gain
 def friis_gain(wavelength_m: float, range_m):
     """Free-space path gain (lambda / 4 pi r)^2 as a linear power ratio, at
     one range or an array of ranges."""

@@ -1,10 +1,11 @@
-"""Physical constants, unit conversions and the shared input check.
+"""Physical constants, unit conversions and the shared input and gain checks.
 
 All internal quantities are SI: lengths in meters, frequency in hertz,
 absorption in nepers per meter, gains as linear power ratios.  Decibels
 appear only at presentation boundaries (CLI output, fitting, reports).
 """
 
+import functools
 import math
 import sys
 
@@ -39,6 +40,49 @@ def require(condition, message, *finite) -> None:
     raise ValueError(message() if callable(message) else message)
 
 
+class GainError(ValueError):
+    """A law's gain is not finite and positive."""
+
+
+def _first_bad(values):
+    """(index, value) of the first element of values, flattened, that is
+    not finite and positive; None when every one is."""
+    if isinstance(values, float):  # one value: no arrays
+        return None if 0.0 < values < math.inf else (0, values)
+    flat = np.ravel(values)
+    bad = ~(flat > 0.0) | ~np.isfinite(flat)
+    return (bad.argmax(), flat[bad.argmax()]) if bad.any() else None
+
+
+def checked_gain(law):
+    """law with the one check of a gain: run with numpy's float warnings
+    off, it returns a finite, positive gain (its result's `gain`, or the
+    result) at every range, or raises GainError naming the first range of
+    its link (`range_m` or `range_x_m`, else its `range_m` or last
+    argument) or a scene value whose float power overflows.  The unchecked
+    law is `__wrapped__`."""
+    @functools.wraps(law)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                result = law(*args, **kwargs)
+        except OverflowError:
+            raise GainError("gain overflows: a scene value is out of float range") from None
+        gain = getattr(result, "gain", result)
+        bad = _first_bad(gain)
+        if bad is not None:
+            inputs = (*args, *kwargs.values())
+            ranges = next((getattr(arg, name) for arg in inputs
+                           for name in ("range_m", "range_x_m") if hasattr(arg, name)),
+                          kwargs.get("range_m", inputs[-1]))
+            where = np.ravel(np.broadcast_to(ranges, np.shape(gain)))[bad[0]]
+            raise GainError(f"gain underflows to 0 at range {where:g} m" if bad[1] == 0.0
+                            else f"gain is {bad[1]} at range {where:g} m")
+        return result
+
+    return checked
+
+
 def positive_ranges(range_m, message: str):
     """One range as a float, or an array of ranges as a float array, after
     checking that every element is finite and positive."""
@@ -67,15 +111,7 @@ def wavenumber_rad_m(frequency_hz: float) -> float:
 
 def to_db(power_ratio):
     """Linear power ratio, a float or an array, to dB."""
-    if isinstance(power_ratio, float):
-        # one float: the same check and log10 without building arrays
-        if not 0.0 < power_ratio < math.inf:
-            raise ValueError(f"power ratio must be finite and positive, "
-                             f"got {power_ratio}")
-        return 10.0 * np.log10(power_ratio)
-    ratio = np.asarray(power_ratio, dtype=float)
-    bad = ~(ratio > 0.0) | ~np.isfinite(ratio)
-    if bad.any():
-        raise ValueError(f"power ratio must be finite and positive, "
-                         f"got {ratio[bad].flat[0]}")
-    return 10.0 * np.log10(ratio)
+    bad = _first_bad(power_ratio)
+    if bad is not None:
+        raise ValueError(f"power ratio must be finite and positive, got {bad[1]}")
+    return 10.0 * np.log10(power_ratio)

@@ -166,6 +166,19 @@ class TestPredict:
         assert err.count("\n") == 1
         assert "rural" in err and "range 20 m" in err
 
+    def test_underflowing_component_prints_empty(self, capsys):
+        # the direct term underflows to 0 past about 3 km; the total stands
+        code, out, err = run_cli(capsys, "predict", "configs/vegetated_macro_28ghz.ini",
+                                 "rural", "1000:5000:5")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0][:4] == ["range_m", "path_gain_db", "component_direct_db",
+                               "component_over_top_db"]
+        assert [(row[0], row[2] == "") for row in rows[1:]] == [
+            ("1000", False), ("1495.35", False), ("2236.07", False),
+            ("3343.7", True), ("5000", True)]
+        assert all(row[1] and row[3] for row in rows[1:])
+
     @pytest.mark.parametrize("config, section, key, morphology", [
         ("configs/corridor_28ghz.ini", "wall", "A_m", "los_corridor"),
         ("configs/corridor_28ghz.ini", "link", "frequency_hz", "los_corridor"),

@@ -30,7 +30,7 @@ from pathgain.oracles import (
 )
 from pathgain.reference import friis_gain
 from pathgain.surface import Dielectric, TelegraphRoughness, roughness_loss_rate, wall_loss
-from pathgain.units import wavelength_m, wavenumber_rad_m
+from pathgain.units import GainError, wavelength_m, wavenumber_rad_m
 
 from conftest import AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db
 
@@ -308,10 +308,16 @@ class TestSeriesEarlyStop:
         monkeypatch.setattr(oracles, "_standoff_series", recording)
         oi_image_series_power(geometry, PenetrationSpec.facade_mixture(
             0.3, 1.0, 0.05), IndoorClutter(0.18, 2.0), link)
-        guided_trees_series_power(StreetScene(
-            geometry, FoliageLayer(3.0, 0.38, n_tree_per_m=0.05,
-                                   tree_width_m=4.0, tree_height_m=10.0),
-            standoff_m=geometry.width_m / 4.0), link)
+        try:
+            guided_trees_series_power(StreetScene(
+                geometry, FoliageLayer(3.0, 0.38, n_tree_per_m=0.05,
+                                       tree_width_m=4.0, tree_height_m=10.0),
+                standoff_m=geometry.width_m / 4.0), link)
+        except GainError as exc:
+            # at 100 L w the vegetated power of some scenes underflows to 0
+            # and the oracle raises; its series is recorded and checked all
+            # the same
+            assert "underflows to 0" in str(exc)
         assert len(calls) == 2
         for args, kwargs, value in calls:
             assert value == pytest.approx(direct_series(*args, **kwargs),
