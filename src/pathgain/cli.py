@@ -9,6 +9,7 @@ inputs; all dB values are printed with two decimals.
 import argparse
 import re
 import sys
+from itertools import chain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,14 +53,19 @@ def uma_nlos_36814(street_width_m, building_height_m, base_height_m,
                           mobile_height_m, f_ghz, d3d_m)
 
 
+def read_records(path):
+    from .fitting import read_records
+    return read_records(path)
+
+
 def load_dataset(path, frequency_hz: float):
     from .fitting import load_dataset
     return load_dataset(path, frequency_hz)
 
 
-def fit_slope_intercept(dataset):
+def fit_slope_intercept(records):
     from .fitting import fit_slope_intercept
-    return fit_slope_intercept(dataset)
+    return fit_slope_intercept(records)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,9 +137,11 @@ def _write(path, text: str):
 
 def _table(header, fields, columns) -> str:
     """CSV text: the header, then one row per index of the columns, whose
-    cell i is column i's value formatted by fields[i]."""
-    row = ",".join(fields) + "\n"
-    return ",".join(header) + "\n" + "".join(map(row.format, *columns))
+    cell i is column i's value formatted by the `%` spec fields[i]."""
+    # one `%` over the whole table: a tuple of every cell, row after row
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    body = (",".join(fields) + "\n") * (len(cells) // len(fields)) % cells
+    return ",".join(header) + "\n" + body
 
 
 def _flag_labels(flags: dict, n: int) -> list[str]:
@@ -160,21 +168,21 @@ def cmd_predict(args) -> int:
     header = ["range_m", "path_gain_db"]
     header += [f"component_{name}_db" for name in component_names]
     header.append("flags")
-    # one column per field, then one str.format per row
-    fields, columns = ["{:.6g}", "{:.2f}"], [ranges.tolist(), result.gain_db.tolist()]
+    # one column per field, then one `%` over the table
+    fields, columns = ["%.6g", "%.2f"], [ranges.tolist(), result.gain_db.tolist()]
     for name in component_names:
         value = result.components[name]
         positive = value > 0.0
         value_db = (10.0 * np.log10(np.where(positive, value, 1.0))).tolist()
         if positive.all():
-            fields.append("{:.2f}")
+            fields.append("%.2f")
             columns.append(value_db)
         else:
             # a component that underflows to 0 has no dB value and prints empty
-            fields.append("{}")
+            fields.append("%s")
             columns.append([f"{v:.2f}" if ok else ""
                             for v, ok in zip(value_db, positive.tolist())])
-    fields.append("{}")
+    fields.append("%s")
     columns.append(_flag_labels(result.flags, len(ranges)))
     _write(args.output, _table(header, fields, columns))
     return EXIT_OK
@@ -206,14 +214,22 @@ def cmd_verify(args) -> int:
         lines.append("FAILED: " + ", ".join(failed))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.output:
-        _write(args.output, _table(header, ["{}"] * len(header), zip(*rows)))
+        _write(args.output, _table(header, ["%s"] * len(header), zip(*rows)))
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
+def _of_dataset(path, compute, *args):
+    """compute(*args), with the dataset path before the message of a
+    DatasetError it raises (a fit or RMS that is not finite)."""
+    from .fitting import DatasetError
+    try:
+        return compute(*args)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
 def cmd_fit(args) -> int:
-    # the fit is frequency-agnostic; the dataset carrier is irrelevant here
-    dataset = load_dataset(args.dataset, frequency_hz=1.0)
-    result = fit_slope_intercept(dataset)
+    result = _of_dataset(args.dataset, fit_slope_intercept, read_records(args.dataset))
     model = result.model
     sys.stdout.write(
         f"intercept_db_1m={model.intercept_db_1m:.2f} "
@@ -223,7 +239,7 @@ def cmd_fit(args) -> int:
     if args.output:
         _write(args.output, _table(
             ("intercept_db_1m", "exponent_n", "rmse_db", "n_points"),
-            ("{:.2f}", "{:.4f}", "{:.2f}", "{}"),
+            ("%.2f", "%.4f", "%.2f", "%s"),
             ([model.intercept_db_1m], [model.exponent_n], [result.rmse_db],
              [result.n_points])))
     return EXIT_OK
@@ -271,12 +287,13 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset, cfg.frequency_hz)
     predicted = predict_db(dataset.ranges_m)
     residual = dataset.gains_db - predicted
-    sys.stdout.write(f"rmse_db={rms_db(residual):.2f} n_points={len(dataset)}\n")
+    rmse_db = _of_dataset(args.dataset, rms_db, residual)
+    sys.stdout.write(f"rmse_db={rmse_db:.2f} n_points={len(dataset)}\n")
     if args.output:
         columns = (dataset.ranges_m, dataset.gains_db, predicted, residual)
         _write(args.output, _table(
             ("range_m", "path_gain_db", "predicted_db", "residual_db"),
-            ("{:.6g}", "{:.2f}", "{:.2f}", "{:.2f}"), [c.tolist() for c in columns]))
+            ("%.6g", "%.2f", "%.2f", "%.2f"), [c.tolist() for c in columns]))
     return EXIT_OK
 
 

@@ -4,14 +4,16 @@ Measured path gain is assumed pre-averaged over multipath fading.  RMSE
 against a model keeps any mean bias (bias counts as error), and fit
 residuals are population RMS, so an ordinary least squares fit is optimal
 among slope-intercept models under exactly the metric reported here.
+
+The reader, the record rule and the fit are pure Python, so `pathgain fit`
+loads no numpy; `MeasurementDataset` imports it to hold its arrays.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .reference import SlopeIntercept
 
@@ -25,20 +27,25 @@ class DatasetError(ValueError):
     """Malformed dataset content (bad CSV, bad record, degenerate fit)."""
 
 
-def _first_invalid(ranges: np.ndarray, gains: np.ndarray) -> tuple[int, str] | None:
-    """Index and message of the first record that is not finite, has a
-    range <= 0 or a gain at or above PATH_GAIN_SANITY_DB; None if none."""
-    bad = ~(np.isfinite(ranges) & np.isfinite(gains))
-    bad |= (ranges <= 0.0) | (gains >= PATH_GAIN_SANITY_DB)
-    if not bad.any():
+def _first_invalid(ranges, gains) -> tuple[int, str] | None:
+    """Index and message of the first record, of two sequences of floats,
+    that is not finite, has a range <= 0 or a gain at or above
+    PATH_GAIN_SANITY_DB; None if none."""
+    # every value is finite when the two plain sums are (NaN and inf carry
+    # through a sum; one that overflows takes the loop), and min and max
+    # then decide the rest
+    if (math.isfinite(sum(ranges) + sum(gains)) and min(ranges, default=1.0) > 0.0
+            and max(gains, default=0.0) < PATH_GAIN_SANITY_DB):
         return None
-    i = int(bad.argmax())
-    range_m, gain_db = float(ranges[i]), float(gains[i])
-    if not (math.isfinite(range_m) and math.isfinite(gain_db)):
-        return i, "record fields must be finite"
-    if range_m <= 0.0:
-        return i, f"range must be positive, got {range_m}"
-    return i, f"path gain {gain_db} dB exceeds sanity bound"
+    for i, (range_m, gain_db) in enumerate(zip(ranges, gains)):
+        # NaN fails both chains, as it fails every comparison
+        if not (0.0 < range_m < math.inf and -math.inf < gain_db < PATH_GAIN_SANITY_DB):
+            if not (math.isfinite(range_m) and math.isfinite(gain_db)):
+                return i, "record fields must be finite"
+            if range_m <= 0.0:
+                return i, f"range must be positive, got {range_m}"
+            return i, f"path gain {gain_db} dB exceeds sanity bound"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +53,17 @@ class MeasurementDataset:
     """Measured path gain (dB) at ranges (m), as two read-only 1-D float
     arrays of equal length, sharing one carrier frequency."""
 
-    ranges_m: np.ndarray
-    gains_db: np.ndarray
+    ranges_m: "numpy.ndarray"
+    gains_db: "numpy.ndarray"
     frequency_hz: float
 
     def __post_init__(self):
+        import numpy as np
         ranges = np.array(self.ranges_m, dtype=float)
         gains = np.array(self.gains_db, dtype=float)
         if ranges.ndim != 1 or ranges.shape != gains.shape:
             raise DatasetError("ranges and gains must be 1-D arrays of equal length")
-        invalid = _first_invalid(ranges, gains)
+        invalid = _first_invalid(ranges.tolist(), gains.tolist())
         if invalid:
             raise DatasetError(invalid[1])
         if not (self.frequency_hz > 0.0 and math.isfinite(self.frequency_hz)):
@@ -75,8 +83,9 @@ class FitResult:
     n_points: int
 
 
-def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
-    """Read the `range_m` and `path_gain_db` columns of a CSV file.
+def read_records(path) -> tuple[list[float], list[float]]:
+    """The `range_m` and `path_gain_db` columns of a CSV file, as two lists
+    of floats.
 
     Other columns (e.g. per-component gains written by prediction sweeps)
     are ignored, so any CSV this package emits can be read back, and blank
@@ -106,7 +115,7 @@ def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
         try:
             range_m, gain_db = float(row[i_range]), float(row[i_gain])
         except (IndexError, ValueError):
-            _record_arrays(path, ranges, gains, lines)  # an earlier record fails first
+            _check_records(path, ranges, gains, lines)  # an earlier record fails first
             # convert again for the message, reading a cell past the end
             # of a short row as None, as csv.DictReader does
             try:
@@ -119,43 +128,74 @@ def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
         lines.append(reader.line_num)
     if not ranges:
         raise DatasetError(f"{path}: no data rows")
-    ranges, gains = _record_arrays(path, ranges, gains, lines)
-    return MeasurementDataset(ranges, gains, frequency_hz)
+    _check_records(path, ranges, gains, lines)
+    return ranges, gains
 
 
-def _record_arrays(path, ranges: list, gains: list, lines: list):
-    """The records as arrays, after naming the line of the first invalid one."""
-    ranges, gains = np.array(ranges, dtype=float), np.array(gains, dtype=float)
+def _check_records(path, ranges: list, gains: list, lines: list) -> None:
+    """Raise DatasetError naming the line of the first invalid record."""
     invalid = _first_invalid(ranges, gains)
     if invalid:
         i, message = invalid
         raise DatasetError(f"{path}: line {lines[i]}: {message}")
-    return ranges, gains
 
 
-def fit_slope_intercept(dataset: MeasurementDataset) -> FitResult:
-    """Ordinary least squares of path gain (dB) on log10(range).
+def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
+    """The records `read_records` reads from a CSV file, as a dataset at
+    the carrier frequency_hz."""
+    return MeasurementDataset(*read_records(path), frequency_hz)
+
+
+def _fsum(values) -> float:
+    """math.fsum, or nan for a sum past the float range or of +inf and -inf
+    (where fsum raises)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def fit_slope_intercept(records) -> FitResult:
+    """Ordinary least squares of path gain (dB) on log10(range), over a
+    MeasurementDataset or the (ranges, gains) lists `read_records` returns.
 
     Returns the 1-m intercept, the distance exponent n = -slope/10 and the
-    RMS residual.  Needs at least two distinct ranges.
+    RMS residual, from exactly rounded sums of the centred values.  Needs
+    at least two distinct ranges; raises DatasetError for a fit that is not
+    finite, which includes gains whose squared deviations from their mean
+    overflow.
     """
-    if len(dataset) < 2:
+    if isinstance(records, MeasurementDataset):
+        records = records.ranges_m.tolist(), records.gains_db.tolist()
+    ranges, gains = records
+    n = len(ranges)
+    if n < 2:
         raise DatasetError("fit needs at least two records")
-    x = np.log10(dataset.ranges_m)
-    y = dataset.gains_db
-    if np.ptp(x) == 0.0:
+    x = list(map(math.log10, ranges))
+    if x.count(x[0]) == n:
         raise DatasetError("fit needs at least two distinct ranges")
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
-    residual = y - (intercept + slope * x)
-    return FitResult(SlopeIntercept(intercept, -slope / 10.0), rms_db(residual),
-                     len(dataset))
+    x_mean, y_mean = math.fsum(x) / n, _fsum(gains) / n
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in gains]
+    slope = _fsum(map(mul, dx, dy)) / math.fsum(map(mul, dx, dx))
+    intercept = y_mean - slope * x_mean
+    # least squares of gains whose squared spread overflows has no float answer
+    if not (math.isfinite(intercept) and _fsum(map(mul, dy, dy)) < math.inf):
+        raise DatasetError("fit is not finite")
+    # the residuals of the returned line itself
+    residual = [y - (intercept + slope * v) for v, y in zip(x, gains)]
+    return FitResult(SlopeIntercept(intercept, -slope / 10.0), rms_db(residual), n)
 
 
-def rms_db(residual_db: np.ndarray) -> float:
-    """Root mean square of residuals in dB."""
-    return float(np.sqrt(np.mean(residual_db**2)))
+def rms_db(residual_db) -> float:
+    """Root mean square of residuals in dB, a list of floats or a 1-D
+    array; raises DatasetError when it is not finite."""
+    if not isinstance(residual_db, list):
+        residual_db = residual_db.tolist()
+    rms = math.sqrt(_fsum(map(mul, residual_db, residual_db)) / len(residual_db))
+    if not math.isfinite(rms):
+        raise DatasetError("RMS of the residuals is not finite")
+    return rms
 
 
 def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
@@ -164,7 +204,8 @@ def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
     predict_db maps an array of ranges in meters to predicted path gains in
     dB; it is called once, with the ranges of all records, and an error it
     raises reaches the caller unchanged.  No mean-bias removal: a constant
-    model offset shows up in full.
+    model offset shows up in full.  An RMS that is not finite raises
+    DatasetError.
     """
     if len(dataset) == 0:
         raise DatasetError("dataset is empty")

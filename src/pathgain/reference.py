@@ -9,8 +9,6 @@ is returned in dB (positive); path gain is its negative.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .units import SPEED_OF_LIGHT_M_S, checked_gain, require
 
 
@@ -37,6 +35,7 @@ class SlopeIntercept:
 
 def slope_intercept_eval(model: SlopeIntercept, range_m):
     """Path gain in dB at a range, or an array of ranges: P1_dB - 10 n log10(r)."""
+    import numpy as np
     require(range_m > 0.0, "range must be positive", range_m)
     return model.intercept_db_1m - 10.0 * model.exponent_n * np.log10(range_m)
 
@@ -56,6 +55,7 @@ def uma_nlos_36814(street_width_m: float, building_height_m: float,
                         ("mobile_height_m", mobile_height_m),
                         ("f_ghz", f_ghz), ("d3d_m", d3d_m)):
         require(value > 0.0, lambda: f"{name} must be positive, got {value}", value)
+    import numpy as np
     w, z_b, z_bs, z_m = street_width_m, building_height_m, base_height_m, mobile_height_m
     return (161.04
             - 7.1 * math.log10(w)
@@ -137,6 +137,7 @@ def _breakpoint_m(h_bs: float, h_ut: float, f_ghz: float, h_e: float) -> float:
 
 
 def _los_pathloss(family: str, f_ghz: float, d2d_m, h_bs: float, h_ut: float):
+    import numpy as np
     row = TR38901[family]["los"]
     log_d3d = np.log10(np.hypot(d2d_m, h_bs - h_ut))
     base = row["a"] + 20.0 * math.log10(f_ghz)
@@ -156,6 +157,7 @@ def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     never below LOS at equal geometry.  For a scenario with indoor_depth_m
     the low-loss O2I penetration and indoor distance losses are added.
     """
+    import numpy as np
     require(distance_m > 0.0, "distance must be positive", distance_m)
     fam = scenario.family
     h_bs, h_ut = scenario.h_bs, scenario.mobile_height_m

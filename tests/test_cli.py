@@ -337,6 +337,41 @@ class TestFitCommand:
         assert float(row["exponent_n"]) == pytest.approx(2.0, abs=1e-3)
 
 
+class TestNonFiniteResult:
+    """A fit or RMS that is not finite ends in one error line that names the
+    dataset, with no numpy warning and no traceback: float overflow in a
+    square, or an exactly rounded sum past the float range (where
+    math.fsum raises OverflowError), is caught where it happens."""
+
+    CASES = {
+        # the squared residual of -1e300 dB overflows
+        "evaluate_huge_residual": ("10,-1e300\n20,-60\n", "evaluate",
+                                   "RMS of the residuals is not finite"),
+        # each squared residual is finite, their sum is not
+        "evaluate_sum_overflows": ("10,-1.3e154\n20,-1.3e154\n", "evaluate",
+                                   "RMS of the residuals is not finite"),
+        # the squared spread of the gains overflows
+        "fit_huge_spread": ("5e-324,-60\n1e308,-1e300\n", "fit",
+                            "fit is not finite"),
+        # the sum of the gains overflows
+        "fit_sum_overflows": ("10,-1e308\n20,-1e308\n30,-1e308\n", "fit",
+                              "fit is not finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_naming_the_dataset(self, case, capsys, tmp_path):
+        rows, command, message = self.CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_text("range_m,path_gain_db\n" + rows, encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "evaluate":
+            argv += ["configs/corridor_2ghz.ini", "los_corridor"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"pathgain: error: {path}: {message}\n")
+
+
 class TestEvaluateCommand:
     def make_synthetic(self, tmp_path, capsys, offset_db=0.0):
         sweep = tmp_path / "model.csv"
@@ -481,7 +516,7 @@ class TestLayerAttributes:
     MACRO = "configs/vegetated_macro_28ghz.ini"
     CALLERS = [
         ("load_config", "predict"), ("make_evaluator", "predict"),
-        ("load_dataset", "fit"), ("fit_slope_intercept", "fit"),
+        ("read_records", "fit"), ("fit_slope_intercept", "fit"),
         ("load_config", "evaluate"), ("make_evaluator", "evaluate"),
         ("load_dataset", "evaluate"),
         ("tr38901_pathloss", "evaluate_tr38901_uma_los"),

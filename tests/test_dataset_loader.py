@@ -8,6 +8,10 @@ did.  On any CSV the columnar `load_dataset` must return the same arrays or
 raise the same `DatasetError` message.  The one intended difference is the
 line number: the record loader counted non-blank rows from 2, so after a
 blank line it named the wrong line; `load_dataset` names the physical line.
+
+`load_dataset` wraps `read_records`, the reader `pathgain fit` calls without
+numpy, and `MeasurementDataset` checks the records again by the same rule:
+the two must give the same records and the same messages.
 """
 
 import csv
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathgain.fitting import (CSV_REQUIRED, PATH_GAIN_SANITY_DB, DatasetError,
-                              load_dataset)
+                              load_dataset, read_records)
 
 HOSTILE_CELLS = ["abc", "", "nan", "NaN", "inf", "-inf", "+inf", "1e400", "-0",
                  "0", "-1", "25", "20", "1_0", " 5 ", "10", "-60.5", "19.99",
@@ -63,6 +67,12 @@ def record_loader(path) -> tuple[np.ndarray, np.ndarray]:
 def columnar_loader(path) -> tuple[np.ndarray, np.ndarray]:
     dataset = load_dataset(path, 2e9)
     return dataset.ranges_m, dataset.gains_db
+
+
+def list_reader(path) -> tuple[np.ndarray, np.ndarray]:
+    ranges, gains = read_records(path)
+    assert all(type(v) is float for v in ranges + gains)
+    return np.array(ranges), np.array(gains)
 
 
 def _outcome(loader, path):
@@ -110,6 +120,7 @@ def test_matches_record_loader(csv_path, header, body, required_first,
     if isinstance(expected, str):
         expected = _physical_lines(expected, lines)
     assert _outcome(columnar_loader, csv_path) == expected
+    assert _outcome(list_reader, csv_path) == expected
 
 
 # (data rows after the header, line-2 record `10,-60` included) -> message
@@ -126,7 +137,7 @@ RECORD_LOADER_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("loader", [record_loader, columnar_loader])
+@pytest.mark.parametrize("loader", [record_loader, columnar_loader, list_reader])
 @pytest.mark.parametrize("body", sorted(RECORD_LOADER_MESSAGES))
 def test_record_loader_messages(tmp_path, loader, body):
     path = tmp_path / "data.csv"
@@ -153,3 +164,15 @@ def test_earlier_bad_record_is_named_before_a_later_bad_cell(tmp_path):
     with pytest.raises(DatasetError) as info:
         load_dataset(path, 2e9)
     assert str(info.value) == f"{path}: line 2: range must be positive, got -1.0"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("10,-60\n\n10,abc", 4, "could not convert string to float: 'abc'"),
+    ("-1,-60\nabc,-61\n", 2, "range must be positive, got -1.0")])
+def test_reader_names_the_line_load_dataset_names(tmp_path, text, line, message):
+    path = tmp_path / "data.csv"
+    path.write_text("range_m,path_gain_db\n" + text, encoding="utf-8")
+    for loader in (columnar_loader, list_reader):
+        with pytest.raises(DatasetError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}: line {line}: {message}"

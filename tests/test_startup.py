@@ -3,7 +3,9 @@
 `pathgain/__init__.py` imports its public names on first access, and
 `cli.py` imports `config`, `fitting`, `reference` or `verify` only in the
 commands that run them, and numpy only in the code that computes, so
-`--help` and a usage error load no numpy.  With bytecode not written, each
+`--help` and a usage error load no numpy.  `fitting`, `reference` and
+`units` import numpy only in the functions that compute on arrays, so
+`fit`, whose reader and least squares are pure Python, loads none.  With bytecode not written, each
 process compiles the source of every module it imports, so a module a
 command does not run costs it start-up time.  The quadrature oracles behind
 `verify` use the package's own Gauss-Kronrod rule, so importing
@@ -129,10 +131,22 @@ def test_usage_error_loads_no_law_module():
     assert report["numpy"] is False
 
 
-@pytest.mark.parametrize("command", ["predict", "fit", "evaluate", "verify"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "verify"])
 def test_computing_command_loads_numpy(command, sweep):
     # the control: the report does see numpy once a command computes
     assert _report(*_argv(command, sweep))["numpy"] is True
+
+
+def test_fit_loads_no_numpy(sweep):
+    # the reader, the record rule and the least squares are pure Python
+    assert _report(*_argv("fit", sweep))["numpy"] is False
+
+
+def test_importing_fit_modules_loads_no_numpy():
+    proc = _python("-c", "import sys, pathgain.fitting, pathgain.reference, "
+                         "pathgain.units\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_wrapper_sees_scipy_when_loaded():
