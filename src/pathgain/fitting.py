@@ -31,12 +31,6 @@ def _first_invalid(ranges, gains) -> tuple[int, str] | None:
     """Index and message of the first record, of two sequences of floats,
     that is not finite, has a range <= 0 or a gain at or above
     PATH_GAIN_SANITY_DB; None if none."""
-    # every value is finite when the two plain sums are (NaN and inf carry
-    # through a sum; one that overflows takes the loop), and min and max
-    # then decide the rest
-    if (math.isfinite(sum(ranges) + sum(gains)) and min(ranges, default=1.0) > 0.0
-            and max(gains, default=0.0) < PATH_GAIN_SANITY_DB):
-        return None
     for i, (range_m, gain_db) in enumerate(zip(ranges, gains)):
         # NaN fails both chains, as it fails every comparison
         if not (0.0 < range_m < math.inf and -math.inf < gain_db < PATH_GAIN_SANITY_DB):
@@ -161,9 +155,8 @@ def fit_slope_intercept(records) -> FitResult:
 
     Returns the 1-m intercept, the distance exponent n = -slope/10 and the
     RMS residual, from exactly rounded sums of the centred values.  Needs
-    at least two distinct ranges; raises DatasetError for a fit that is not
-    finite, which includes gains whose squared deviations from their mean
-    overflow.
+    at least two distinct ranges; raises DatasetError for a fit or RMS that
+    is not finite.
     """
     if isinstance(records, MeasurementDataset):
         records = records.ranges_m.tolist(), records.gains_db.tolist()
@@ -179,8 +172,7 @@ def fit_slope_intercept(records) -> FitResult:
     dy = [v - y_mean for v in gains]
     slope = _fsum(map(mul, dx, dy)) / math.fsum(map(mul, dx, dx))
     intercept = y_mean - slope * x_mean
-    # least squares of gains whose squared spread overflows has no float answer
-    if not (math.isfinite(intercept) and _fsum(map(mul, dy, dy)) < math.inf):
+    if not math.isfinite(intercept):
         raise DatasetError("fit is not finite")
     # the residuals of the returned line itself
     residual = [y - (intercept + slope * v) for v, y in zip(x, gains)]

@@ -350,9 +350,9 @@ class TestNonFiniteResult:
         # each squared residual is finite, their sum is not
         "evaluate_sum_overflows": ("10,-1.3e154\n20,-1.3e154\n", "evaluate",
                                    "RMS of the residuals is not finite"),
-        # the squared spread of the gains overflows
-        "fit_huge_spread": ("5e-324,-60\n1e308,-1e300\n", "fit",
-                            "fit is not finite"),
+        # the squared residuals of the fitted line overflow
+        "fit_huge_residual": ("10,0\n100,-1e300\n1000,-1e300\n", "fit",
+                              "RMS of the residuals is not finite"),
         # the sum of the gains overflows
         "fit_sum_overflows": ("10,-1e308\n20,-1e308\n30,-1e308\n", "fit",
                               "fit is not finite"),
@@ -370,6 +370,28 @@ class TestNonFiniteResult:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"pathgain: error: {path}: {message}\n")
+
+    # lines through gains whose squares or squared spread overflow, fitted
+    # exactly (to float rounding) and printed
+    FINITE = {
+        "exact_line": "10,-1e160\n100,-2e160\n",
+        "extreme_ranges": "5e-324,-60\n1e308,-1e300\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(FINITE))
+    def test_finite_fit_of_huge_gains_prints(self, case, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("range_m,path_gain_db\n" + self.FINITE[case], encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, err) == (0, "")
+        fields = dict(f.split("=") for f in out.split())
+        assert all(math.isfinite(float(v)) for v in fields.values())
+        assert fields["n_points"] == "2"
+        if case == "exact_line":
+            assert out.startswith("intercept_db_1m=0.00 exponent_n=")
+            assert fields["rmse_db"] == "0.00"
 
 
 class TestEvaluateCommand:
