@@ -7,6 +7,7 @@ inputs; all dB values are printed with two decimals.
 """
 
 import argparse
+import importlib
 import re
 import sys
 from itertools import chain
@@ -26,46 +27,25 @@ MORPHOLOGY_NAMES = ("los_corridor", "los_corridor_coherent", "suburban_street",
 SUITE_NAMES = ("canyon", "outdoor_indoor", "trees", "diffuse", "roughness")
 
 
-# The layers the commands call.  Each imports its module on the first call,
-# and the commands call them through this module, so a caller can replace
-# one here (the per-layer trace of the benchmark does).  Numpy too is
-# imported only by the code that computes, so `--help` and a usage error
-# load argparse and this module alone.
-def load_config(path):
-    from .config import load_config
-    return load_config(path)
+def _layer(module: str, name: str):
+    """The function `name` of pathgain.<module>, which imports the module on
+    its first call."""
+    def layer(*args):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args)
+    layer.__name__ = layer.__qualname__ = name
+    return layer
 
 
-def make_evaluator(cfg, name: str):
-    from .config import make_evaluator
-    return make_evaluator(cfg, name)
-
-
-def tr38901_pathloss(scenario, distance_m):
-    from .reference import tr38901_pathloss
-    return tr38901_pathloss(scenario, distance_m)
-
-
-def uma_nlos_36814(street_width_m, building_height_m, base_height_m,
-                   mobile_height_m, f_ghz, d3d_m):
-    from .reference import uma_nlos_36814
-    return uma_nlos_36814(street_width_m, building_height_m, base_height_m,
-                          mobile_height_m, f_ghz, d3d_m)
-
-
-def read_records(path):
-    from .fitting import read_records
-    return read_records(path)
-
-
-def load_dataset(path, frequency_hz: float):
-    from .fitting import load_dataset
-    return load_dataset(path, frequency_hz)
-
-
-def fit_slope_intercept(records):
-    from .fitting import fit_slope_intercept
-    return fit_slope_intercept(records)
+# The layers the commands call.  The commands call them through this
+# module, so a caller can replace one here (the per-layer trace of the
+# benchmark does).  Numpy too is imported only by the code that computes,
+# so `--help` and a usage error load argparse and this module alone.
+load_config = _layer("config", "load_config")
+make_evaluator = _layer("config", "make_evaluator")
+tr38901_pathloss = _layer("reference", "tr38901_pathloss")
+uma_nlos_36814 = _layer("reference", "uma_nlos_36814")
+read_records = _layer("fitting", "read_records")
+fit_slope_intercept = _layer("fitting", "fit_slope_intercept")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,7 +200,8 @@ def cmd_verify(args) -> int:
 
 def _of_dataset(path, compute, *args):
     """compute(*args), with the dataset path before the message of a
-    DatasetError it raises (a fit or RMS that is not finite)."""
+    DatasetError it raises (a degenerate fit, or a fit or RMS that is not
+    finite)."""
     from .fitting import DatasetError
     try:
         return compute(*args)
@@ -280,20 +261,20 @@ def _model_predictor(cfg, name: str):
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
     from .fitting import rms_db
     cfg = load_config(args.config)
     # built first: it rejects a config without [link] frequency_hz
     predict_db = _model_predictor(cfg, args.model)
-    dataset = load_dataset(args.dataset, cfg.frequency_hz)
-    predicted = predict_db(dataset.ranges_m)
-    residual = dataset.gains_db - predicted
+    ranges, gains = read_records(args.dataset)
+    predicted = predict_db(np.array(ranges)).tolist()
+    residual = [g - p for g, p in zip(gains, predicted)]
     rmse_db = _of_dataset(args.dataset, rms_db, residual)
-    sys.stdout.write(f"rmse_db={rmse_db:.2f} n_points={len(dataset)}\n")
+    sys.stdout.write(f"rmse_db={rmse_db:.2f} n_points={len(ranges)}\n")
     if args.output:
-        columns = (dataset.ranges_m, dataset.gains_db, predicted, residual)
         _write(args.output, _table(
             ("range_m", "path_gain_db", "predicted_db", "residual_db"),
-            ("%.6g", "%.2f", "%.2f", "%.2f"), [c.tolist() for c in columns]))
+            ("%.6g", "%.2f", "%.2f", "%.2f"), (ranges, gains, predicted, residual)))
     return EXIT_OK
 
 

@@ -156,7 +156,7 @@ def fit_slope_intercept(records) -> FitResult:
     Returns the 1-m intercept, the distance exponent n = -slope/10 and the
     RMS residual, from exactly rounded sums of the centred values.  Needs
     at least two distinct ranges; raises DatasetError for a fit or RMS that
-    is not finite.
+    is not finite, and for a fitted exponent that is not positive.
     """
     if isinstance(records, MeasurementDataset):
         records = records.ranges_m.tolist(), records.gains_db.tolist()
@@ -174,16 +174,18 @@ def fit_slope_intercept(records) -> FitResult:
     intercept = y_mean - slope * x_mean
     if not math.isfinite(intercept):
         raise DatasetError("fit is not finite")
+    exponent = -slope / 10.0 + 0.0  # + 0.0: a flat fit reads 0, not -0
+    if not exponent > 0.0:
+        raise DatasetError("distance exponent must be positive, "
+                           f"the fit gives {exponent:.4f}")
     # the residuals of the returned line itself
     residual = [y - (intercept + slope * v) for v, y in zip(x, gains)]
-    return FitResult(SlopeIntercept(intercept, -slope / 10.0), rms_db(residual), n)
+    return FitResult(SlopeIntercept(intercept, exponent), rms_db(residual), n)
 
 
-def rms_db(residual_db) -> float:
-    """Root mean square of residuals in dB, a list of floats or a 1-D
-    array; raises DatasetError when it is not finite."""
-    if not isinstance(residual_db, list):
-        residual_db = residual_db.tolist()
+def rms_db(residual_db: list[float]) -> float:
+    """Root mean square of residuals in dB, a list of floats; raises
+    DatasetError when it is not finite."""
     rms = math.sqrt(_fsum(map(mul, residual_db, residual_db)) / len(residual_db))
     if not math.isfinite(rms):
         raise DatasetError("RMS of the residuals is not finite")
@@ -201,4 +203,4 @@ def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
     """
     if len(dataset) == 0:
         raise DatasetError("dataset is empty")
-    return rms_db(dataset.gains_db - predict_db(dataset.ranges_m))
+    return rms_db((dataset.gains_db - predict_db(dataset.ranges_m)).tolist())

@@ -358,6 +358,11 @@ def _box_rule(f, boxes):
     low, high = boxes[:, :, 0], boxes[:, :, 1]
     half = (high - low) / 2.0
     center = (low + high) / 2.0
+    # The general path below gives 1-D integrals the same bits, but more
+    # slowly: over 8 alternating process pairs on a 2-core host (each the
+    # median of 9 rounds), radial_flux_integral took 93 us here against
+    # 137 us there (slower in 7 pairs), roughness_loss_integral 84 against
+    # 123 us (in 6).  The gap map runs both at every point.
     if dims == 1:
         kronrod, error = _line_rule(f(center + half * _NODES))
         return kronrod * half[:, 0], error[:, None] * half
@@ -378,7 +383,7 @@ def _box_rule(f, boxes):
 def _initial_boxes(edges):
     """The products of the segments between each axis's breakpoints, as
     (count, dims, 2), the first axis outermost."""
-    if len(edges) == 1:
+    if len(edges) == 1:  # the product below gives these boxes, slower
         e = np.asarray(edges[0], dtype=float)
         return np.array([e[:-1], e[1:]]).T[:, None]
     return np.array(list(itertools.product(

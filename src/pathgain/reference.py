@@ -18,7 +18,10 @@ def friis_gain(wavelength_m: float, range_m):
     one range or an array of ranges."""
     require(wavelength_m > 0.0 and range_m > 0.0,
             "wavelength and range must be positive", wavelength_m, range_m)
-    return (wavelength_m / (4.0 * math.pi * range_m)) ** 2
+    # squared by a product, which a float and an array both take to inf
+    # where float ** 2 would raise OverflowError
+    ratio = wavelength_m / (4.0 * math.pi * range_m)
+    return ratio * ratio
 
 
 @dataclass(frozen=True)

@@ -65,15 +65,17 @@ def checked_gain(law):
     off, it returns a finite, positive gain (its result's `gain`, or the
     result) at every range, or raises GainError naming the first range of
     its link (`range_m` or `range_x_m`, else its `range_m` or last
-    argument) or a scene value whose float power overflows.  The unchecked
-    law is `__wrapped__`."""
+    argument) or a scene value out of float range.  The unchecked law is
+    `__wrapped__`."""
     @functools.wraps(law)
     def checked(*args, **kwargs):
         import numpy as np
         try:
             with np.errstate(all="ignore"):
                 result = law(*args, **kwargs)
-        except OverflowError:
+        except ArithmeticError:
+            # a float ** that overflows, or a float / by a value that
+            # underflowed to 0, raises where numpy gives inf
             raise GainError("gain overflows: a scene value is out of float range") from None
         gain = getattr(result, "gain", result)
         bad = _first_bad(gain)

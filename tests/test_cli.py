@@ -216,6 +216,27 @@ class TestPredict:
                               "roughness A = 1e+152 m")
         assert err.count("\n") == 1
 
+    # a wall index whose loss rate L (1.3e-216) makes L**1.5 underflow to 0,
+    # so the guided term's float division by it raises ZeroDivisionError
+    UNDERFLOWING_WALL = ("[link]\nfrequency_hz = 28e9\n"
+                         "[canyon]\nwidth_m = 32\ntx_height_m = 56\nrx_height_m = 1.5\n"
+                         "[wall]\nn_eff = 3e216\n"
+                         "[foliage]\ndepth_m = 3\nkappa_np_per_m = 0\n"
+                         "[macro]\nz_bs_m = 56\nz_c_m = 10\nz_m_m = 1.5\n"
+                         "street_width_m = 32\n"
+                         "[street]\nstandoff_m = 8\n")
+
+    @pytest.mark.parametrize("morphology", ["sidewalk_trees", "canyon_total"])
+    def test_division_by_an_underflowed_value_is_one_line_error(
+            self, capsys, tmp_path, morphology):
+        path = tmp_path / "wall.ini"
+        path.write_text(self.UNDERFLOWING_WALL, encoding="utf-8")
+        code, out, err = run_cli(capsys, "predict", str(path), morphology,
+                                 "10:1000:3")
+        assert (code, out) == (1, "")
+        assert err == (f"pathgain: error: {morphology} gain overflows: a scene "
+                       "value is out of float range\n")
+
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
                                "canyon_total", "5:70:10")
@@ -335,6 +356,19 @@ class TestFitCommand:
         assert code == 0
         row = read_csv_text(out_csv)[0]
         assert float(row["exponent_n"]) == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("rows, exponent", [
+        ("10,-80\n20,-60\n", "-6.6439"),  # gain rises with range
+        ("10,-60\n20,-60\n", "0.0000"),   # flat
+    ], ids=["rising", "flat"])
+    def test_exponent_not_positive_names_dataset_and_fit(self, capsys, tmp_path,
+                                                         rows, exponent):
+        path = tmp_path / "data.csv"
+        path.write_text("range_m,path_gain_db\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"pathgain: error: {path}: distance exponent must be "
+                       f"positive, the fit gives {exponent}\n")
 
 
 class TestNonFiniteResult:
@@ -506,6 +540,32 @@ class TestEvaluateCommand:
         assert "[link] frequency_hz" in err
 
 
+class TestRecordsCheckedOnce:
+    """The CLI reads a dataset once: the record rule runs once per record,
+    in `evaluate` as in `fit`."""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_record_rule_runs_once(self, command, capsys, tmp_path, monkeypatch):
+        from pathgain import fitting
+        config = "configs/vegetated_macro_28ghz.ini"
+        sweep = tmp_path / "sweep.csv"
+        run_cli(capsys, "predict", config, "over_top", "20:500:20",
+                "--output", str(sweep))
+        original = fitting._first_invalid
+        calls = []
+
+        def counting(ranges, gains):
+            calls.append(len(ranges))
+            return original(ranges, gains)
+
+        monkeypatch.setattr(fitting, "_first_invalid", counting)
+        argv = [command, str(sweep)] + ([config, "over_top"] if command == "evaluate"
+                                         else [])
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [20]
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
         outputs = []
@@ -540,7 +600,7 @@ class TestLayerAttributes:
         ("load_config", "predict"), ("make_evaluator", "predict"),
         ("read_records", "fit"), ("fit_slope_intercept", "fit"),
         ("load_config", "evaluate"), ("make_evaluator", "evaluate"),
-        ("load_dataset", "evaluate"),
+        ("read_records", "evaluate"),
         ("tr38901_pathloss", "evaluate_tr38901_uma_los"),
         ("uma_nlos_36814", "evaluate_uma_nlos_36814"),
     ]

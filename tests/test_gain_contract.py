@@ -116,9 +116,38 @@ def test_direct_call_gives_finite_positive_gain_or_value_error(law, data, values
 
 
 def test_friis_overflow_is_a_value_error():
+    with pytest.raises(GainError, match="^gain is inf at range 1e-300 m$"):
+        friis_gain(0.01, 1e-300)
+
+
+# a wall of index 3e216 has a loss rate L of 1.3e-216 at 28 GHz, so L**1.5
+# underflows to 0 and the guided term's float division by it raises
+# ZeroDivisionError inside the laws
+HUGE_INDEX_CANYON = CanyonGeometry(32.0, 56.0, 1.5, WallSurface(Dielectric(3e216)))
+HUGE_INDEX_STREET = StreetScene(HUGE_INDEX_CANYON, FoliageLayer(3.0, 0.0),
+                                standoff_m=8.0)
+
+
+@pytest.mark.parametrize("law", [
+    lambda link: outdoor_indoor_canyon_gain(
+        HUGE_INDEX_CANYON, PenetrationSpec.aperture(2.0, 1.5, 0.5),
+        IndoorClutter(0.18, 2.0), link),
+    lambda link: sidewalk_guided_gain(HUGE_INDEX_STREET, link),
+    lambda link: canyon_with_trees_gain(HUGE_INDEX_STREET, link),
+    lambda link: canyon_total_gain(HUGE_INDEX_STREET,
+                                   MacroGeometry(56.0, 10.0, 1.5, 32.0), link),
+    # w = 1e-300 m and an index of 1e308: the waveguide's divisor w*L is 0
+    lambda link: los_gain_incoherent(LosLink(
+        CanyonGeometry(1e-300, 56.0, 1.5, WallSurface(Dielectric(1e308))),
+        link.range_m, link.frequency_hz)),
+], ids=["outdoor_indoor_canyon_gain", "sidewalk_guided_gain",
+        "canyon_with_trees_gain", "canyon_total_gain", "los_gain_incoherent"])
+@pytest.mark.parametrize("ranges", [100.0, np.array([10.0, 100.0, 1000.0])],
+                         ids=["float", "array"])
+def test_division_by_an_underflowed_value_is_a_value_error(law, ranges):
     with pytest.raises(GainError, match="^gain overflows: a scene value is out of "
                                         "float range$"):
-        friis_gain(0.01, 1e-300)
+        law(Link(ranges, 28e9))
 
 
 def test_gain_error_names_the_first_input_range():
