@@ -92,12 +92,6 @@ class LosLink:
         return self.geometry.slant_range_m(self.range_x_m)
 
     @property
-    def ground_image_range_m(self) -> np.ndarray:
-        """Distance r_g from the ground image of the source to the receiver."""
-        zsum = self.geometry.tx_height_m + self.geometry.rx_height_m
-        return np.hypot(self.range_x_m, zsum)
-
-    @property
     def wavelength_m(self) -> float:
         return wavelength_m(self.frequency_hz)
 
@@ -111,13 +105,6 @@ class LosLink:
         return self.geometry.wall_loss(self.frequency_hz)
 
 
-def breakpoint_range_m(link: LosLink) -> float:
-    """Two-ray breakpoint 4 z_s z / lambda beyond which ground-bounce
-    beating gives way to steeper decay."""
-    g = link.geometry
-    return 4.0 * g.tx_height_m * g.rx_height_m / link.wavelength_m
-
-
 def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
     """Ground field reflection coefficient Gamma_g (vertical polarization).
 
@@ -128,11 +115,6 @@ def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
     """
     theta_g = np.arcsin(height_sum_m / np.hypot(horizontal_m, height_sum_m))
     return surface.fresnel_low_grazing(theta_g, ground, surface.PARALLEL)
-
-
-def ground_reflection(link: LosLink) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-bounce field coefficient and its path length (Gamma_g, r_g)."""
-    return link.geometry.ground_bounce(link.range_x_m), link.ground_image_range_m
 
 
 def _waveguide(link: LosLink, **factors) -> GainResult:
@@ -156,22 +138,12 @@ def _waveguide(link: LosLink, **factors) -> GainResult:
 
 
 @checked_gain
-def los_canyon_gain(link: LosLink) -> GainResult:
-    """Canyon waveguide law lambda^2 / (16 pi^1.5 sqrt(w L) r^1.5).
-
-    Pure exponent-1.5 power law in range, floored at free space; no ground
-    bounce.
-    """
-    return _waveguide(link)
-
-
-@checked_gain
 def los_gain_incoherent(link: LosLink) -> GainResult:
     """Waveguide law with ground bounce added in power: factor 1 + |Gamma_g|^2.
 
     This is the pre-breakpoint range average of the coherent form.
     """
-    gamma, _ = ground_reflection(link)
+    gamma = link.geometry.ground_bounce(link.range_x_m)
     return _waveguide(link, ground_bounce=1.0 + gamma * gamma)
 
 
@@ -182,7 +154,9 @@ def los_gain_coherent(link: LosLink) -> GainResult:
     Factor |exp(ikr) + Gamma_g exp(ik r_g)|^2; oscillates with range up to
     the breakpoint and averages to the incoherent form.
     """
-    gamma, r_g = ground_reflection(link)
+    g = link.geometry
+    gamma = g.ground_bounce(link.range_x_m)
+    r_g = np.hypot(link.range_x_m, g.tx_height_m + g.rx_height_m)
     k = link.wavenumber_rad_m
     phasor = np.exp(1j * k * link.slant_range_m) + gamma * np.exp(1j * k * r_g)
     return _waveguide(link, two_ray=np.abs(phasor) ** 2)

@@ -161,7 +161,11 @@ def _parse_sections(path) -> dict[str, dict[str, str]]:
                                        interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
+    except configparser.MissingSectionHeaderError as exc:  # before its base class
+        raise ConfigError(f"{path}: line {exc.lineno}: expected a [section] header") from exc
+    except configparser.ParsingError as exc:  # the first of the lines it lists
+        raise ConfigError(f"{path}: line {exc.errors[0][0]}: expected key = value") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
@@ -268,9 +272,10 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
     one call) and returns gains, components and flags over them.  Raises
     ConfigError naming any missing blocks.  The evaluator raises ValueError
     for a range that is not finite and positive, and the law's GainError,
-    its message prefixed with the morphology name, where the gain is not
-    finite and positive (see units.checked_gain).  Its gain is finite and
-    positive at every range; a component may underflow to 0.
+    its message prefixed with the config path and the morphology name,
+    where the gain is not finite and positive (see units.checked_gain).  Its
+    gain is finite and positive at every range; a component may underflow
+    to 0.
     """
     if name not in MORPHOLOGIES:
         raise ConfigError(
@@ -292,7 +297,7 @@ def make_evaluator(cfg: EnvironmentConfig, name: str):
         try:
             result = law(cfg, np.asarray(range_m, dtype=float))
         except GainError as exc:
-            raise GainError(f"{name} {exc}") from None
+            raise GainError(f"{cfg.path}: {name} {exc}") from None
         return result.with_flags(*cfg.flags) if cfg.flags else result
 
     return evaluate

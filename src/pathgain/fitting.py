@@ -88,7 +88,7 @@ def read_records(path) -> tuple[list[float], list[float]]:
     with the line it is on; a file that is not UTF-8, with its path.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: {exc}") from exc

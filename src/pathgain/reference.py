@@ -36,13 +36,6 @@ class SlopeIntercept:
                 self.exponent_n, self.intercept_db_1m)
 
 
-def slope_intercept_eval(model: SlopeIntercept, range_m):
-    """Path gain in dB at a range, or an array of ranges: P1_dB - 10 n log10(r)."""
-    import numpy as np
-    require(range_m > 0.0, "range must be positive", range_m)
-    return model.intercept_db_1m - 10.0 * model.exponent_n * np.log10(range_m)
-
-
 def uma_nlos_36814(street_width_m: float, building_height_m: float,
                    base_height_m: float, mobile_height_m: float,
                    f_ghz: float, d3d_m):

@@ -3,9 +3,10 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pathgain.canyon import CanyonGeometry
+from pathgain.canyon import CanyonGeometry, los_gain_incoherent
 from pathgain.config import ConfigError, load_config, make_evaluator
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 
@@ -57,6 +58,19 @@ def urban_geometry():
 
 def db(x: float) -> float:
     return 10.0 * math.log10(x)
+
+
+def walls_only_gain(link):
+    """The waveguide law without its ground factor: the spreading term times
+    the free-space floor of los_gain_incoherent on the same link."""
+    factors = los_gain_incoherent(link).factors
+    return factors["spreading"] * factors["free_space_floor"]
+
+
+def line_db(model, range_m):
+    """A slope-intercept model's gain in dB at a range, or an array of
+    ranges: P1_dB - 10 n log10(r)."""
+    return model.intercept_db_1m - 10.0 * model.exponent_n * np.log10(range_m)
 
 
 def evaluator_for(morphology: str):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pathgain import cli, verify
-from pathgain.canyon import CanyonGeometry, LosLink, los_canyon_gain, los_gain_incoherent
+from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, t_eff
 from pathgain.fitting import (
     MeasurementDataset,
@@ -44,7 +44,6 @@ from pathgain.oracles import (
 from pathgain.reference import (
     SlopeIntercept,
     ThreeGppScenario,
-    slope_intercept_eval,
     tr38901_pathloss,
     uma_nlos_36814,
 )
@@ -57,7 +56,7 @@ from pathgain.surface import (
 )
 from pathgain.units import wavelength_m, wavenumber_rad_m
 
-from conftest import AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db
+from conftest import AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, line_db
 
 WALL_SETS = {"corridor": (CORRIDOR_WALL, 1.6, 2.2, 1.0),
              "urban": (URBAN_WALL, 8.6, 5.0, 1.5)}
@@ -152,7 +151,7 @@ def test_criterion_03_los_canyon():
             sweep = np.geomspace(10.0 * width, 100.0 * width, 25)
             gains, rs = [], []
             for x in sweep:
-                res = los_canyon_gain(LosLink(geometry, float(x), f_hz))
+                res = los_gain_incoherent(LosLink(geometry, float(x), f_hz))
                 gains.append(db(res.factors["spreading"]))
                 rs.append(res.range_m)
             slope = fit_log_slope(rs, gains)
@@ -355,7 +354,7 @@ def test_criterion_09_fitting():
     start = time.perf_counter()
     model = SlopeIntercept(-45.0, 1.5)
     ranges = np.geomspace(10.0, 1000.0, 80)
-    line = np.array([slope_intercept_eval(model, float(r)) for r in ranges])
+    line = np.array([line_db(model, float(r)) for r in ranges])
     noiseless = MeasurementDataset(ranges, line, 28e9)
     fit = fit_slope_intercept(noiseless)
     assert fit.rmse_db < 1e-10
@@ -364,7 +363,7 @@ def test_criterion_09_fitting():
     rng = np.random.default_rng(20260810)
     noisy_r = 10.0 ** rng.uniform(1.0, 3.0, 500)
     noisy = MeasurementDataset(
-        noisy_r, [slope_intercept_eval(model, float(r)) + float(rng.normal(0.0, 3.0))
+        noisy_r, [line_db(model, float(r)) + float(rng.normal(0.0, 3.0))
                   for r in noisy_r], 28e9)
     noisy_fit = fit_slope_intercept(noisy)
     assert 2.5 <= noisy_fit.rmse_db <= 3.5

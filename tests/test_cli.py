@@ -234,8 +234,8 @@ class TestPredict:
         code, out, err = run_cli(capsys, "predict", str(path), morphology,
                                  "10:1000:3")
         assert (code, out) == (1, "")
-        assert err == (f"pathgain: error: {morphology} gain overflows: a scene "
-                       "value is out of float range\n")
+        assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
+                       "scene value is out of float range\n")
 
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
@@ -508,8 +508,8 @@ class TestEvaluateCommand:
                                  "configs/sidewalk_sparse_trees_28ghz.ini",
                                  "canyon_total")
         assert (code, out) == (1, "")
-        assert err == ("pathgain: error: canyon_total gain underflows to 0 "
-                       "at range 1e+100 m\n")
+        assert err == ("pathgain: error: configs/sidewalk_sparse_trees_28ghz.ini: "
+                       "canyon_total gain underflows to 0 at range 1e+100 m\n")
         assert len(calls) == 1
         assert calls[0].tolist() == ranges + [1e100, 1e200]
 
@@ -715,6 +715,35 @@ class TestConfigValidation:
         path = tmp_path / "link.ini"
         path.write_text("[link]\nfrequency_hz = 1e-299\n", encoding="utf-8")
         assert load_config(path).frequency_hz == 1e-299
+
+    def test_carrier_that_overflows_a_law_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "link.ini"
+        path.write_text("[link]\nfrequency_hz = 1e-299\n[wall]\nn_eff = 2.2\n" + _CANYON,
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "predict", str(path), "los_corridor", "1:1000:5")
+        assert (code, out, err) == (1, "", f"pathgain: error: {path}: los_corridor gain "
+                                           "overflows: a scene value is out of float range\n")
+
+    @pytest.mark.parametrize("text, where", [
+        ("[link]\nfrequency_hz 28e9\n", "line 2: expected key = value"),
+        ("# corridor\nfrequency_hz = 28e9\n", "line 2: expected a [section] header"),
+    ], ids=["no_equals_sign", "no_section_header"])
+    def test_syntax_error_is_one_line_naming_file_and_line(self, capsys, tmp_path,
+                                                           text, where):
+        path = tmp_path / "syntax.ini"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: {where}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        code, out, err = run_cli(capsys, "predict", str(path), "friis", "1:1000:5")
+        assert (code, out, err) == (1, "", f"pathgain: error: {message}\n")
+
+    def test_byte_order_mark_before_the_first_section_is_read(self, tmp_path):
+        # as Windows editors save UTF-8
+        path = tmp_path / "bom.ini"
+        path.write_text("[link]\nfrequency_hz = 28e9\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf[link]")
+        assert load_config(path).frequency_hz == 28e9
 
     def test_non_utf8_config_is_one_line_error_with_its_path(self, capsys, tmp_path):
         path = tmp_path / "latin1.ini"

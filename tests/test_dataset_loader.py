@@ -158,6 +158,14 @@ def test_blank_line_moves_the_line_number(tmp_path):
     assert str(info.value) == f"{path}: line 4: {message}"
 
 
+def test_byte_order_mark_before_the_header_is_read(tmp_path):
+    # as Excel saves a UTF-8 CSV
+    path = tmp_path / "data.csv"
+    path.write_text("range_m,path_gain_db\n10,-60\n100,-80\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfrange_m")
+    assert read_records(path) == ([10.0, 100.0], [-60.0, -80.0])
+
+
 def test_earlier_bad_record_is_named_before_a_later_bad_cell(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("range_m,path_gain_db\n-1,-60\nabc,-61\n", encoding="utf-8")

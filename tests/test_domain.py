@@ -175,7 +175,8 @@ def test_evaluator_rejects_nonfinite_range():
 
 def test_evaluator_rejects_infinite_gain_naming_the_range():
     # (lambda / 4 pi r)^2 overflows for a range this small
-    with pytest.raises(ValueError, match=r"^friis gain is inf at range 1e-300 m$"):
+    with pytest.raises(ValueError, match=r"^configs/corridor_28ghz\.ini: friis gain is inf "
+                                         r"at range 1e-300 m$"):
         _friis()(1e-300)
 
 

@@ -5,7 +5,7 @@ term alone carries the law's exponent."""
 import numpy as np
 import pytest
 
-from pathgain.canyon import (CanyonGeometry, LosLink, los_canyon_gain, los_gain_coherent,
+from pathgain.canyon import (CanyonGeometry, LosLink, los_gain_coherent,
                              los_gain_incoherent)
 from pathgain.config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
 from pathgain.diffuse import PenetrationSpec
@@ -84,7 +84,6 @@ MACRO = MacroGeometry(14.0, 10.0, 1.5, 30.0)
 
 # law over a range array -> (GainResult, exponent it must carry)
 LAWS = {
-    "los_canyon_gain": (lambda r: los_canyon_gain(LosLink(CORRIDOR, r, 28e9)), 1.5),
     "los_gain_incoherent": (lambda r: los_gain_incoherent(LosLink(CORRIDOR, r, 2e9)), 1.5),
     "los_gain_coherent": (lambda r: los_gain_coherent(LosLink(URBAN, r, 3.5e9)), 1.5),
     "outdoor_indoor_canyon_gain": (lambda r: outdoor_indoor_canyon_gain(
@@ -132,7 +131,7 @@ def test_power_law_keeps_factor_order_and_shape():
 def test_free_space_floor_is_friis_over_spreading():
     # at 28 GHz the corridor floor lifts the law to free space out to
     # w L / pi; the factor is exactly the ratio that does so
-    result = los_canyon_gain(LosLink(CORRIDOR, RANGES, 28e9))
+    result = los_gain_incoherent(LosLink(CORRIDOR, RANGES, 28e9))
     floor = result.factors["free_space_floor"]
     friis = friis_gain(wavelength_m(28e9), result.range_m)
     np.testing.assert_allclose(floor, np.maximum(1.0, friis / result.factors["spreading"]),

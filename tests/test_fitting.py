@@ -12,10 +12,10 @@ from pathgain.fitting import (
     rmse_against_model,
 )
 from pathgain.morphology import MacroGeometry, Link, canyon_total_gain
-from pathgain.reference import SlopeIntercept, friis_gain, slope_intercept_eval
+from pathgain.reference import SlopeIntercept, friis_gain
 from pathgain.units import to_db, wavelength_m
 
-from conftest import db
+from conftest import db, line_db
 from test_morphology import sparse_street_scene
 
 
@@ -43,7 +43,7 @@ class TestFit:
         lam = wavelength_m(28e9)
         base = SlopeIntercept(db(friis_gain(lam, 1.0)) + 3.0, 1.5)
         ranges = 10.0 ** rng.uniform(1.0, 3.0, 500)
-        gains = [slope_intercept_eval(base, r) + rng.normal(0.0, 3.0)
+        gains = [line_db(base, r) + rng.normal(0.0, 3.0)
                  for r in ranges]
         fit = fit_slope_intercept(make_dataset(ranges, gains))
         assert 2.5 <= fit.rmse_db <= 3.5
@@ -58,12 +58,12 @@ class TestFit:
     def test_round_trip_is_identity(self):
         model = SlopeIntercept(-41.2, 2.7)
         ranges = np.geomspace(5.0, 500.0, 40)
-        ds = make_dataset(ranges, [slope_intercept_eval(model, r)
+        ds = make_dataset(ranges, [line_db(model, r)
                                    for r in ranges])
         fit = fit_slope_intercept(ds)
         for r in ranges:
-            assert slope_intercept_eval(fit.model, r) == pytest.approx(
-                slope_intercept_eval(model, r), abs=1e-10)
+            assert line_db(fit.model, r) == pytest.approx(
+                line_db(model, r), abs=1e-10)
 
 
 class TestRmseAgainstModel:
@@ -102,7 +102,7 @@ class TestRmseAgainstModel:
             other = SlopeIntercept(best.model.intercept_db_1m + rng.normal(0, 2),
                                    abs(best.model.exponent_n + rng.normal(0, 0.3)))
             assert best.rmse_db <= rmse_against_model(
-                ds, lambda r: slope_intercept_eval(other, r)) + 1e-12
+                ds, lambda r: line_db(other, r)) + 1e-12
 
     def test_synthetic_street_prefers_its_generator(self):
         rng = np.random.default_rng(11)

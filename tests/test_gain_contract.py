@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathgain.canyon import (CanyonGeometry, LosLink, los_canyon_gain,
-                             los_gain_coherent, los_gain_incoherent)
+from pathgain.canyon import CanyonGeometry, LosLink, los_gain_coherent, los_gain_incoherent
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene, canyon_total_gain,
@@ -69,7 +68,6 @@ def _link(x, ranges):
 # law -> function of (x, ranges) that calls it, where x(nominal) draws one
 # scene float
 LAWS = {
-    "los_canyon_gain": lambda x, r: los_canyon_gain(LosLink(_canyon(x), r, x(28e9))),
     "los_gain_incoherent": lambda x, r: los_gain_incoherent(
         LosLink(_canyon(x), r, x(28e9))),
     "los_gain_coherent": lambda x, r: los_gain_coherent(

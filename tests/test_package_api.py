@@ -19,8 +19,7 @@ from pathgain import cli
 from conftest import REPO_ROOT
 
 EXPORTS = {
-    "canyon": ("CanyonGeometry", "LosLink", "breakpoint_range_m",
-               "ground_reflection", "los_canyon_gain", "los_gain_coherent",
+    "canyon": ("CanyonGeometry", "LosLink", "los_gain_coherent",
                "los_gain_incoherent"),
     "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain", "t_eff"),
     "fitting": ("FitResult", "MeasurementDataset", "fit_slope_intercept",
@@ -32,7 +31,7 @@ EXPORTS = {
                    "sidewalk_unguided_gain", "suburban_indoor_gain",
                    "suburban_street_gain"),
     "reference": ("SlopeIntercept", "ThreeGppScenario", "friis_gain",
-                  "slope_intercept_eval", "tr38901_pathloss", "uma_nlos_36814"),
+                  "tr38901_pathloss", "uma_nlos_36814"),
     "result": ("GainResult",),
     "surface": ("Dielectric", "TelegraphRoughness", "WallSurface",
                 "fresnel_exact", "fresnel_low_grazing", "roughness_spectrum",

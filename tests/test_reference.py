@@ -10,7 +10,6 @@ from pathgain.reference import (
     ThreeGppScenario,
     friis_gain,
     o2i_low_loss_db,
-    slope_intercept_eval,
     tr38901_pathloss,
     uma_nlos_36814,
 )
@@ -38,26 +37,17 @@ class TestFriis:
 
 
 class TestSlopeIntercept:
-    def test_matches_friis_with_exponent_two(self):
-        lam = wavelength_m(28e9)
-        model = SlopeIntercept(db(friis_gain(lam, 1.0)), 2.0)
-        for r in (1.0, 17.3, 400.0):
-            assert slope_intercept_eval(model, r) == pytest.approx(
-                db(friis_gain(lam, r)), rel=1e-12)
-
-    def test_intercept_at_one_meter(self):
-        model = SlopeIntercept(-32.0, 1.7)
-        assert slope_intercept_eval(model, 1.0) == -32.0
-
     def test_fit_of_waveguide_law_recovers_exponent(self):
         # samples of an exponent-1.5 law fit with zero residual
-        from pathgain.canyon import CanyonGeometry, LosLink, los_canyon_gain
+        from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
         from conftest import CORRIDOR_WALL
         geometry = CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL)
-        results = [los_canyon_gain(LosLink(geometry, float(x), 2e9))
+        results = [los_gain_incoherent(LosLink(geometry, float(x), 2e9))
                    for x in np.geomspace(20.0, 150.0, 60)]
         fit = fit_slope_intercept(MeasurementDataset(
-            [res.range_m for res in results], [db(res.gain) for res in results], 2e9))
+            [res.range_m for res in results],
+            [db(res.factors["spreading"] * res.factors["free_space_floor"])
+             for res in results], 2e9))
         assert fit.model.exponent_n == pytest.approx(1.5, abs=1e-12)
         assert fit.rmse_db < 1e-10
 
