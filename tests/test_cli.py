@@ -566,6 +566,23 @@ class TestRecordsCheckedOnce:
         assert calls == [20]
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_dataset_with_a_byte_order_mark_reads_as_without(self, command, capsys,
+                                                            tmp_path):
+        # as Excel saves a UTF-8 CSV
+        config = "configs/vegetated_macro_28ghz.ini"
+        sweep = tmp_path / "sweep.csv"
+        run_cli(capsys, "predict", config, "over_top", "20:500:20",
+                "--output", str(sweep))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + sweep.read_bytes())
+        extra = [config, "over_top"] if command == "evaluate" else []
+        plain = run_cli(capsys, command, str(sweep), *extra)
+        assert plain[0] == 0
+        assert run_cli(capsys, command, str(marked), *extra) == plain
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
         outputs = []

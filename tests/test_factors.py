@@ -85,6 +85,8 @@ MACRO = MacroGeometry(14.0, 10.0, 1.5, 30.0)
 # law over a range array -> (GainResult, exponent it must carry)
 LAWS = {
     "los_gain_incoherent": (lambda r: los_gain_incoherent(LosLink(CORRIDOR, r, 2e9)), 1.5),
+    "los_gain_incoherent_28ghz": (lambda r: los_gain_incoherent(LosLink(CORRIDOR, r, 28e9)),
+                                  1.5),
     "los_gain_coherent": (lambda r: los_gain_coherent(LosLink(URBAN, r, 3.5e9)), 1.5),
     "outdoor_indoor_canyon_gain": (lambda r: outdoor_indoor_canyon_gain(
         URBAN, PEN, INDOOR, Link(r, 3.5e9)), 2.5),

@@ -24,7 +24,7 @@ from pathgain.reference import friis_gain
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 from pathgain.units import GainError
 
-from conftest import AVENUE_WALL
+from conftest import AVENUE_WALL, walls_only_gain
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-310, 1e-300, 1e300,
                sys.float_info.max]
@@ -72,6 +72,7 @@ LAWS = {
         LosLink(_canyon(x), r, x(28e9))),
     "los_gain_coherent": lambda x, r: los_gain_coherent(
         LosLink(_canyon(x), r, x(28e9))),
+    "walls_only": lambda x, r: walls_only_gain(LosLink(_canyon(x), r, x(28e9))),
     "suburban_street_gain": lambda x, r: suburban_street_gain(_street(x), _link(x, r)),
     "suburban_indoor_gain": lambda x, r: suburban_indoor_gain(
         _street(x), _indoor(x), _penetration(x), _link(x, r)),
