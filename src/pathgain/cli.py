@@ -228,7 +228,8 @@ def cmd_fit(args) -> int:
 
 def _model_predictor(cfg, name: str):
     """dB-valued predictor, over a range or an array of ranges, for a
-    morphology or reference model."""
+    morphology or reference model.  A reference model runs with numpy's
+    float warnings off and raises ValueError where a value is not finite."""
     from .config import MORPHOLOGIES, ConfigError
     from .reference import ThreeGppScenario
     if name in MORPHOLOGIES:
@@ -247,17 +248,27 @@ def _model_predictor(cfg, name: str):
         if cfg.macro is None:
             raise ConfigError(f"{cfg.path}: model {name!r} needs a [macro] block")
         m = cfg.macro
-        return lambda r: -uma_nlos_36814(m.street_width_m, m.clutter_height_m,
-                                         m.base_height_m, m.mobile_height_m,
-                                         f_ghz, r)
-    _, family, condition = name.split("_")
-    kwargs = {}
-    if cfg.macro is not None:
-        kwargs["base_height_m"] = cfg.macro.base_height_m
-        kwargs["mobile_height_m"] = cfg.macro.mobile_height_m
-    scenario = ThreeGppScenario({"uma": "UMa", "umi": "UMi", "inh": "InH"}[family],
-                                condition.upper(), f_ghz, **kwargs)
-    return lambda r: -tr38901_pathloss(scenario, r)
+        model, args = uma_nlos_36814, (m.street_width_m, m.clutter_height_m,
+                                       m.base_height_m, m.mobile_height_m, f_ghz)
+    else:
+        _, family, condition = name.split("_")
+        kwargs = {}
+        if cfg.macro is not None:
+            kwargs["base_height_m"] = cfg.macro.base_height_m
+            kwargs["mobile_height_m"] = cfg.macro.mobile_height_m
+        scenario = ThreeGppScenario({"uma": "UMa", "umi": "UMi", "inh": "InH"}[family],
+                                    condition.upper(), f_ghz, **kwargs)
+        model, args = tr38901_pathloss, (scenario,)
+
+    def predict(r):
+        import numpy as np
+        with np.errstate(all="ignore"):
+            db = -model(*args, r)
+        if not np.isfinite(db).all():
+            raise ConfigError(f"{cfg.path}: {name} path loss is not finite: "
+                              "a scene value is out of float range")
+        return db
+    return predict
 
 
 def cmd_evaluate(args) -> int:

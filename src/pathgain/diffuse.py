@@ -120,9 +120,10 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     if spec.variant == STREET:
         angle = np.arctan(w1 / (2.0 * depth_m))
     else:
-        angle = np.arctan(
-            w1 * w2 / (2.0 * depth_m * np.sqrt(4.0 * depth_m**2 + w1 * w1 + w2 * w2))
-        )
+        # at a subnormal depth the ratio overflows to inf: the angle is pi/2
+        with np.errstate(over="ignore"):
+            angle = np.arctan(w1 * w2 / (2.0 * depth_m * np.sqrt(
+                4.0 * (depth_m * depth_m) + w1 * w1 + w2 * w2)))
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 

@@ -324,13 +324,6 @@ _EPS = np.finfo(float).eps
 _UNIT_EDGES = np.linspace(0.0, 1.0, 17)
 
 
-def _contract(values, axes: int):
-    """Kronrod sum over the last `axes` node axes."""
-    for _ in range(axes):
-        values = values @ _KRONROD
-    return values
-
-
 def _line_rule(lines):
     """Kronrod value and QUADPACK's qk15 error estimate of each line of 15
     node values (the last axis) on [-1, 1]: |K15 - G7| scaled by the
@@ -346,38 +339,34 @@ def _line_rule(lines):
 
 
 def _box_rule(f, boxes):
-    """Kronrod value and per-axis error estimate of f on each box.
+    """Kronrod value and per-axis error estimate of f on each box of one
+    axis or a rectangle.
 
-    boxes is (count, dims, 2), the low and high edge of each box on each
-    axis; f is called once on node arrays that broadcast to (count, 15,
-    ..., 15).  Along each axis, every line of nodes gets the qk15 error
-    estimate of `_line_rule`; the axis's error is the Kronrod integral of
-    those line errors over the other axes.
+    boxes is (count, dims, 2), the low and high edge of each box on each of
+    its one or two axes; f is called once on node arrays that broadcast to
+    (count, 15) or (count, 15, 15).  Along each axis, every line of nodes
+    gets the qk15 error estimate of `_line_rule`; on a rectangle the axis's
+    error is the Kronrod integral of those line errors over the other axis.
     """
-    count, dims, _ = boxes.shape
     low, high = boxes[:, :, 0], boxes[:, :, 1]
     half = (high - low) / 2.0
     center = (low + high) / 2.0
-    # The general path below gives 1-D integrals the same bits, but more
-    # slowly: over 8 alternating process pairs on a 2-core host (each the
-    # median of 9 rounds), radial_flux_integral took 93 us here against
-    # 137 us there (slower in 7 pairs), roughness_loss_integral 84 against
-    # 123 us (in 6).  The gap map runs both at every point.
-    if dims == 1:
+    # One axis has a path of its own: an N-axis contraction gave it the same
+    # bits, but over 8 alternating process pairs on a 2-core host (each the
+    # median of 9 rounds) radial_flux_integral took 93 us here against 137
+    # us there (slower in 7 pairs), roughness_loss_integral 84 against 123
+    # us (in 6).  The gap map runs both at every point.
+    if boxes.shape[1] == 1:
         kronrod, error = _line_rule(f(center + half * _NODES))
         return kronrod * half[:, 0], error[:, None] * half
-    nodes = [(center[:, j, None] + half[:, j, None] * _NODES).reshape(
-        (count,) + (1,) * j + (15,) + (1,) * (dims - j - 1)) for j in range(dims)]
-    values = f(*nodes)
-    jacobian = half[:, 0]
-    for j in range(1, dims):
-        jacobian = jacobian * half[:, j]
-    # the lines of nodes along each axis, stacked: (dims, count, 15, ..., 15)
-    kronrod, error = _line_rule(np.stack([values.swapaxes(j + 1, -1)
-                                          for j in range(dims)]))
-    errors = (_contract(error, dims - 1) * jacobian).T
-    # the last axis's line sums, contracted over the other axes
-    return _contract(kronrod[-1], dims - 1) * jacobian, errors
+    # both node axes in one broadcast, (2, count, 15): x, then y
+    x, y = center.T[:, :, None] + half.T[:, :, None] * _NODES
+    values = f(x[:, :, None], y[:, None])
+    jacobian = half[:, 0] * half[:, 1]
+    # the x-lines, then the y-lines: (2, count, 15, 15)
+    kronrod, error = _line_rule(np.stack([values.swapaxes(1, 2), values]))
+    # the y-lines' sums, contracted over x
+    return kronrod[1] @ _KRONROD * jacobian, (error @ _KRONROD * jacobian).T
 
 
 def _initial_boxes(edges):
@@ -391,7 +380,8 @@ def _initial_boxes(edges):
 
 
 def gauss_kronrod(f, edges, ctl: QuadratureControl):
-    """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over a box.
+    """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over one axis or a
+    rectangle.
 
     edges holds one increasing sequence of breakpoints per axis, so
     ((a, 0.0, b),) is a 1-D integral over [a, b] split at 0 and

@@ -127,25 +127,6 @@ class ThreeGppScenario:
         return TR38901[self.family]["default_h_bs"]
 
 
-def _breakpoint_m(h_bs: float, h_ut: float, f_ghz: float, h_e: float) -> float:
-    f_hz = f_ghz * 1e9
-    return 4.0 * (h_bs - h_e) * (h_ut - h_e) * f_hz / SPEED_OF_LIGHT_M_S
-
-
-def _los_pathloss(family: str, f_ghz: float, d2d_m, h_bs: float, h_ut: float):
-    import numpy as np
-    row = TR38901[family]["los"]
-    log_d3d = np.log10(np.hypot(d2d_m, h_bs - h_ut))
-    base = row["a"] + 20.0 * math.log10(f_ghz)
-    if "c" not in row:  # InH: single slope
-        return base + row["b"] * log_d3d
-    d_bp = _breakpoint_m(h_bs, h_ut, f_ghz, row["h_e"])
-    pl = np.where(d2d_m <= d_bp, base + row["b"] * log_d3d,
-                  base + 40.0 * log_d3d
-                  - row["c"] * math.log10(d_bp**2 + (h_bs - h_ut) ** 2))
-    return pl[()]  # a float, not a 0-d array, for one distance
-
-
 def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     """TR 38.901 path loss (dB) at a horizontal distance, or an array of them.
 
@@ -155,18 +136,24 @@ def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     """
     import numpy as np
     require(distance_m > 0.0, "distance must be positive", distance_m)
-    fam = scenario.family
-    h_bs, h_ut = scenario.h_bs, scenario.mobile_height_m
-    pl = _los_pathloss(fam, scenario.f_ghz, distance_m, h_bs, h_ut)
+    los, nlos = TR38901[scenario.family]["los"], TR38901[scenario.family]["nlos"]
+    f_ghz, h_bs, h_ut = scenario.f_ghz, scenario.h_bs, scenario.mobile_height_m
+    dh = h_bs - h_ut
+    log_d3d = np.log10(np.hypot(distance_m, dh))
+    base = los["a"] + 20.0 * math.log10(f_ghz)
+    pl = base + los["b"] * log_d3d
+    if "c" in los:  # UMa, UMi: PL2 beyond the breakpoint dBP'
+        h_e = los["h_e"]
+        d_bp = 4.0 * (h_bs - h_e) * (h_ut - h_e) * (f_ghz * 1e9) / SPEED_OF_LIGHT_M_S
+        # squared by products, which give inf where float ** 2 would raise
+        # OverflowError; [()]: a float, not a 0-d array, for one distance
+        pl = np.where(distance_m <= d_bp, pl, base + 40.0 * log_d3d
+                      - los["c"] * math.log10(d_bp * d_bp + dh * dh))[()]
     if scenario.condition == "NLOS":
-        row = TR38901[fam]["nlos"]
-        d3d = np.hypot(distance_m, h_bs - h_ut)
-        pl_nlos = (row["a"] + row["b"] * np.log10(d3d)
-                   + row["f"] * math.log10(scenario.f_ghz)
-                   - row["hut"] * (h_ut - 1.5))
-        pl = np.maximum(pl, pl_nlos)
+        pl = np.maximum(pl, nlos["a"] + nlos["b"] * log_d3d
+                        + nlos["f"] * math.log10(f_ghz) - nlos["hut"] * (h_ut - 1.5))
     if scenario.indoor_depth_m > 0.0:
-        pl = pl + o2i_low_loss_db(scenario.f_ghz, scenario.indoor_depth_m)
+        pl = pl + o2i_low_loss_db(f_ghz, scenario.indoor_depth_m)
     return pl
 
 

@@ -76,7 +76,8 @@ class TelegraphRoughness:
     @property
     def height_variance_m2(self) -> float:
         """Surface height variance 4 A^2 p1 p2 about the mean."""
-        return 4.0 * self.half_depth_m**2 * self.fraction_p1 * self.fraction_p2
+        a = self.half_depth_m
+        return 4.0 * (a * a) * self.fraction_p1 * self.fraction_p2
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,8 @@ def roughness_spectrum(roughness: TelegraphRoughness, chi_x_per_m: float) -> flo
     excluded here and handled analytically by callers.
     """
     s = roughness.rate_sum_per_m
-    return roughness.height_variance_m2 / math.pi * s / (s * s + chi_x_per_m**2)
+    return (roughness.height_variance_m2 / math.pi * s
+            / (s * s + chi_x_per_m * chi_x_per_m))
 
 
 def roughness_loss_rate(roughness: TelegraphRoughness,

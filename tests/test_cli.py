@@ -180,7 +180,6 @@ class TestPredict:
         assert all(row[1] and row[3] for row in rows[1:])
 
     @pytest.mark.parametrize("config, section, key, morphology", [
-        ("configs/corridor_28ghz.ini", "wall", "A_m", "los_corridor"),
         ("configs/corridor_28ghz.ini", "link", "frequency_hz", "los_corridor"),
         ("configs/suburban_street_28ghz.ini", "street", "standoff_m",
          "suburban_street"),
@@ -199,21 +198,29 @@ class TestPredict:
         assert err.count("\n") == 1
         assert morphology in err and "overflows" in err
 
-    @pytest.mark.parametrize("config, morphology", [
-        ("configs/corridor_28ghz.ini", "los_corridor"),
-        ("configs/sidewalk_sparse_trees_28ghz.ini", "sidewalk_trees"),
-    ])
+    @pytest.mark.parametrize("config, morphology, a_m", [
+        ("configs/corridor_28ghz.ini", "los_corridor", "1e152"),
+        ("configs/sidewalk_sparse_trees_28ghz.ini", "sidewalk_trees", "1e152"),
+        ("configs/corridor_28ghz.ini", "los_corridor", "1.4e154"),
+        ("configs/sidewalk_sparse_trees_28ghz.ini", "sidewalk_trees", "1.4e154"),
+        ("configs/corridor_28ghz.ini", "los_corridor", "1e308"),
+    ], ids=["configs/corridor_28ghz.ini-los_corridor",
+            "configs/sidewalk_sparse_trees_28ghz.ini-sidewalk_trees",
+            "configs/corridor_28ghz.ini-los_corridor-A_squared_past_a_float",
+            "configs/sidewalk_sparse_trees_28ghz.ini-sidewalk_trees-A_squared_past_a_float",
+            "configs/corridor_28ghz.ini-los_corridor-A_1e308"])
     def test_overflowing_wall_loss_is_one_line_error(self, capsys, tmp_path,
-                                                     config, morphology):
-        # A^2 fits a float, but the roughness loss rate k^1.5 * A^2 ... does not
+                                                     config, morphology, a_m):
+        # at 1e152, A^2 fits a float, but the roughness loss rate
+        # k^1.5 * A^2 ... does not; from 1.4e154 on, A^2 does not either
         path = tmp_path / "rough.ini"
-        write_edited_config(config, path, [("wall", "A_m", "1e152")])
+        write_edited_config(config, path, [("wall", "A_m", a_m)])
         code, out, err = run_cli(capsys, "predict", str(path), morphology,
                                  "1:1000:3")
         assert code == 1
         assert out == ""
         assert err.startswith("pathgain: error: wall loss overflows for "
-                              "roughness A = 1e+152 m")
+                              f"roughness A = {float(a_m):g} m")
         assert err.count("\n") == 1
 
     # a wall index whose loss rate L (1.3e-216) makes L**1.5 underflow to 0,
@@ -538,6 +545,27 @@ class TestEvaluateCommand:
         assert err.startswith("pathgain: error: ")
         assert err.count("\n") == 1
         assert "[link] frequency_hz" in err
+
+
+    @pytest.mark.parametrize("section, key, value", [("link", "frequency_hz", "1e200"),
+                                                     ("macro", "z_bs_m", "1e154")])
+    @pytest.mark.parametrize("model", ["tr38901_uma_los", "tr38901_uma_nlos",
+                                       "tr38901_umi_los", "tr38901_umi_nlos"])
+    def test_breakpoint_model_at_an_extreme_scene_value_exits_cleanly(
+            self, capsys, tmp_path, model, section, key, value):
+        # the breakpoint distance d_BP', or the height difference, squared is
+        # past a float
+        data = self.make_synthetic(tmp_path, capsys)
+        path = tmp_path / "extreme.ini"
+        write_edited_config("configs/vegetated_macro_28ghz.ini", path,
+                            [(section, key, value)])
+        code, out, err = run_cli(capsys, "evaluate", str(data), str(path), model)
+        if code == 0:
+            assert err == ""
+            assert math.isfinite(float(out.split("rmse_db=")[1].split()[0]))
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("pathgain: error: ") and err.count("\n") == 1
 
 
 class TestRecordsCheckedOnce:

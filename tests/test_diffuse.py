@@ -45,6 +45,14 @@ class TestTEff:
         assert t_eff(PenetrationSpec.street(hi), 1.5) >= \
             t_eff(PenetrationSpec.street(lo), 1.5) - 1e-15
 
+    def test_aperture_at_extreme_depths(self):
+        # d^2 is past a float at 1e200, where the aperture's solid angle
+        # underflows to 0; at the least subnormal depth the aperture fills
+        # the half-space
+        spec = PenetrationSpec.aperture(3.0, 2.0)
+        assert t_eff(spec, 1e200) == 0.0
+        assert t_eff(spec, 5e-324) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
     def test_bounded_variant_needs_depth(self):
         with pytest.raises(ValueError):
             t_eff(PenetrationSpec.street(3.0))

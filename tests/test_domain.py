@@ -5,14 +5,17 @@ ValueError on a canyon without them, and the evaluator from
 for any range array."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathgain import cli
 from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
-from pathgain.config import MORPHOLOGIES, load_config, make_evaluator
+from pathgain.config import (MORPHOLOGIES, EnvironmentConfig, load_config,
+                             make_evaluator)
 from pathgain.diffuse import DiffuseLink, PenetrationSpec
 from pathgain.fitting import MeasurementDataset
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
@@ -22,7 +25,7 @@ from pathgain.oracles import (QuadratureControl, SummationControl,
                               guided_trees_series_power, oi_image_series_power)
 from pathgain.reference import SlopeIntercept, ThreeGppScenario
 from pathgain.surface import Dielectric, TelegraphRoughness
-from pathgain.units import require
+from pathgain.units import SPEED_OF_LIGHT_M_S, require
 
 from conftest import CORRIDOR_WALL, evaluator_for
 
@@ -208,3 +211,39 @@ def test_evaluator_gives_finite_positive_gains_or_value_error(morphology, values
         gain = np.asarray(result.gain)
         assert gain.shape == np.shape(ranges)
         assert np.all(np.isfinite(gain) & (gain > 0.0)), (ranges, gain)
+
+
+HEIGHTS = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                    st.sampled_from([0.0, 1.0, 1.5, 10.0, 25.0, 1e154, 1e300]))
+MACROS = st.one_of(st.none(), st.builds(
+    lambda heights, width: (*sorted(heights, reverse=True), width),
+    st.lists(HEIGHTS, min_size=3, max_size=3),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frequency_hz=st.one_of(
+           st.floats(min_value=SPEED_OF_LIGHT_M_S / sys.float_info.max,
+                     allow_infinity=False),
+           st.sampled_from([28e9, 1e200, 1e300, sys.float_info.max])),
+       macro=MACROS, values=RANGE_ARRAYS)
+def test_reference_models_give_finite_db_or_value_error(frequency_hz, macro, values):
+    """Each reference model of the CLI, on any carrier, [macro] block and
+    range array that a config may hold, predicts a finite dB value per
+    range or raises a ValueError."""
+    if macro is not None:
+        try:
+            macro = MacroGeometry(*macro)
+        except ValueError:
+            macro = None
+    cfg = EnvironmentConfig("scene.ini", frequency_hz, macro=macro)
+    for name in cli.REFERENCE_MODELS:
+        for ranges in (np.array(values), values[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    predicted = cli._model_predictor(cfg, name)(ranges)
+                except ValueError:
+                    continue
+            assert np.shape(predicted) == np.shape(ranges)
+            assert np.all(np.isfinite(predicted)), (name, ranges, predicted)

@@ -132,6 +132,10 @@ class TestRoughnessSpectrum:
                         limit=200)
         assert total == pytest.approx(rough.height_variance_m2, rel=1e-3)
 
+    def test_far_tail_underflows_to_zero(self):
+        # chi^2 is past a float there; the spectrum, falling as chi^-2, is 0
+        assert roughness_spectrum(corridor_roughness(), 1e200) == 0.0
+
 
 class TestWallLoss:
     def test_smooth_wall(self):
@@ -152,6 +156,12 @@ class TestWallLoss:
         assert urban_term > corridor_term > 0.0
         assert wall_loss(URBAN_WALL, k) == pytest.approx(49.98045430890863,
                                                          rel=1e-12)
+
+    def test_depth_squared_past_a_float_is_value_error(self):
+        rough = TelegraphRoughness(1e200, 0.25, 0.75, 1.0, 1.0 / 3.0)
+        with pytest.raises(ValueError, match=r"^wall loss overflows for roughness "
+                                             r"A = 1e\+200 m at wavenumber 586 rad/m$"):
+            wall_loss(WallSurface(Dielectric(1.7), rough), 586.0)
 
 
 class TestTelegraphValidation:
