@@ -24,8 +24,8 @@ _EXPORTS = {
                    "overtop_gain", "rural_gain", "sidewalk_guided_gain",
                    "sidewalk_unguided_gain", "suburban_indoor_gain",
                    "suburban_street_gain"),
-    "reference": ("SlopeIntercept", "ThreeGppScenario", "friis_gain",
-                  "tr38901_pathloss", "uma_nlos_36814"),
+    "reference": ("ThreeGppScenario", "friis_gain", "tr38901_pathloss",
+                  "uma_nlos_36814"),
     "result": ("GainResult",),
     "surface": ("Dielectric", "TelegraphRoughness", "WallSurface",
                 "fresnel_exact", "fresnel_low_grazing", "roughness_spectrum",

@@ -211,18 +211,13 @@ def _of_dataset(path, compute, *args):
 
 def cmd_fit(args) -> int:
     result = _of_dataset(args.dataset, fit_slope_intercept, read_records(args.dataset))
-    model = result.model
-    sys.stdout.write(
-        f"intercept_db_1m={model.intercept_db_1m:.2f} "
-        f"exponent_n={model.exponent_n:.4f} "
-        f"rmse_db={result.rmse_db:.2f} n_points={result.n_points}\n"
-    )
+    header = ("intercept_db_1m", "exponent_n", "rmse_db", "n_points")
+    fields = ("%.2f", "%.4f", "%.2f", "%s")
+    values = [getattr(result, name) for name in header]
+    sys.stdout.write(" ".join(f"{name}={spec % value}" for name, spec, value
+                              in zip(header, fields, values)) + "\n")
     if args.output:
-        _write(args.output, _table(
-            ("intercept_db_1m", "exponent_n", "rmse_db", "n_points"),
-            ("%.2f", "%.4f", "%.2f", "%s"),
-            ([model.intercept_db_1m], [model.exponent_n], [result.rmse_db],
-             [result.n_points])))
+        _write(args.output, _table(header, fields, [[value] for value in values]))
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ from .diffuse import PenetrationSpec
 from .morphology import FoliageLayer, IndoorClutter, Link, MacroGeometry, StreetScene
 from .reference import friis_gain
 from .result import FLAG_KAPPA_EXTRAPOLATED, GainResult
-from .surface import DEFAULT_GROUND, Dielectric, TelegraphRoughness, WallSurface
+from .surface import (DEFAULT_GROUND, PARALLEL, Dielectric, TelegraphRoughness,
+                      WallSurface, low_grazing_rate)
 from .units import GainError, wavelength_m
 
 
@@ -76,10 +77,11 @@ def _wall(v: dict, built: dict, flags: list) -> WallSurface:
 def _canyon(v: dict, built: dict, flags: list) -> CanyonGeometry:
     ground = DEFAULT_GROUND
     if "ground_index" in v:
-        if v["ground_index"] <= math.sqrt(2.0):
-            # the parallel low-grazing ground reflection is singular there
-            raise ValueError(f"ground_index must exceed sqrt(2), got {v['ground_index']:g}")
-        ground = Dielectric(v["ground_index"])
+        try:  # the parallel ground rate: singular for n^2 <= 2, inf for the largest n
+            ground = Dielectric(v["ground_index"])
+            low_grazing_rate(ground, PARALLEL)
+        except ValueError as exc:
+            raise ValueError(f"ground_index: {exc}") from None
     return CanyonGeometry(v["width_m"], v["tx_height_m"], v["rx_height_m"],
                           built.get("wall"), ground,
                           tx_offset_m=v.get("tx_offset_m", 0.0),

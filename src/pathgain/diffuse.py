@@ -118,12 +118,14 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
             f"{spec.variant} variant needs a positive depth", depth_m)
     w1, w2 = spec.width1_m, spec.width2_m
     if spec.variant == STREET:
-        angle = np.arctan(w1 / (2.0 * depth_m))
+        angle = np.arctan(w1 / depth_m / 2.0)  # no 2d that overflows
     else:
-        # at a subnormal depth the ratio overflows to inf: the angle is pi/2
+        # (w_small / 2d) / (root / w_big): the divisor, >= 1 by hypot, is inf
+        # only where w_small / 2d is finite; a ratio of inf gives pi/2
+        w_small, w_big = np.minimum(w1, w2), np.maximum(w1, w2)
         with np.errstate(over="ignore"):
-            angle = np.arctan(w1 * w2 / (2.0 * depth_m * np.sqrt(
-                4.0 * (depth_m * depth_m) + w1 * w1 + w2 * w2)))
+            angle = np.arctan(w_small / depth_m / 2.0 / np.hypot(
+                np.hypot(1.0, w_small / w_big), depth_m / w_big * 2.0))
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 

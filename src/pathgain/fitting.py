@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .reference import SlopeIntercept
-
 # Path gain above this is considered a unit/parse error, not a measurement.
 PATH_GAIN_SANITY_DB = 20.0
 
@@ -72,7 +70,10 @@ class MeasurementDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    model: SlopeIntercept
+    """The line intercept_db_1m - 10 exponent_n log10(r) (dB) and its RMS."""
+
+    intercept_db_1m: float
+    exponent_n: float
     rmse_db: float
     n_points: int
 
@@ -180,7 +181,7 @@ def fit_slope_intercept(records) -> FitResult:
                            f"the fit gives {exponent:.4f}")
     # the residuals of the returned line itself
     residual = [y - (intercept + slope * v) for v, y in zip(x, gains)]
-    return FitResult(SlopeIntercept(intercept, exponent), rms_db(residual), n)
+    return FitResult(intercept, exponent, rms_db(residual), n)
 
 
 def rms_db(residual_db: list[float]) -> float:

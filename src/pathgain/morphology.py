@@ -150,10 +150,13 @@ class StreetScene:
         f, g = self.foliage, self.canyon
         if g.tx_height_m <= g.rx_height_m:
             raise ValueError("base must be above the mobile")
-        frac = (f.n_tree_per_m * max(f.tree_height_m - g.rx_height_m, 0.0)
-                * 2.0 * f.tree_width_m
-                / ((g.tx_height_m - g.rx_height_m) * g.width_m))
-        return min(max(frac, 0.0), 1.0)
+        # in mantissas and exponents (math.frexp): no over- or underflow, and the
+        # plain product's rounding where it has none; from 2**8 on, frac > 1
+        crown = max(f.tree_height_m - g.rx_height_m, 0.0)
+        top, e_top = zip(*map(math.frexp, (f.n_tree_per_m, crown, 2.0, f.tree_width_m)))
+        bottom, e_bottom = zip(*map(math.frexp, (g.tx_height_m - g.rx_height_m, g.width_m)))
+        frac = math.prod(top) / math.prod(bottom)
+        return min(math.ldexp(frac, min(sum(e_top) - sum(e_bottom), 8)), 1.0)
 
 
 @dataclass(frozen=True)

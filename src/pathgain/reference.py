@@ -1,9 +1,11 @@
-"""Reference path loss models: Friis, slope-intercept, and 3GPP baselines.
+"""The reference path loss models `pathgain evaluate` runs: Friis free
+space and the 3GPP baselines (TR 38.901 UMa, UMi and InH, LOS and NLOS;
+TR 36.814 UMa NLOS).
 
 The 3GPP coefficients are transcribed from the public standards as data
-(TR 38.901 V16.1.0 Table 7.4.1-1 and Table 7.4.3-2; TR 36.814 V9.0.0 Table
-B.1.2.1-1) with the source section recorded next to each block.  Path loss
-is returned in dB (positive); path gain is its negative.
+(TR 38.901 V16.1.0 Table 7.4.1-1; TR 36.814 V9.0.0 Table B.1.2.1-1) with
+the source section recorded next to each block.  Path loss is returned in
+dB (positive); path gain is its negative.
 """
 
 import math
@@ -22,18 +24,6 @@ def friis_gain(wavelength_m: float, range_m):
     # where float ** 2 would raise OverflowError
     ratio = wavelength_m / (4.0 * math.pi * range_m)
     return ratio * ratio
-
-
-@dataclass(frozen=True)
-class SlopeIntercept:
-    """Power-law path gain model: intercept at 1 m plus -10 n log10(r)."""
-
-    intercept_db_1m: float
-    exponent_n: float
-
-    def __post_init__(self):
-        require(self.exponent_n > 0.0, "distance exponent must be positive",
-                self.exponent_n, self.intercept_db_1m)
 
 
 def uma_nlos_36814(street_width_m: float, building_height_m: float,
@@ -85,26 +75,16 @@ TR38901 = {
     },
 }
 
-# TR 38.901 Table 7.4.3-2, low-loss O2I building penetration.
-O2I_LOW_LOSS = {"p_glass": 0.3, "glass": (2.0, 0.2), "concrete": (5.0, 4.0),
-                "indoor_slope_db_per_m": 0.5, "const_db": 5.0}
-
-
 @dataclass(frozen=True)
 class ThreeGppScenario:
-    """One 3GPP scenario selection with its geometry.
-
-    family: UMa, UMi or InH; condition: LOS or NLOS.  indoor_depth_m > 0
-    adds the UMi low-loss O2I penetration (outdoor part evaluated at the
-    scenario's own family/condition).
-    """
+    """One 3GPP scenario with its geometry: family UMa, UMi or InH,
+    condition LOS or NLOS."""
 
     family: str
     condition: str
     f_ghz: float
     base_height_m: float | None = None
     mobile_height_m: float = 1.5
-    indoor_depth_m: float = 0.0
 
     def __post_init__(self):
         if self.family not in TR38901:
@@ -112,8 +92,6 @@ class ThreeGppScenario:
         if self.condition not in ("LOS", "NLOS"):
             raise ValueError(f"condition must be LOS or NLOS, got {self.condition!r}")
         require(self.f_ghz > 0.0, "carrier frequency must be positive", self.f_ghz)
-        require(self.indoor_depth_m >= 0.0, "indoor depth must be nonnegative",
-                self.indoor_depth_m)
         if self.base_height_m is not None:
             require(self.base_height_m > 0.0, "base station height must be positive",
                     self.base_height_m)
@@ -131,8 +109,7 @@ def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     """TR 38.901 path loss (dB) at a horizontal distance, or an array of them.
 
     NLOS returns max(LOS, NLOS') per the standard's convention, so NLOS is
-    never below LOS at equal geometry.  For a scenario with indoor_depth_m
-    the low-loss O2I penetration and indoor distance losses are added.
+    never below LOS at equal geometry.
     """
     import numpy as np
     require(distance_m > 0.0, "distance must be positive", distance_m)
@@ -152,19 +129,4 @@ def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     if scenario.condition == "NLOS":
         pl = np.maximum(pl, nlos["a"] + nlos["b"] * log_d3d
                         + nlos["f"] * math.log10(f_ghz) - nlos["hut"] * (h_ut - 1.5))
-    if scenario.indoor_depth_m > 0.0:
-        pl = pl + o2i_low_loss_db(f_ghz, scenario.indoor_depth_m)
     return pl
-
-
-def o2i_low_loss_db(f_ghz: float, indoor_depth_m: float) -> float:
-    """Low-loss building penetration per TR 38.901 Table 7.4.3-2 (mean)."""
-    t = O2I_LOW_LOSS
-    l_glass = t["glass"][0] + t["glass"][1] * f_ghz
-    l_concrete = t["concrete"][0] + t["concrete"][1] * f_ghz
-    through_wall = t["const_db"] - 10.0 * math.log10(
-        t["p_glass"] * 10.0 ** (-l_glass / 10.0)
-        + (1.0 - t["p_glass"]) * 10.0 ** (-l_concrete / 10.0)
-    )
-    return through_wall + t["indoor_slope_db_per_m"] * indoor_depth_m
-

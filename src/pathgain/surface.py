@@ -137,7 +137,8 @@ def low_grazing_rate(dielectric: Dielectric,
     """Rate a of the low-grazing form -exp(-a theta).
 
     2/n for perpendicular polarization, 2 n^2 / sqrt(n^2 - 2) for parallel;
-    the parallel rate is singular for n^2 <= 2.
+    the parallel rate is singular for n^2 <= 2 and overflows for n above
+    about 9e307, where it raises ValueError.
     """
     _check_polarization(polarization)
     n = dielectric.refraction_index
@@ -147,7 +148,10 @@ def low_grazing_rate(dielectric: Dielectric,
         raise ValueError(
             f"parallel low-grazing form is singular for n^2 <= 2 (n={n})"
         )
-    return 2.0 * n * n / math.sqrt(n * n - 2.0)
+    # 2 n / sqrt(1 - 2/n^2) is 2 n to the last bit above 1e150 (2 n^2 overflows)
+    rate = 2.0 * n if n > 1e150 else 2.0 * n * n / math.sqrt(n * n - 2.0)
+    require(rate < math.inf, f"parallel low-grazing rate overflows for refraction index {n}")
+    return rate
 
 
 def roughness_spectrum(roughness: TelegraphRoughness, chi_x_per_m: float) -> float:

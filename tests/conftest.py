@@ -67,10 +67,10 @@ def walls_only_gain(link):
     return factors["spreading"] * factors["free_space_floor"]
 
 
-def line_db(model, range_m):
-    """A slope-intercept model's gain in dB at a range, or an array of
+def line_db(intercept_db_1m, exponent_n, range_m):
+    """The slope-intercept line's gain in dB at a range, or an array of
     ranges: P1_dB - 10 n log10(r)."""
-    return model.intercept_db_1m - 10.0 * model.exponent_n * np.log10(range_m)
+    return intercept_db_1m - 10.0 * exponent_n * np.log10(range_m)
 
 
 def evaluator_for(morphology: str):

@@ -42,7 +42,6 @@ from pathgain.oracles import (
     roughness_loss_integral,
 )
 from pathgain.reference import (
-    SlopeIntercept,
     ThreeGppScenario,
     tr38901_pathloss,
     uma_nlos_36814,
@@ -352,22 +351,22 @@ def test_criterion_09_fitting():
     of the exponent within 0.15 and RMSE in [2.5, 3.5] on 500 points;
     pooled fit spreads while per-street fits stay exact."""
     start = time.perf_counter()
-    model = SlopeIntercept(-45.0, 1.5)
+    model = (-45.0, 1.5)
     ranges = np.geomspace(10.0, 1000.0, 80)
-    line = np.array([line_db(model, float(r)) for r in ranges])
+    line = np.array([line_db(*model, float(r)) for r in ranges])
     noiseless = MeasurementDataset(ranges, line, 28e9)
     fit = fit_slope_intercept(noiseless)
     assert fit.rmse_db < 1e-10
-    assert fit.model.exponent_n == pytest.approx(1.5, abs=1e-12)
+    assert fit.exponent_n == pytest.approx(1.5, abs=1e-12)
 
     rng = np.random.default_rng(20260810)
     noisy_r = 10.0 ** rng.uniform(1.0, 3.0, 500)
     noisy = MeasurementDataset(
-        noisy_r, [line_db(model, float(r)) + float(rng.normal(0.0, 3.0))
+        noisy_r, [line_db(*model, float(r)) + float(rng.normal(0.0, 3.0))
                   for r in noisy_r], 28e9)
     noisy_fit = fit_slope_intercept(noisy)
     assert 2.5 <= noisy_fit.rmse_db <= 3.5
-    assert abs(noisy_fit.model.exponent_n - 1.5) <= 0.15
+    assert abs(noisy_fit.exponent_n - 1.5) <= 0.15
 
     up = MeasurementDataset(ranges, line + 10.0, 28e9)
     down = MeasurementDataset(ranges, line - 10.0, 28e9)
@@ -379,7 +378,7 @@ def test_criterion_09_fitting():
     assert pooled_fit.rmse_db > 3.0
     elapsed = time.perf_counter() - start
     report(9, "fitting", True,
-           f"noiseless exact, seeded n={noisy_fit.model.exponent_n:.3f}, "
+           f"noiseless exact, seeded n={noisy_fit.exponent_n:.3f}, "
            f"rmse={noisy_fit.rmse_db:.2f} dB, pooled spread "
            f"{pooled_fit.rmse_db:.1f} dB, {elapsed:.2f}s")
 

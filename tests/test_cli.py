@@ -149,6 +149,27 @@ class TestPredict:
         assert err.count("\n") == 1
         assert "ground_index" in err
 
+    @pytest.mark.parametrize("index", ["1e300", "1e308"])
+    def test_huge_ground_index_gives_gains_or_one_line_error(self, capsys, tmp_path,
+                                                              index):
+        # n^2 of the parallel ground rate overflows; from n = 9e307 on, the
+        # rate 2 n does too
+        path = tmp_path / "ground.ini"
+        write_edited_config("configs/corridor_2ghz.ini", path,
+                            [("canyon", "ground_index", index)])
+        code, out, err = run_cli(capsys, "predict", str(path), "los_corridor",
+                                 "1:100:10")
+        if code == 0:
+            assert err == ""
+            gains = [float(row["path_gain_db"])
+                     for row in csv.DictReader(io.StringIO(out))]
+            assert len(gains) == 10 and all(map(math.isfinite, gains))
+        else:
+            assert (code, out) == (1, "")
+            assert err == (f"pathgain: error: {path}: [canyon] ground_index: parallel "
+                           f"low-grazing rate overflows for refraction index {float(index)}\n")
+        assert (code == 0) == (index == "1e300")
+
     def test_underflowing_gain_is_one_line_error(self, capsys, tmp_path):
         # foliage absorption strong enough to underflow the rural gain to 0
         path = tmp_path / "rural.ini"

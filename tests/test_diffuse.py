@@ -19,6 +19,13 @@ class TestTEff:
         street = t_eff(PenetrationSpec.street(3.0), d)
         assert wide == pytest.approx(street, rel=1e-4)
 
+    @pytest.mark.parametrize("widths", [(1e155, 2.0), (2.0, 1e155)])
+    def test_aperture_with_a_huge_width_is_the_street(self, widths):
+        # w1^2 overflows in the root of 4 d^2 + w1^2 + w2^2
+        assert t_eff(PenetrationSpec.aperture(*widths), 1.0) == pytest.approx(
+            t_eff(PenetrationSpec.street(2.0), 1.0), rel=1e-12, abs=1e-12)
+        assert t_eff(PenetrationSpec.street(2.0), 1.0) == pytest.approx(0.5, rel=1e-15)
+
     def test_street_tends_to_unbounded(self):
         d = 2.0
         assert t_eff(PenetrationSpec.street(1e6 * d, material_t2=0.8), d) == \

@@ -16,15 +16,16 @@ from pathgain import cli
 from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
 from pathgain.config import (MORPHOLOGIES, EnvironmentConfig, load_config,
                              make_evaluator)
-from pathgain.diffuse import DiffuseLink, PenetrationSpec
+from pathgain.diffuse import DiffuseLink, PenetrationSpec, t_eff
 from pathgain.fitting import MeasurementDataset
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene, canyon_total_gain, canyon_with_trees_gain,
                                  outdoor_indoor_canyon_gain, sidewalk_guided_gain)
 from pathgain.oracles import (QuadratureControl, SummationControl,
                               guided_trees_series_power, oi_image_series_power)
-from pathgain.reference import SlopeIntercept, ThreeGppScenario
-from pathgain.surface import Dielectric, TelegraphRoughness
+from pathgain.reference import ThreeGppScenario
+from pathgain.surface import (PARALLEL, PERPENDICULAR, Dielectric, TelegraphRoughness,
+                              low_grazing_rate)
 from pathgain.units import SPEED_OF_LIGHT_M_S, require
 
 from conftest import CORRIDOR_WALL, evaluator_for
@@ -66,11 +67,7 @@ CONSTRUCTORS = {
     "diffuse_link_nan_standoff": lambda: DiffuseLink(NAN, 100.0, 1.0, 0.0, 0.01),
     "diffuse_link_inf_range": lambda: DiffuseLink(20.0, INF, 1.0, 0.0, 0.01),
     "diffuse_link_nan_kappa": lambda: DiffuseLink(20.0, 100.0, 1.0, NAN, 0.01),
-    "slope_nan_exponent": lambda: SlopeIntercept(-40.0, NAN),
-    "slope_inf_intercept": lambda: SlopeIntercept(INF, 2.0),
     "scenario_nan_frequency": lambda: ThreeGppScenario("UMa", "LOS", NAN),
-    "scenario_inf_depth": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
-                                                   indoor_depth_m=INF),
     "scenario_nan_base_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
                                                          base_height_m=NAN),
     "scenario_inf_base_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
@@ -247,3 +244,53 @@ def test_reference_models_give_finite_db_or_value_error(frequency_hz, macro, val
                     continue
             assert np.shape(predicted) == np.shape(ranges)
             assert np.all(np.isfinite(predicted)), (name, ranges, predicted)
+
+
+# any float, with the edges above and values whose squares or products
+# overflow; nonnegative finite floats often enough that most scenes build
+ANY_FLOAT = st.one_of(st.floats(), st.floats(min_value=0.0, allow_infinity=False),
+                      EDGE_VALUES, st.sampled_from([1.0, 2.0, 1e154, 1e155, 1e308]))
+PENETRATION_SPECS = {
+    "unbounded": lambda a, b, c: PenetrationSpec.unbounded(a),
+    "street": lambda a, b, c: PenetrationSpec.street(a, b),
+    "aperture": PenetrationSpec.aperture,
+    "facade_mixture": PenetrationSpec.facade_mixture,
+}
+
+
+def _value_or_none(compute):
+    """compute(), with float warnings as errors; None where it raises
+    ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return compute()
+        except ValueError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=ANY_FLOAT, polarization=st.sampled_from([PERPENDICULAR, PARALLEL]))
+def test_low_grazing_rate_is_finite_positive_or_value_error(index, polarization):
+    rate = _value_or_none(lambda: low_grazing_rate(Dielectric(index), polarization))
+    assert rate is None or 0.0 < rate < INF, (index, rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canyon=st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+       trees=st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT))
+def test_tree_fraction_is_in_unit_interval_or_value_error(canyon, trees):
+    n_tree, width, height = trees
+    rho = _value_or_none(lambda: StreetScene(
+        CanyonGeometry(*canyon), FoliageLayer(3.0, 0.38, n_tree_per_m=n_tree,
+                                              tree_width_m=width, tree_height_m=height),
+        8.0).rho)
+    assert rho is None or 0.0 <= rho <= 1.0, (canyon, trees, rho)
+
+
+@pytest.mark.parametrize("variant", sorted(PENETRATION_SPECS))
+@settings(max_examples=150, deadline=None)
+@given(values=st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), depth=ANY_FLOAT)
+def test_t_eff_is_in_unit_interval_or_value_error(variant, values, depth):
+    fraction = _value_or_none(lambda: t_eff(PENETRATION_SPECS[variant](*values), depth))
+    assert fraction is None or 0.0 <= fraction <= 1.0, (values, depth, fraction)

@@ -111,7 +111,7 @@ def test_spreading_term_carries_the_exponent(law):
     local = np.diff(spreading_db) / np.diff(db(result.range_m))
     np.testing.assert_allclose(local, -exponent, rtol=0, atol=1e-9)
     fitted = fit_slope_intercept(MeasurementDataset(result.range_m, spreading_db, 1.0))
-    assert fitted.model.exponent_n == pytest.approx(exponent, abs=1e-4)
+    assert fitted.exponent_n == pytest.approx(exponent, abs=1e-4)
 
 
 def test_power_law_keeps_factor_order_and_shape():

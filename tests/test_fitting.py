@@ -12,7 +12,7 @@ from pathgain.fitting import (
     rmse_against_model,
 )
 from pathgain.morphology import MacroGeometry, Link, canyon_total_gain
-from pathgain.reference import SlopeIntercept, friis_gain
+from pathgain.reference import friis_gain
 from pathgain.units import to_db, wavelength_m
 
 from conftest import db, line_db
@@ -32,22 +32,22 @@ def friis_dataset(f_hz=28e9, n=50, lo=10.0, hi=1000.0):
 class TestFit:
     def test_noiseless_friis_recovers_exponent_two(self):
         fit = fit_slope_intercept(friis_dataset())
-        assert fit.model.exponent_n == pytest.approx(2.0, abs=1e-12)
+        assert fit.exponent_n == pytest.approx(2.0, abs=1e-12)
         assert fit.rmse_db < 1e-10
         lam = wavelength_m(28e9)
-        assert fit.model.intercept_db_1m == pytest.approx(
+        assert fit.intercept_db_1m == pytest.approx(
             db(friis_gain(lam, 1.0)), abs=1e-9)
 
     def test_seeded_noise_recovery(self):
         rng = np.random.default_rng(20260810)
         lam = wavelength_m(28e9)
-        base = SlopeIntercept(db(friis_gain(lam, 1.0)) + 3.0, 1.5)
+        base = (db(friis_gain(lam, 1.0)) + 3.0, 1.5)
         ranges = 10.0 ** rng.uniform(1.0, 3.0, 500)
-        gains = [line_db(base, r) + rng.normal(0.0, 3.0)
+        gains = [line_db(*base, r) + rng.normal(0.0, 3.0)
                  for r in ranges]
         fit = fit_slope_intercept(make_dataset(ranges, gains))
         assert 2.5 <= fit.rmse_db <= 3.5
-        assert abs(fit.model.exponent_n - 1.5) <= 0.15
+        assert abs(fit.exponent_n - 1.5) <= 0.15
 
     def test_degenerate_dataset_rejected(self):
         with pytest.raises(DatasetError):
@@ -55,15 +55,27 @@ class TestFit:
         with pytest.raises(DatasetError):
             fit_slope_intercept(make_dataset([10.0, 10.0], [-60.0, -61.0]))
 
+    @pytest.mark.parametrize("ranges, gains, message", [
+        ([10.0, 20.0], [-80.0, -60.0], "exponent must be positive"),  # rising
+        ([10.0, 20.0], [-60.0, -60.0], "exponent must be positive"),  # flat
+        # the sum of the gains overflows: the intercept is not finite
+        ([10.0, 20.0, 30.0], [-1e308] * 3, "fit is not finite"),
+        # a NaN gain makes the slope, so the exponent, NaN
+        ([10.0, 20.0], [math.nan, -60.0], "fit is not finite"),
+    ], ids=["rising", "flat", "intercept_overflows", "nan_exponent"])
+    def test_fit_that_is_no_decaying_line_rejected(self, ranges, gains, message):
+        with pytest.raises(DatasetError, match=message):
+            fit_slope_intercept((ranges, gains))
+
     def test_round_trip_is_identity(self):
-        model = SlopeIntercept(-41.2, 2.7)
+        model = (-41.2, 2.7)
         ranges = np.geomspace(5.0, 500.0, 40)
-        ds = make_dataset(ranges, [line_db(model, r)
+        ds = make_dataset(ranges, [line_db(*model, r)
                                    for r in ranges])
         fit = fit_slope_intercept(ds)
         for r in ranges:
-            assert line_db(fit.model, r) == pytest.approx(
-                line_db(model, r), abs=1e-10)
+            assert line_db(fit.intercept_db_1m, fit.exponent_n, r) == pytest.approx(
+                line_db(*model, r), abs=1e-10)
 
 
 class TestRmseAgainstModel:
@@ -99,10 +111,10 @@ class TestRmseAgainstModel:
         ds = make_dataset(ranges, gains)
         best = fit_slope_intercept(ds)
         for _ in range(25):
-            other = SlopeIntercept(best.model.intercept_db_1m + rng.normal(0, 2),
-                                   abs(best.model.exponent_n + rng.normal(0, 0.3)))
+            other = (best.intercept_db_1m + rng.normal(0, 2),
+                     abs(best.exponent_n + rng.normal(0, 0.3)))
             assert best.rmse_db <= rmse_against_model(
-                ds, lambda r: line_db(other, r)) + 1e-12
+                ds, lambda r: line_db(*other, r)) + 1e-12
 
     def test_synthetic_street_prefers_its_generator(self):
         rng = np.random.default_rng(11)

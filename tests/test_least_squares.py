@@ -83,14 +83,14 @@ def test_matches_lstsq(csv_path, drawn):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["fit", str(csv_path)])
-    if exponent < 0.0:  # SlopeIntercept rejects a gain that rises with range
+    if exponent < 0.0:  # the fit rejects a gain that rises with range
         with pytest.raises(ValueError, match="exponent must be positive"):
             fit_slope_intercept((ranges, gains))
         assert code == cli.EXIT_VALIDATION
         return
     fit = fit_slope_intercept((ranges, gains))
-    for ours, reference in ((fit.model.intercept_db_1m, intercept),
-                            (fit.model.exponent_n, exponent), (fit.rmse_db, rmse)):
+    for ours, reference in ((fit.intercept_db_1m, intercept),
+                            (fit.exponent_n, exponent), (fit.rmse_db, rmse)):
         assert math.isclose(ours, reference, rel_tol=TOLERANCE, abs_tol=TOLERANCE)
     assert code == cli.EXIT_OK
     if not any(near_rounding_boundary(value, spec) for value, spec in

@@ -87,6 +87,19 @@ class TestTreeDensity:
         with pytest.raises(ValueError, match="base must be above the mobile"):
             self.rho(0.05, 10.0, 1.5, 1.5, 4.0, 32.0)
 
+    @pytest.mark.parametrize("fields, expected", [
+        # the crown area and the canyon section both overflow
+        ((1e300, 1e300, 1.0, 1e300, 0.0, 1e300), 0.0),
+        ((1e300, 1e300, 1.0, 1e300, 1.0, 1e300), 1.0),
+        # n_tree (z_tree - z_m) overflows, times a tree width that brings
+        # the fraction back far below 1
+        ((1e200, 1e200, 1.0, 10.0, 1e-300, 1e300), 2e100 / 9e300),
+        # n_tree (z_tree - z_m) underflows, the fraction is 2
+        ((1e-300, 2e-300, 1e-300, 2e-300, 1e300, 1.0), 1.0),
+    ], ids=["overflow_no_width", "overflow", "overflow_then_small", "underflow"])
+    def test_fraction_of_extreme_fields(self, fields, expected):
+        assert self.rho(*fields) == pytest.approx(expected, rel=1e-12)
+
 
 class TestSuburban:
     def test_reduces_to_diffuse_halfspace(self):

@@ -77,6 +77,15 @@ class TestFresnelLowGrazing:
         with pytest.raises(ValueError):
             fresnel_low_grazing(0.01, Dielectric(1.3), surface.PARALLEL)
 
+    def test_parallel_rate_of_a_huge_index_is_2n(self):
+        # n^2 overflows; the rate 2 n^2 / sqrt(n^2 - 2) is 2 n to the last bit
+        rate = surface.low_grazing_rate(Dielectric(1e300), surface.PARALLEL)
+        assert rate == 2e300
+
+    def test_parallel_rate_past_the_float_range_names_the_index(self):
+        with pytest.raises(ValueError, match=r"refraction index 1e\+308$"):
+            surface.low_grazing_rate(Dielectric(1e308), surface.PARALLEL)
+
     def test_approximation_error_at_moderate_index(self):
         # the exponential forms track the exact coefficients only for
         # indices well above 1; measured bounds on theta <= 0.1 rad:
