@@ -26,8 +26,11 @@ its first evaluation:
 - over an array of ranges, both sums test each range on its own: a range
   that has met its tolerance keeps its total, and only the others take
   the next shell or block;
-- the roughness integral does not depend on the angle or the wavenumber,
-  so one quadrature serves every pair of them;
+- no quadrature depends on the range, the carrier or the grazing angle:
+  each runs in a private function of the scene constants and the control
+  alone, behind `functools.lru_cache`, so a process integrates each
+  distinct integral once, one roughness quadrature serves every angle and
+  wavenumber, and each oracle call applies its own prefactor;
 - the quadratures bisect their worst boxes until the summed error estimate
   meets the tolerance.  The unbounded boundary is one radial integral over
   [d_in, inf); the aperture one quadrant, split at d_in/2 and then in
@@ -36,6 +39,7 @@ its first evaluation:
   the safety net.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -504,18 +508,26 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
         return radial_flux_integral(link, spec.material_t2, ctl, approximate_kappa)
     if spec.variant != APERTURE:
         raise ValueError(f"no boundary integral for variant {spec.variant!r}")
-    d_in, kappa = link.depth_m, link.kappa_np_per_m
     if ctl.rel_tol < 1e-11:
         ctl = replace(ctl, rel_tol=1e-11)
-    # the kernel is even in x and in y: the aperture integral is that of
-    # 4 x kernel over the quadrant x, y >= 0, whose corner is the flux peak,
-    # so the tolerances apply to the quadrant as to the whole
+    return _hotwall_gain(link, spec.material_t2, _aperture_quadrant(
+        link.depth_m, link.kappa_np_per_m, spec.width1_m, spec.width2_m,
+        approximate_kappa, ctl))
+
+
+@functools.lru_cache(maxsize=1024)
+def _aperture_quadrant(d_in, kappa, width1_m, width2_m, approximate_kappa, ctl):
+    """The hot-wall flux through a width1_m x width2_m aperture, once per
+    distinct set of arguments.  The kernel is even in x and in y: the
+    integral is that of 4 x kernel over the quadrant x, y >= 0, whose
+    corner is the flux peak, so the tolerances apply to the quadrant as to
+    the whole."""
     value, _, _ = gauss_kronrod(
         lambda x_, y: 4.0 * _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
                                             kappa, d_in, approximate_kappa),
-        (_aperture_edges(d_in, spec.width1_m / 2.0),
-         _aperture_edges(d_in, spec.width2_m / 2.0)), ctl)
-    return _hotwall_gain(link, spec.material_t2, value)
+        (_aperture_edges(d_in, width1_m / 2.0),
+         _aperture_edges(d_in, width2_m / 2.0)), ctl)
+    return value
 
 
 def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
@@ -527,12 +539,21 @@ def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
     the integral over the plane exactly into 2 pi times a 1-D integral over
     [d_in, inf), with no cut-off radius and ctl's tolerances as given.
     approximate_kappa freezes the absorption as in `hotwall_quadrature`.
+    material_t2 must be in [0, 1], as a `PenetrationSpec`'s.
     """
-    d_in, kappa = link.depth_m, link.kappa_np_per_m
+    require(0.0 <= material_t2 <= 1.0, "material power transmission must be in [0, 1]")
+    value = _radial_flux(link.depth_m, link.kappa_np_per_m, approximate_kappa, ctl)
+    return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
+
+
+@functools.lru_cache(maxsize=1024)
+def _radial_flux(d_in, kappa, approximate_kappa, ctl):
+    """The radial hot-wall flux integral over [d_in, inf), once per distinct
+    set of arguments."""
     value, _, _ = gauss_kronrod(
         lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, approximate_kappa),
         ((d_in, math.inf),), ctl)
-    return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
+    return value
 
 
 def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
@@ -551,8 +572,12 @@ def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
     term; the closed-form counterpart is surface.roughness_loss_rate(...) *
     theta.  Only tests set general_bracket, as the independent kernel of
     test_general_bracket_restricts_to_propagating_band.
+    theta_rad must be in [0, pi/2] and wavenumber finite and positive, as
+    in the closed form.
     """
     k = wavenumber
+    surface._check_grazing(theta_rad)
+    require(k > 0.0, "wavenumber must be positive", k)
     if general_bracket:
         chi_max = k * (1.0 + math.cos(theta_rad))
 
@@ -566,8 +591,16 @@ def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
         value, _, _ = gauss_kronrod(f_general, ((-chi_max, 0.0, chi_max),), ctl)
         return 2.0 * k * k * math.sin(theta_rad) * value
 
+    loss = (2.0 * k * k * theta_rad * np.sqrt(2.0 / k)
+            * (2.0 * _roughness_integral(roughness, ctl)))
+    return loss if np.ndim(loss) else float(loss)
+
+
+@functools.lru_cache(maxsize=1024)
+def _roughness_integral(roughness, ctl):
+    """The integral of G(chi) sqrt(chi) over [0, inf), once per distinct
+    roughness and control."""
     value, _, _ = gauss_kronrod(
         lambda chi: surface.roughness_spectrum(roughness, chi) * np.sqrt(chi),
         ((0.0, math.inf),), ctl)
-    loss = 2.0 * k * k * theta_rad * np.sqrt(2.0 / k) * (2.0 * value)
-    return loss if np.ndim(loss) else float(loss)
+    return value

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pathgain import oracles
 from pathgain.canyon import CanyonGeometry, los_gain_incoherent
 from pathgain.config import ConfigError, load_config, make_evaluator
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
@@ -28,6 +29,19 @@ def _run_from_repo_root():
     os.chdir(REPO_ROOT)
     yield
     os.chdir(previous)
+
+
+# the quadratures that the oracles keep for the life of the process
+QUADRATURE_CACHES = (oracles._radial_flux, oracles._aperture_quadrant,
+                     oracles._roughness_integral)
+
+
+@pytest.fixture(autouse=True)
+def _cold_quadrature_caches():
+    """Each test starts with no integral kept, so a test that counts or
+    patches quadratures sees every one its own calls need."""
+    for cache in QUADRATURE_CACHES:
+        cache.cache_clear()
 
 # Office corridor: 1.6 m wide, lightly corrugated walls (door jambs),
 # transmitter at 2.2 m, receiver at 1 m.

@@ -349,6 +349,14 @@ class TestHotwallQuadrature:
         two_d = hotwall_quadrature(link, PenetrationSpec.aperture(600.0, 600.0))
         assert two_d == pytest.approx(radial, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("material_t2", [-0.5, math.nan, 2.0])
+    def test_radial_flux_rejects_transmission_out_of_range(self, material_t2):
+        # as a PenetrationSpec does: a power transmission in [0, 1]
+        link = DiffuseLink(20.0, 100.0, 5.0, 0.1, wavelength_m(28e9))
+        with pytest.raises(ValueError,
+                           match=r"material power transmission must be in \[0, 1\]"):
+            radial_flux_integral(link, material_t2)
+
     @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.38, 2.0])
     @pytest.mark.parametrize("depth", [0.5, 5.0])
     def test_kernel_is_radial_flux_of_greens_function(self, kappa, depth):
@@ -473,6 +481,32 @@ class TestRoughnessIntegral:
         v1 = roughness_loss_integral(0.01, r1, k)
         v2 = roughness_loss_integral(0.01, r2, k)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("general_bracket", [False, True])
+    @pytest.mark.parametrize("theta, k, message", [
+        (0.01, -1.0, "wavenumber must be positive"),
+        (0.01, 0.0, "wavenumber must be positive"),
+        (0.01, math.nan, "wavenumber must be positive"),
+        (0.01, math.inf, "wavenumber must be positive"),
+        (math.nan, 587.0, "grazing angle"),
+        (-0.5, 587.0, "grazing angle"),
+        (2.0, 587.0, "grazing angle"),
+    ])
+    def test_rejects_angle_or_wavenumber_out_of_range(self, theta, k, message,
+                                                      general_bracket):
+        # as the closed form does: theta in [0, pi/2], k finite and positive
+        with pytest.raises(ValueError, match=message):
+            roughness_loss_integral(theta, CORRIDOR_WALL.roughness, k,
+                                    general_bracket=general_bracket)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_any_bad_element_of_an_array(self):
+        rough = CORRIDOR_WALL.roughness
+        with pytest.raises(ValueError, match="wavenumber must be positive"):
+            roughness_loss_integral(0.01, rough, np.array([[58.7], [-1.0]]))
+        with pytest.raises(ValueError, match="grazing angle"):
+            roughness_loss_integral(np.array([0.01, -0.5]), rough, 58.7)
 
     def test_general_bracket_restricts_to_propagating_band(self):
         # the full angular bracket admits only down-shifted spatial

@@ -4,6 +4,7 @@ and agreement with scipy.integrate, kept here as a test-only reference.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pathgain.oracles import (
 from pathgain.surface import TelegraphRoughness, roughness_spectrum
 from pathgain.units import wavelength_m, wavenumber_rad_m
 
-from conftest import CORRIDOR_WALL, URBAN_WALL, load_gapmap
+from conftest import CORRIDOR_WALL, QUADRATURE_CACHES, URBAN_WALL, load_gapmap
 
 DEFAULT = QuadratureControl()
 STRICT = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
@@ -209,32 +210,165 @@ def _initial_box_count(edges):
     return math.prod(len(e) - 1 for e in edges)
 
 
+def _recording_quadratures(calls):
+    """A stand-in for gauss_kronrod that appends (edges, evaluations) of
+    each quadrature it runs to calls."""
+    original = oracles.gauss_kronrod
+
+    def recording(f, edges, ctl):
+        result = original(f, edges, ctl)
+        calls.append((edges, result[2]))
+        return result
+
+    return recording
+
+
+def _run_grid(gapmap):
+    for point in gapmap.grid():
+        gapmap.evaluate(point)
+
+
 class TestFirstPass:
     def test_verify_and_gap_map_quadratures_need_no_bisection(self):
         # every quadrature of `verify all` at both profiles and of the whole
         # gap-map grid meets its tolerance on its initial boxes
         calls = []
-        original = oracles.gauss_kronrod
-
-        def recording(f, edges, ctl):
-            result = original(f, edges, ctl)
-            calls.append((edges, result[2]))
-            return result
-
         gapmap = load_gapmap()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "gauss_kronrod", recording)
+            patch.setattr(oracles, "gauss_kronrod", _recording_quadratures(calls))
             for profile in ("default", "strict"):
                 verify.run_suites(list(verify.SUITES), profile)
-            points = gapmap.grid()
-            for point in points:
-                gapmap.evaluate(point)
-        # four quadratures per grid point: the unbounded and aperture hot
-        # wall, the radial flux and the roughness loss
-        assert len(calls) == 2 * (8 + 2) + 4 * len(points)
+            _run_grid(gapmap)
+        # 20 for verify, then 5 the grid adds: the room's radial flux, one
+        # aperture per street width and the avenue's roughness.  Every other
+        # oracle call of the grid is a bit-identical repeat of one of these
+        assert len(calls) == 20 + 5
         bisected = [(edges, evaluations) for edges, evaluations in calls
                     if evaluations != 15 ** len(edges) * _initial_box_count(edges)]
         assert not bisected
+
+
+def _cached_calls(run):
+    """{helper: [args, ...]} of every call that run() makes to the cached
+    quadratures, repeats included."""
+    calls = {cache: [] for cache in QUADRATURE_CACHES}
+
+    def recording(cache):
+        def record(*args):
+            calls[cache].append(args)
+            return cache(*args)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cache in QUADRATURE_CACHES:
+            patch.setattr(oracles, cache.__name__, recording(cache))
+        run()
+    return calls
+
+
+def _as(kind, args):
+    """args with every float, numpy floats included, converted to kind."""
+    return tuple(kind(a) if isinstance(a, (float, np.floating)) else a
+                 for a in args)
+
+
+class TestQuadratureCache:
+    def test_cached_values_are_the_quadratures_bit_for_bit(self):
+        # every distinct integral of `verify all` at both profiles and of
+        # the grid, from the cache and computed afresh with float and numpy
+        # float arguments (verify passes aperture widths as numpy floats)
+        gapmap = load_gapmap()
+
+        def run():
+            for profile in ("default", "strict"):
+                verify.run_suites(list(verify.SUITES), profile)
+            _run_grid(gapmap)
+
+        calls = _cached_calls(run)
+        assert {cache.__name__: len(set(args)) for cache, args in calls.items()} == {
+            "_radial_flux": 5, "_aperture_quadrant": 15, "_roughness_integral": 5}
+        for cache, arg_list in calls.items():
+            for args in set(arg_list):
+                cached = cache(*args)
+                for kind in (float, np.float64):
+                    fresh = cache.__wrapped__(*_as(kind, args))
+                    assert type(fresh) is float
+                    assert fresh.hex() == cached.hex(), (cache.__name__, args)
+
+    def test_verify_and_grid_quadrature_counts(self):
+        calls = []
+        gapmap = load_gapmap()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", _recording_quadratures(calls))
+            for profile in ("default", "strict"):
+                verify.run_suites(list(verify.SUITES), profile)
+            assert len(calls) == 20
+            assert sum(evaluations for _, evaluations in calls) == 28_920
+            # a second verify in the same process integrates nothing
+            for profile in ("default", "strict"):
+                verify.run_suites(list(verify.SUITES), profile)
+            assert len(calls) == 20
+            _run_grid(gapmap)
+            assert len(calls) == 25
+
+    def test_grid_alone_runs_seven_quadratures(self):
+        # one radial flux for the room, one aperture per street width and
+        # one roughness integral per scene, over all 183 points
+        calls = []
+        gapmap = load_gapmap()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", _recording_quadratures(calls))
+            _run_grid(gapmap)
+        assert len(calls) == 7
+
+    def test_range_and_carrier_hit_and_scene_constants_miss(self):
+        calls = []
+        link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
+        spec = PenetrationSpec.aperture(3.0, 10.0)
+        rough = URBAN_WALL.roughness
+        k = wavenumber_rad_m(28e9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", _recording_quadratures(calls))
+            hotwall_quadrature(link, spec)
+            radial_flux_integral(link)
+            roughness_loss_integral(0.01, rough, k)
+            assert len(calls) == 3
+            # another range, carrier, standoff, angle or transmission: hits
+            other = DiffuseLink(5.0, 300.0, 1.0, 0.0, wavelength_m(3.5e9))
+            hotwall_quadrature(other, PenetrationSpec.aperture(3.0, 10.0, 0.5))
+            radial_flux_integral(other, 0.5)
+            roughness_loss_integral(0.05, rough, wavenumber_rad_m(2e9))
+            assert len(calls) == 3
+            # a changed control, kappa, depth, width or roughness: misses
+            hotwall_quadrature(link, spec, STRICT)
+            radial_flux_integral(replace(link, kappa_np_per_m=0.1))
+            radial_flux_integral(replace(link, depth_m=2.0))
+            hotwall_quadrature(link, PenetrationSpec.aperture(3.0, 11.0))
+            roughness_loss_integral(0.01, CORRIDOR_WALL.roughness, k)
+            roughness_loss_integral(0.01, rough, k, STRICT)
+            assert len(calls) == 9
+
+    def test_aperture_control_is_keyed_after_its_floor(self):
+        # below 1e-11 the aperture's relative tolerance is raised to 1e-11,
+        # so two controls that differ only there share one integral
+        calls = []
+        link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
+        spec = PenetrationSpec.aperture(3.0, 10.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "gauss_kronrod", _recording_quadratures(calls))
+            first = hotwall_quadrature(link, spec, STRICT)
+            second = hotwall_quadrature(link, spec, replace(STRICT, rel_tol=1e-13))
+        assert len(calls) == 1
+        assert second == first
+
+    def test_failed_quadrature_raises_again_and_is_not_kept(self):
+        link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
+        spec = PenetrationSpec.aperture(3000.0, 3000.0)
+        ctl = QuadratureControl(max_subdivisions=10)
+        for _ in range(2):
+            with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
+                hotwall_quadrature(link, spec, ctl)
+            assert oracles._aperture_quadrant.cache_info().currsize == 0
 
 
 class TestAnalytic:
