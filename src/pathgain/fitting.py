@@ -6,13 +6,16 @@ residuals are population RMS, so an ordinary least squares fit is optimal
 among slope-intercept models under exactly the metric reported here.
 
 The reader, the record rule and the fit are pure Python, so `pathgain fit`
-loads no numpy; `MeasurementDataset` imports it to hold its arrays.
+loads no numpy; `MeasurementDataset` imports it to hold its arrays.  The
+two record classes are a plain class and a `collections.namedtuple`, not
+dataclasses: `import dataclasses` loads `inspect`, `ast` and `dis`, which
+no line of `fit` uses.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 # Path gain above this is considered a unit/parse error, not a measurement.
@@ -40,42 +43,37 @@ def _first_invalid(ranges, gains) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class MeasurementDataset:
     """Measured path gain (dB) at ranges (m), as two read-only 1-D float
-    arrays of equal length, sharing one carrier frequency."""
+    arrays of equal length, sharing one carrier frequency.  Its attributes
+    cannot be set, and two datasets are equal only if they are one."""
 
-    ranges_m: "numpy.ndarray"
-    gains_db: "numpy.ndarray"
-    frequency_hz: float
-
-    def __post_init__(self):
+    def __init__(self, ranges_m, gains_db, frequency_hz: float):
         import numpy as np
-        ranges = np.array(self.ranges_m, dtype=float)
-        gains = np.array(self.gains_db, dtype=float)
+        ranges = np.array(ranges_m, dtype=float)
+        gains = np.array(gains_db, dtype=float)
         if ranges.ndim != 1 or ranges.shape != gains.shape:
             raise DatasetError("ranges and gains must be 1-D arrays of equal length")
         invalid = _first_invalid(ranges.tolist(), gains.tolist())
         if invalid:
             raise DatasetError(invalid[1])
-        if not (self.frequency_hz > 0.0 and math.isfinite(self.frequency_hz)):
+        if not (frequency_hz > 0.0 and math.isfinite(frequency_hz)):
             raise DatasetError("dataset frequency must be finite and positive")
-        for name, values in (("ranges_m", ranges), ("gains_db", gains)):
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        ranges.flags.writeable = gains.flags.writeable = False
+        self.__dict__.update(ranges_m=ranges, gains_db=gains, frequency_hz=frequency_hz)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.ranges_m)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """The line intercept_db_1m - 10 exponent_n log10(r) (dB) and its RMS."""
-
-    intercept_db_1m: float
-    exponent_n: float
-    rmse_db: float
-    n_points: int
+FitResult = namedtuple("FitResult", "intercept_db_1m exponent_n rmse_db n_points")
+FitResult.__doc__ = """The line intercept_db_1m - 10 exponent_n log10(r) (dB) and its RMS."""
 
 
 def read_records(path) -> tuple[list[float], list[float]]:
@@ -163,6 +161,8 @@ def fit_slope_intercept(records) -> FitResult:
         records = records.ranges_m.tolist(), records.gains_db.tolist()
     ranges, gains = records
     n = len(ranges)
+    if len(gains) != n:
+        raise DatasetError("ranges and gains must be of equal length")
     if n < 2:
         raise DatasetError("fit needs at least two records")
     x = list(map(math.log10, ranges))
@@ -186,7 +186,9 @@ def fit_slope_intercept(records) -> FitResult:
 
 def rms_db(residual_db: list[float]) -> float:
     """Root mean square of residuals in dB, a list of floats; raises
-    DatasetError when it is not finite."""
+    DatasetError when there are none or it is not finite."""
+    if not residual_db:
+        raise DatasetError("RMS needs at least one residual")
     rms = math.sqrt(_fsum(map(mul, residual_db, residual_db)) / len(residual_db))
     if not math.isfinite(rms):
         raise DatasetError("RMS of the residuals is not finite")

@@ -31,7 +31,7 @@ class Dielectric:
 
     def __post_init__(self):
         require(self.refraction_index > 1.0,
-                f"refraction index must exceed 1, got {self.refraction_index}",
+                lambda: f"refraction index must exceed 1, got {self.refraction_index}",
                 self.refraction_index)
 
 
@@ -150,7 +150,8 @@ def low_grazing_rate(dielectric: Dielectric,
         )
     # 2 n / sqrt(1 - 2/n^2) is 2 n to the last bit above 1e150 (2 n^2 overflows)
     rate = 2.0 * n if n > 1e150 else 2.0 * n * n / math.sqrt(n * n - 2.0)
-    require(rate < math.inf, f"parallel low-grazing rate overflows for refraction index {n}")
+    require(rate < math.inf,
+            lambda: f"parallel low-grazing rate overflows for refraction index {n}")
     return rate
 
 

@@ -109,7 +109,7 @@ def wavelength_m(frequency_hz):
     not finite or lies below c/DBL_MAX (about 1.7e-300 Hz), where c/f
     overflows."""
     require(frequency_hz >= _MIN_FREQUENCY_HZ,
-            f"frequency must be positive with a finite wavelength, got {frequency_hz}",
+            lambda: f"frequency must be positive with a finite wavelength, got {frequency_hz}",
             frequency_hz)
     return SPEED_OF_LIGHT_M_S / frequency_hz
 

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from pathgain.fitting import (
     DatasetError,
+    FitResult,
     MeasurementDataset,
     fit_slope_intercept,
     load_dataset,
+    rms_db,
     rmse_against_model,
 )
 from pathgain.morphology import MacroGeometry, Link, canyon_total_gain
@@ -67,6 +69,20 @@ class TestFit:
         with pytest.raises(DatasetError, match=message):
             fit_slope_intercept((ranges, gains))
 
+    @pytest.mark.parametrize("ranges, gains", [
+        # the unchecked fit gave exponent 0.35 over n_points=4
+        ([10.0, 100.0, 1000.0, 1e4], [-40.0, -60.0, -80.0]),
+        # and here an RMS of 40 dB, from a third residual of no range
+        ([10.0, 100.0], [-40.0, -60.0, -80.0]),
+    ], ids=["more_ranges", "more_gains"])
+    def test_lists_of_unequal_length_rejected(self, ranges, gains):
+        with pytest.raises(DatasetError, match="equal length"):
+            fit_slope_intercept((ranges, gains))
+
+    def test_rms_of_no_residuals_rejected(self):
+        with pytest.raises(DatasetError, match="at least one residual"):
+            rms_db([])
+
     def test_round_trip_is_identity(self):
         model = (-41.2, 2.7)
         ranges = np.geomspace(5.0, 500.0, 40)
@@ -76,6 +92,36 @@ class TestFit:
         for r in ranges:
             assert line_db(fit.intercept_db_1m, fit.exponent_n, r) == pytest.approx(
                 line_db(*model, r), abs=1e-10)
+
+
+class TestRecordClasses:
+    def test_fit_result_fields_repr_and_equality(self):
+        fit = FitResult(intercept_db_1m=-41.5, exponent_n=2.25, rmse_db=0.5,
+                        n_points=7)
+        assert repr(fit) == ("FitResult(intercept_db_1m=-41.5, exponent_n=2.25, "
+                             "rmse_db=0.5, n_points=7)")
+        assert (fit.intercept_db_1m, fit.exponent_n, fit.rmse_db, fit.n_points) == \
+            (-41.5, 2.25, 0.5, 7)
+        assert fit == FitResult(-41.5, 2.25, 0.5, 7)
+        assert fit != FitResult(-41.5, 2.25, 0.5, 8)
+
+    def test_attributes_cannot_be_set(self):
+        fit = FitResult(-41.5, 2.25, 0.5, 7)
+        ds = make_dataset([10.0, 20.0], [-60.0, -66.0])
+        for record, name in ((fit, "exponent_n"), (ds, "ranges_m"),
+                             (ds, "frequency_hz"), (ds, "label")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            del ds.gains_db
+        assert fit.exponent_n == 2.25
+        assert ds.frequency_hz == 28e9 and ds.gains_db.tolist() == [-60.0, -66.0]
+
+    def test_datasets_are_equal_only_when_one(self):
+        first = make_dataset([10.0, 20.0], [-60.0, -66.0])
+        second = make_dataset([10.0, 20.0], [-60.0, -66.0])
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
 
 class TestRmseAgainstModel:

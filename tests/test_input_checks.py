@@ -12,7 +12,8 @@ from pathgain.canyon import CanyonGeometry, LosLink
 from pathgain.diffuse import DiffuseLink
 from pathgain.morphology import Link
 from pathgain.reference import friis_gain, uma_nlos_36814
-from pathgain.surface import Dielectric, fresnel_exact, fresnel_low_grazing
+from pathgain.surface import (PARALLEL, Dielectric, fresnel_exact, fresnel_low_grazing,
+                              low_grazing_rate)
 from pathgain.units import require, wavelength_m
 
 GLASS = Dielectric(2.0)
@@ -80,6 +81,41 @@ def test_message_function_runs_only_on_failure():
     with pytest.raises(ValueError, match="^checked value$"):
         require(True, message, math.inf)
     assert len(calls) == 1
+
+
+def _counting(base):
+    """A subclass of base whose values count, in the list returned with
+    it, each time they are formatted as text."""
+    calls = []
+
+    class Counting(base):
+        def __format__(self, spec):
+            calls.append(spec)
+            return base.__format__(self, spec)
+
+        def __str__(self):
+            calls.append("str")
+            return base.__str__(self)
+
+        def __repr__(self):
+            calls.append("repr")
+            return base.__repr__(self)
+
+    return Counting, calls
+
+
+def test_passing_checks_format_nothing():
+    # the message of a check that prints its value is built only when it fails
+    array, array_calls = _counting(np.ndarray)
+    number, number_calls = _counting(float)
+    wavelength_m(np.array([2e9, 28e9]).view(array))
+    wavelength_m(number(28e9))
+    low_grazing_rate(Dielectric(number(2.0)), PARALLEL)
+    assert array_calls == [] and number_calls == []
+    # the control: a failing check formats its value, and the count sees it
+    with pytest.raises(ValueError, match=r"got \[ 2\.e\+09 -1\.e\+00\]$"):
+        wavelength_m(np.array([2e9, -1.0]).view(array))
+    assert array_calls
 
 
 # every carrier goes through units.wavelength_m: a frequency at or below

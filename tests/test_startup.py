@@ -5,7 +5,9 @@
 commands that run them, and numpy only in the code that computes, so
 `--help` and a usage error load no numpy.  `fit` loads `cli` and `fitting`
 alone: its reader and least squares are pure Python and its result holds
-the fitted line itself, so it loads no numpy either.  `fitting`,
+the fitted line itself, so it loads no numpy either.  Its record classes
+are no dataclasses, so beyond what `--help` loads, `fit` loads only
+`fitting`, the csv reader and its file's codec.  `fitting`,
 `reference` and `units` import numpy only in the functions that compute
 on arrays.  With bytecode not written, each
 process compiles the source of every module it imports, so a module a
@@ -28,8 +30,8 @@ from pathgain import cli
 
 # runs pathgain.cli.main on argv, then reports its exit code (that of
 # SystemExit for --help), every scipy module and every pathgain submodule
-# loaded by then, and whether numpy and numpy.ma were, as the last line of
-# stderr
+# loaded by then, whether numpy and numpy.ma were, and every module, as the
+# last line of stderr
 _WRAPPER = """
 import json, sys
 from pathgain import cli
@@ -40,7 +42,8 @@ except SystemExit as exc:
 loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top
                       and m != top) for top in ("scipy", "pathgain")}
 print(json.dumps({"code": code, **loaded, "numpy": "numpy" in sys.modules,
-                  "numpy.ma": "numpy.ma" in sys.modules}), file=sys.stderr)
+                  "numpy.ma": "numpy.ma" in sys.modules,
+                  "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
@@ -96,6 +99,16 @@ def test_verify_loads_no_scipy(profile):
 def test_fit_loads_only_cli_and_fitting(sweep):
     assert _report(*_argv("fit", sweep))["pathgain"] == [
         "pathgain.cli", "pathgain.fitting"]
+
+
+def test_fit_loads_what_help_loads_and_its_reader(sweep):
+    # beyond --help, fit loads its module, the csv reader and the codec of
+    # its file, and no dataclasses (which loads inspect, ast and dis); both
+    # sets come from one interpreter setup, so modules that site hooks
+    # load are in both
+    fit = set(_report(*_argv("fit", sweep))["modules"])
+    assert fit - set(_report("--help")["modules"]) == {
+        "pathgain.fitting", "csv", "_csv", "encodings.utf_8_sig"}
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
