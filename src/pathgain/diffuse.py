@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .result import power_law
+from .result import GainResult, power_law
 from .units import checked_gain, require
 
 UNBOUNDED = "unbounded"
@@ -80,7 +80,8 @@ class DiffuseLink:
     standoff_m: source distance d_s to the nearest boundary point.
     range_m: source distance r to the center of the hot boundary region
         (one range or an array of them).
-    depth_m: terminal depth d_in inside the scattering medium.
+    depth_m: terminal depth d_in inside the scattering medium; 0 is a
+        terminal on the boundary (unbounded boundary only, see t_eff).
     kappa_np_per_m: intrinsic absorption of the medium (nepers/m).
     wavelength_m: carrier wavelength.
     """
@@ -92,8 +93,9 @@ class DiffuseLink:
     wavelength_m: float
 
     def __post_init__(self):
-        for length in (self.standoff_m, self.range_m, self.depth_m, self.wavelength_m):
+        for length in (self.standoff_m, self.range_m, self.wavelength_m):
             require(length > 0.0, "lengths must be positive", length)
+        require(self.depth_m >= 0.0, "depth must be nonnegative", self.depth_m)
         require(self.kappa_np_per_m >= 0.0, "absorption must be nonnegative",
                 self.kappa_np_per_m)
         require(self.range_m >= self.standoff_m,
@@ -129,21 +131,21 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 
+def quartic_law(link: DiffuseLink, **factors) -> GainResult:
+    """lambda^2 d_s^2 / (8 pi^2 r^4) times the given factors, then the
+    absorption exp(-kappa d_in): the one body of every quartic law."""
+    return power_law(4.0, link.wavelength_m**2 * link.standoff_m**2 / (8.0 * math.pi**2),
+                     link.range_m, **factors,
+                     absorption=math.exp(-link.kappa_np_per_m * link.depth_m))
+
+
 @checked_gain
 def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     """Average path gain into the diffuse half-space (linear power ratio).
 
-    lambda^2 d_s^2 T_eff exp(-kappa d_in) / (8 pi^2 r^4).  The quartic range
-    law and the constant are validated against quadrature of the hot-wall
+    lambda^2 d_s^2 T_eff exp(-kappa d_in) / (8 pi^2 r^4), the quartic law
+    with T_eff.  It is validated against quadrature of the hot-wall
     integral by the oracles module (1-D radial for the unbounded boundary,
     2-D for the aperture).
     """
-    return power_law(4.0, quartic_constant(link.wavelength_m, link.standoff_m),
-                     link.range_m, t_eff=t_eff(spec, link.depth_m),
-                     absorption=math.exp(-link.kappa_np_per_m * link.depth_m)).gain
-
-
-def quartic_constant(wavelength_m: float, standoff_m: float) -> float:
-    """lambda^2 d_s^2 / (8 pi^2), the constant of every quartic law."""
-    return wavelength_m**2 * standoff_m**2 / (8.0 * math.pi**2)
-
+    return quartic_law(link, t_eff=t_eff(spec, link.depth_m)).gain

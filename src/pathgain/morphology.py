@@ -1,9 +1,11 @@
 """Composite path gain laws for suburban, macro, outdoor-indoor and
 cluttered-sidewalk environments.
 
-Each law is one power_law call: a spreading term constant / r^n (n = 2.5
-for the wall-guided laws, 4 for the quartic ones) times named factors,
-which the result keeps in its factors dict.  Ground and back-wall bounces
+Each law is one power law: a spreading term constant / r^n times named
+factors, which the result keeps in its factors dict.  The wall-guided laws
+(n = 2.5) are one power_law call; the quartic ones (n = 4) are
+diffuse.quartic_law, the body `verify diffuse` checks, whose last factor
+"absorption" is the foliage or clutter loss.  Ground and back-wall bounces
 enter as incoherent power factors (1 + |Gamma|^2): the ground coefficient
 comes from the scene geometry and the back wall bounce is its maximum,
 WALL_BOUNCE.  For a slope analysis, divide a factor out of the gain, e.g.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canyon import CanyonGeometry, ground_bounce
-from .diffuse import PenetrationSpec, quartic_constant, t_eff
+from .diffuse import DiffuseLink, PenetrationSpec, quartic_law, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
@@ -181,17 +183,17 @@ class Link:
 
 
 def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResult:
-    """Quartic law of the street scenes: lambda^2 d_s^2 / (8 pi^2 r^4) times
-    the given factors, foliage exp(-kappa_v rho d_v) and the bounces, with r
-    from the horizontal range, height difference and boundary standoff."""
+    """Quartic law of the street scenes (diffuse.quartic_law): the given
+    factors, the bounces and the foliage absorption exp(-kappa_v rho d_v),
+    with d_s the boundary standoff and r from the horizontal range, height
+    difference and standoff."""
     g = scene.canyon
-    dz = g.tx_height_m - g.rx_height_m
-    r = np.sqrt(link.range_m**2 + dz * dz + scene.standoff_m**2)
-    gamma = g.ground_bounce(np.hypot(link.range_m, scene.standoff_m))
-    foliage = math.exp(-scene.foliage.kappa_np_per_m * rho * scene.foliage.depth_m)
-    constant = quartic_constant(link.wavelength_m, scene.standoff_m)
-    return power_law(4.0, constant, r, **factors, foliage=foliage,
-                     ground_bounce=1.0 + gamma**2, wall_bounce=WALL_BOUNCE)
+    ds, foliage = scene.standoff_m, scene.foliage
+    r = np.hypot(np.hypot(link.range_m, g.tx_height_m - g.rx_height_m), ds)
+    gamma = g.ground_bounce(np.hypot(link.range_m, ds))
+    return quartic_law(DiffuseLink(ds, r, foliage.depth_m, foliage.kappa_np_per_m * rho,
+                                   link.wavelength_m),
+                       **factors, ground_bounce=1.0 + gamma**2, wall_bounce=WALL_BOUNCE)
 
 
 def _guided(geometry: CanyonGeometry, link: Link, wall_l: float,
@@ -216,17 +218,16 @@ def _guided(geometry: CanyonGeometry, link: Link, wall_l: float,
 
 def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectric,
              **factors) -> GainResult:
-    """Over-top quartic law from d_s = z_BS - z_c above the clutter: the
-    given factors, clutter absorption exp(-kappa_v (z_c - z_m)) and the
-    ground bounce."""
-    require(kappa_v >= 0.0, "absorption must be nonnegative", kappa_v)
+    """Over-top quartic law (diffuse.quartic_law) from d_s = z_BS - z_c
+    above the clutter: the given factors, the ground bounce and the clutter
+    absorption exp(-kappa_v (z_c - z_m))."""
     ds = macro.base_height_m - macro.clutter_height_m
     gamma = ground_bounce(macro.base_height_m - macro.mobile_height_m,
                           link.range_m, ground)
-    clutter = math.exp(-kappa_v * (macro.clutter_height_m - macro.mobile_height_m))
-    return power_law(4.0, quartic_constant(link.wavelength_m, ds),
-                     np.hypot(link.range_m, ds), **factors, clutter=clutter,
-                     ground_bounce=1.0 + gamma**2)
+    link_in = DiffuseLink(ds, np.hypot(link.range_m, ds),
+                          macro.clutter_height_m - macro.mobile_height_m, kappa_v,
+                          link.wavelength_m)
+    return quartic_law(link_in, **factors, ground_bounce=1.0 + gamma**2)
 
 
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,

@@ -468,12 +468,9 @@ def _aperture_edges(d_in: float, half_width: float):
     return (0.0, *[start * ratio ** (i / steps) for i in range(steps)], half_width)
 
 
-def _hotwall_kernel(r_in, kappa: float, depth: float, approximate_kappa: bool):
+def _hotwall_kernel(r_in, kappa: float, depth: float):
     # radial flux -d/dr(e^{-kappa r}/((4 pi)^2 r)) projected through depth/r
-    if approximate_kappa:
-        radial = math.exp(-kappa * depth) / (r_in * r_in)
-    else:
-        radial = np.exp(-kappa * r_in) * (1.0 + kappa * r_in) / (r_in * r_in)
+    radial = np.exp(-kappa * r_in) * (1.0 + kappa * r_in) / (r_in * r_in)
     return radial / (4.0 * math.pi) ** 2 * (depth / r_in)
 
 
@@ -486,8 +483,7 @@ def _hotwall_gain(link: DiffuseLink, material_t2: float, flux: float) -> float:
 
 
 def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
-                       ctl: QuadratureControl = QuadratureControl(),
-                       approximate_kappa: bool = False) -> float:
+                       ctl: QuadratureControl = QuadratureControl()) -> float:
     """Path gain into the diffuse half-space by boundary quadrature.
 
     Integrates the hot-wall surface flux over the radiating boundary region
@@ -498,25 +494,24 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     geometric steps of at most 2; only here is the relative tolerance taken
     no lower than 1e-11.  The street strip has no boundary integral (as a
     very long aperture it does not converge); its T_eff is checked through
-    the aperture-to-street limit.  approximate_kappa freezes the absorption
-    at exp(-kappa d_in), as the closed-form aperture expression does; the
-    default integrates the exact exp(-kappa r') kernel.  Only tests set it:
-    test_frozen_absorption_error_is_small_when_kappa_shallow and
-    test_unbounded_is_the_radial_flux_integral.
+    the aperture-to-street limit.  The kernel is the exact exp(-kappa r')
+    one; the closed-form aperture expression freezes it at exp(-kappa d_in).
+    Raises ValueError for a terminal on the boundary (depth 0), where the
+    flux concentrates at one point.
     """
     if spec.variant == UNBOUNDED:
-        return radial_flux_integral(link, spec.material_t2, ctl, approximate_kappa)
+        return radial_flux_integral(link, spec.material_t2, ctl)
     if spec.variant != APERTURE:
         raise ValueError(f"no boundary integral for variant {spec.variant!r}")
+    require(link.depth_m > 0.0, "hot-wall quadrature needs a positive depth")
     if ctl.rel_tol < 1e-11:
         ctl = replace(ctl, rel_tol=1e-11)
     return _hotwall_gain(link, spec.material_t2, _aperture_quadrant(
-        link.depth_m, link.kappa_np_per_m, spec.width1_m, spec.width2_m,
-        approximate_kappa, ctl))
+        link.depth_m, link.kappa_np_per_m, spec.width1_m, spec.width2_m, ctl))
 
 
 @functools.lru_cache(maxsize=1024)
-def _aperture_quadrant(d_in, kappa, width1_m, width2_m, approximate_kappa, ctl):
+def _aperture_quadrant(d_in, kappa, width1_m, width2_m, ctl):
     """The hot-wall flux through a width1_m x width2_m aperture, once per
     distinct set of arguments.  The kernel is even in x and in y: the
     integral is that of 4 x kernel over the quadrant x, y >= 0, whose
@@ -524,41 +519,40 @@ def _aperture_quadrant(d_in, kappa, width1_m, width2_m, approximate_kappa, ctl):
     the whole."""
     value, _, _ = gauss_kronrod(
         lambda x_, y: 4.0 * _hotwall_kernel(np.sqrt(d_in * d_in + x_ * x_ + y * y),
-                                            kappa, d_in, approximate_kappa),
+                                            kappa, d_in),
         (_aperture_edges(d_in, width1_m / 2.0),
          _aperture_edges(d_in, width2_m / 2.0)), ctl)
     return value
 
 
 def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
-                         ctl: QuadratureControl = QuadratureControl(),
-                         approximate_kappa: bool = False) -> float:
+                         ctl: QuadratureControl = QuadratureControl()) -> float:
     """Path gain through the unbounded hot wall, by its radial flux integral.
 
     The flux does not depend on the azimuth, and r' dr' = rho' drho' turns
     the integral over the plane exactly into 2 pi times a 1-D integral over
     [d_in, inf), with no cut-off radius and ctl's tolerances as given.
-    approximate_kappa freezes the absorption as in `hotwall_quadrature`.
-    material_t2 must be in [0, 1], as a `PenetrationSpec`'s.
+    material_t2 must be in [0, 1], as a `PenetrationSpec`'s, and the depth
+    positive, as in `hotwall_quadrature`.
     """
     require(0.0 <= material_t2 <= 1.0, "material power transmission must be in [0, 1]")
-    value = _radial_flux(link.depth_m, link.kappa_np_per_m, approximate_kappa, ctl)
+    require(link.depth_m > 0.0, "hot-wall quadrature needs a positive depth")
+    value = _radial_flux(link.depth_m, link.kappa_np_per_m, ctl)
     return _hotwall_gain(link, material_t2, 2.0 * math.pi * value)
 
 
 @functools.lru_cache(maxsize=1024)
-def _radial_flux(d_in, kappa, approximate_kappa, ctl):
+def _radial_flux(d_in, kappa, ctl):
     """The radial hot-wall flux integral over [d_in, inf), once per distinct
     set of arguments."""
     value, _, _ = gauss_kronrod(
-        lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in, approximate_kappa),
+        lambda r_in: r_in * _hotwall_kernel(r_in, kappa, d_in),
         ((d_in, math.inf),), ctl)
     return value
 
 
 def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
-                            wavenumber, ctl: QuadratureControl = QuadratureControl(),
-                            general_bracket: bool = False):
+                            wavenumber, ctl: QuadratureControl = QuadratureControl()):
     """Specular roughness loss term by quadrature of the spectrum integral.
 
     Simplified (grazing incidence, large-scale roughness) bracket:
@@ -566,31 +560,14 @@ def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
     The integral depends on neither theta nor k, so theta_rad and
     wavenumber may be arrays that broadcast against each other: one
     quadrature gives the loss term at every pair, as an array of their
-    broadcast shape (a float for two floats).
-    general_bracket keeps [sin^2 t + 2 (chi/k) cos t - (chi/k)^2]^{1/2} over
-    the band where it is real, for one float theta and k.  Returns the loss
-    term; the closed-form counterpart is surface.roughness_loss_rate(...) *
-    theta.  Only tests set general_bracket, as the independent kernel of
-    test_general_bracket_restricts_to_propagating_band.
+    broadcast shape (a float for two floats).  Returns the loss term; the
+    closed-form counterpart is surface.roughness_loss_rate(...) * theta.
     theta_rad must be in [0, pi/2] and wavenumber finite and positive, as
     in the closed form.
     """
     k = wavenumber
     surface._check_grazing(theta_rad)
     require(k > 0.0, "wavenumber must be positive", k)
-    if general_bracket:
-        chi_max = k * (1.0 + math.cos(theta_rad))
-
-        def f_general(chi):
-            u = chi / k
-            bracket = (math.sin(theta_rad) ** 2
-                       + 2.0 * u * math.cos(theta_rad) - u * u)
-            return (surface.roughness_spectrum(roughness, chi)
-                    * np.sqrt(np.maximum(bracket, 0.0)))
-
-        value, _, _ = gauss_kronrod(f_general, ((-chi_max, 0.0, chi_max),), ctl)
-        return 2.0 * k * k * math.sin(theta_rad) * value
-
     loss = (2.0 * k * k * theta_rad * np.sqrt(2.0 / k)
             * (2.0 * _roughness_integral(roughness, ctl)))
     return loss if np.ndim(loss) else float(loss)

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from pathgain import oracles
 from pathgain.canyon import CanyonGeometry, los_gain_incoherent
 from pathgain.config import ConfigError, load_config, make_evaluator
-from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
+from pathgain.diffuse import UNBOUNDED
+from pathgain.oracles import QuadratureControl, gauss_kronrod
+from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface, roughness_spectrum
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +45,49 @@ def _cold_quadrature_caches():
     patches quadratures sees every one its own calls need."""
     for cache in QUADRATURE_CACHES:
         cache.cache_clear()
+
+
+# Two kernels that only tests integrate, each through the oracles'
+# gauss_kronrod; their scipy twins are in test_quadrature.py.
+
+
+def frozen_hotwall_gain(link, spec, ctl=QuadratureControl()):
+    """oracles.hotwall_quadrature with the absorption frozen at
+    exp(-kappa d_in), as the closed-form aperture expression has it: the
+    radial integral of an unbounded boundary, or 4 times the quadrant of an
+    aperture on the oracle's own breakpoints and relative tolerance floor."""
+    d_in = link.depth_m
+    absorption = math.exp(-link.kappa_np_per_m * d_in)
+
+    def kernel(r_in):
+        return absorption / (r_in * r_in) / (4.0 * math.pi) ** 2 * (d_in / r_in)
+
+    if spec.variant == UNBOUNDED:
+        value, _, _ = gauss_kronrod(lambda r_in: r_in * kernel(r_in),
+                                    ((d_in, math.inf),), ctl)
+        return oracles._hotwall_gain(link, spec.material_t2, 2.0 * math.pi * value)
+    value, _, _ = gauss_kronrod(
+        lambda x, y: 4.0 * kernel(np.sqrt(d_in * d_in + x * x + y * y)),
+        (oracles._aperture_edges(d_in, spec.width1_m / 2.0),
+         oracles._aperture_edges(d_in, spec.width2_m / 2.0)),
+        replace(ctl, rel_tol=max(ctl.rel_tol, 1e-11)))
+    return oracles._hotwall_gain(link, spec.material_t2, value)
+
+
+def general_bracket_loss(theta, roughness, k, ctl=QuadratureControl()):
+    """oracles.roughness_loss_integral with the general angular bracket
+    [sin^2 t + 2 (chi/k) cos t - (chi/k)^2]^{1/2}, kept over the band where
+    it is real, for one float theta and k."""
+    chi_max = k * (1.0 + math.cos(theta))
+
+    def f_general(chi):
+        u = chi / k
+        bracket = math.sin(theta) ** 2 + 2.0 * u * math.cos(theta) - u * u
+        return roughness_spectrum(roughness, chi) * np.sqrt(np.maximum(bracket, 0.0))
+
+    value, _, _ = gauss_kronrod(f_general, ((-chi_max, 0.0, chi_max),), ctl)
+    return 2.0 * k * k * math.sin(theta) * value
+
 
 # Office corridor: 1.6 m wide, lightly corrugated walls (door jambs),
 # transmitter at 2.2 m, receiver at 1 m.

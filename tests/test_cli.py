@@ -100,6 +100,29 @@ class TestPredict:
                 assert guided > float(row["component_over_top_db"])
                 assert guided > float(row["component_direct_db"])
 
+    @pytest.mark.parametrize("config, morphology, expected", [
+        ("configs/suburban_street_28ghz.ini", "suburban_street",
+         "range_m,path_gain_db,flags\n10,-82.87,\n100,-107.56,\n1000,-146.44,\n"),
+        ("configs/sidewalk_sparse_trees_28ghz.ini", "sidewalk_trees",
+         "range_m,path_gain_db,component_guided_db,component_unguided_db,flags\n"
+         "10,-107.23,-111.72,-107.23,\n100,-119.60,-119.72,-119.60,\n"
+         "1000,-144.38,-144.38,-155.53,\n"),
+        ("configs/sidewalk_sparse_trees_28ghz.ini", "canyon_total",
+         "range_m,path_gain_db,component_canyon_trees_db,component_direct_db,"
+         "component_guided_db,component_over_top_db,component_unguided_db,flags\n"
+         "10,-103.59,-107.23,-130.02,-111.72,-106.06,-107.23,\n"
+         "100,-117.11,-119.60,-137.07,-119.72,-120.81,-119.60,\n"
+         "1000,-144.15,-144.38,-167.98,-144.38,-157.32,-155.53,\n"),
+    ], ids=["suburban_street", "sidewalk_trees", "canyon_total"])
+    def test_zero_foliage_depth_predicts(self, capsys, tmp_path, config,
+                                         morphology, expected):
+        # load_config accepts [foliage] depth_m = 0, a terminal on the
+        # boundary of the foliage
+        path = tmp_path / "bare.ini"
+        write_edited_config(config, path, [("foliage", "depth_m", "0.0")])
+        assert run_cli(capsys, "predict", str(path), morphology,
+                       "10:1000:3") == (0, expected, "")
+
     @pytest.mark.parametrize("spec", ["70:5:60", "nan:1:3", "1:nan:3",
                                       "1:inf:3", "inf:inf:3", "-1:10:3",
                                       "-.5:-0.1:3"])

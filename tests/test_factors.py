@@ -65,6 +65,9 @@ def test_factors_sum_to_the_gain_in_db(config, morphology):
         assert result.factors == {}
     else:
         assert next(iter(result.factors)) == "spreading"
+        # the exponents of the guided LOS, guided and quartic bodies
+        # (tests/test_power_laws.py)
+        assert result.exponent in {1.5, 2.5, 4.0}
         summed = sum(db(value) for value in result.factors.values())
         np.testing.assert_allclose(summed, result.gain_db, rtol=0, atol=1e-9)
 
@@ -112,6 +115,22 @@ def test_spreading_term_carries_the_exponent(law):
     np.testing.assert_allclose(local, -exponent, rtol=0, atol=1e-9)
     fitted = fit_slope_intercept(MeasurementDataset(result.range_m, spreading_db, 1.0))
     assert fitted.exponent_n == pytest.approx(exponent, abs=1e-4)
+
+
+# each quartic law is diffuse.quartic_law: the caller's factors, then the
+# absorption over the depth behind the boundary (foliage or clutter)
+QUARTIC_FACTORS = {
+    "suburban_street_gain": ["spreading", "ground_bounce", "wall_bounce", "absorption"],
+    "sidewalk_unguided_gain": ["spreading", "ground_bounce", "wall_bounce", "absorption"],
+    "suburban_indoor_gain": ["spreading", "t_eff", "indoor", "ground_bounce",
+                             "wall_bounce", "absorption"],
+    "overtop_gain": ["spreading", "t_eff", "ground_bounce", "absorption"],
+}
+
+
+@pytest.mark.parametrize("law", sorted(QUARTIC_FACTORS))
+def test_quartic_factor_names_and_order(law):
+    assert list(LAWS[law][0](RANGES).factors) == QUARTIC_FACTORS[law]
 
 
 def test_power_law_keeps_factor_order_and_shape():

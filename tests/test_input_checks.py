@@ -9,8 +9,9 @@ import pytest
 
 from pathgain import units
 from pathgain.canyon import CanyonGeometry, LosLink
-from pathgain.diffuse import DiffuseLink
+from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain
 from pathgain.morphology import Link
+from pathgain.oracles import hotwall_quadrature, radial_flux_integral
 from pathgain.reference import friis_gain, uma_nlos_36814
 from pathgain.surface import (PARALLEL, Dielectric, fresnel_exact, fresnel_low_grazing,
                               low_grazing_rate)
@@ -18,6 +19,8 @@ from pathgain.units import require, wavelength_m
 
 GLASS = Dielectric(2.0)
 UMA = (20.0, 20.0, 25.0, 1.5, 3.5)  # street width, building, base, mobile, GHz
+# a terminal on the boundary of the scattering region
+ON_BOUNDARY = DiffuseLink(20.0, 100.0, 0.0, 0.0, 0.01)
 
 REJECTED = {
     "grazing_above_right_angle": (lambda: fresnel_exact(2.0, GLASS),
@@ -38,8 +41,23 @@ REJECTED = {
                           "f_ghz must be positive, got inf"),
     "uma_nan_distance": (lambda: uma_nlos_36814(*UMA, np.array([100.0, math.nan])),
                          "d3d_m must be positive, got [100.  nan]"),
-    "diffuse_link_zero_depth": (lambda: DiffuseLink(20.0, 100.0, 0.0, 0.0, 0.01),
-                                "lengths must be positive"),
+    "diffuse_link_negative_depth": (lambda: DiffuseLink(20.0, 100.0, -1.0, 0.0, 0.01),
+                                    "depth must be nonnegative"),
+    "radial_flux_zero_depth": (lambda: radial_flux_integral(ON_BOUNDARY),
+                               "hot-wall quadrature needs a positive depth"),
+    "hotwall_unbounded_zero_depth": (
+        lambda: hotwall_quadrature(ON_BOUNDARY, PenetrationSpec.unbounded()),
+        "hot-wall quadrature needs a positive depth"),
+    "hotwall_aperture_zero_depth": (
+        lambda: hotwall_quadrature(ON_BOUNDARY, PenetrationSpec.aperture(3.0, 10.0)),
+        "hot-wall quadrature needs a positive depth"),
+    # an unbounded boundary needs no depth; a street or aperture's T_eff does
+    "diffuse_street_zero_depth": (
+        lambda: diffuse_pathgain(ON_BOUNDARY, PenetrationSpec.street(3.0)),
+        "street variant needs a positive depth"),
+    "diffuse_aperture_zero_depth": (
+        lambda: diffuse_pathgain(ON_BOUNDARY, PenetrationSpec.aperture(3.0, 10.0)),
+        "aperture variant needs a positive depth"),
     "diffuse_link_inf_wavelength": (lambda: DiffuseLink(20.0, 100.0, 1.0, 0.0, math.inf),
                                     "lengths must be positive"),
     "diffuse_link_range_array": (
@@ -53,6 +71,9 @@ ACCEPTED = {
     "uma_distance_array": lambda: uma_nlos_36814(*UMA, np.array([50.0, 500.0])),
     "diffuse_link_range_array": lambda: DiffuseLink(20.0, np.array([20.0, 100.0]),
                                                     1.0, 0.0, 0.01).range_m,
+    "diffuse_link_zero_depth": lambda: ON_BOUNDARY.depth_m,
+    "diffuse_unbounded_zero_depth": lambda: diffuse_pathgain(ON_BOUNDARY,
+                                                             PenetrationSpec.unbounded()),
 }
 
 

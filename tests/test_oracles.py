@@ -32,7 +32,8 @@ from pathgain.reference import friis_gain
 from pathgain.surface import Dielectric, TelegraphRoughness, roughness_loss_rate, wall_loss
 from pathgain.units import GainError, wavelength_m, wavenumber_rad_m
 
-from conftest import AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, walls_only_gain
+from conftest import (AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, frozen_hotwall_gain,
+                      general_bracket_loss, walls_only_gain)
 
 STRICT_SUM = SummationControl(rel_tail_tol=1e-13)
 STRICT_QUAD = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
@@ -370,7 +371,7 @@ class TestHotwallQuadrature:
                 expected = float(-mpmath.diff(green, r_in) * depth / r_in)
                 if expected < sys.float_info.min:
                     continue  # the float kernel underflows here
-                kernel = oracles._hotwall_kernel(r_in, kappa, depth, False)
+                kernel = oracles._hotwall_kernel(r_in, kappa, depth)
                 assert kernel == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("w1_rel", [0.1, 1.0, 100.0])
@@ -392,7 +393,7 @@ class TestHotwallQuadrature:
         link = DiffuseLink(20.0, 100.0, d_in, 0.01, wavelength_m(28e9))
         spec = PenetrationSpec.aperture(5.0, 5.0)
         exact = hotwall_quadrature(link, spec)
-        frozen = hotwall_quadrature(link, spec, approximate_kappa=True)
+        frozen = frozen_hotwall_gain(link, spec)
         assert db(exact) - db(frozen) == pytest.approx(0.043, abs=0.01)
 
     def test_aperture_ratio_tends_to_unbounded(self):
@@ -431,31 +432,30 @@ class TestHotwallQuadrature:
             link, PenetrationSpec.unbounded(material_t2=mix))
         assert abs(db(value) - db(diffuse_pathgain(link, facade))) < 0.05
 
-    @pytest.mark.parametrize("approximate_kappa", [False, True])
     @pytest.mark.parametrize("ctl", [QuadratureControl(), STRICT_QUAD],
                              ids=["default", "strict"])
-    def test_unbounded_is_the_radial_flux_integral(self, monkeypatch, ctl,
-                                                   approximate_kappa):
-        # one 1-D form: the unbounded boundary passes its material_t2 and the
-        # kernel choice through to radial_flux_integral
+    def test_unbounded_is_the_radial_flux_integral(self, monkeypatch, ctl):
+        # one 1-D form: the unbounded boundary passes its material_t2 through
+        # to radial_flux_integral, which integrates the kernel once
         link = DiffuseLink(20.0, 100.0, 10.0, 0.38, wavelength_m(28e9))
-        kernels = []
+        spec = PenetrationSpec.unbounded(0.7)
+        calls = []
         kernel = oracles._hotwall_kernel
 
-        def recording(r_in, kappa, depth, approximate):
-            kernels.append(approximate)
-            return kernel(r_in, kappa, depth, approximate)
+        def recording(r_in, kappa, depth):
+            calls.append(depth)
+            return kernel(r_in, kappa, depth)
 
         monkeypatch.setattr(oracles, "_hotwall_kernel", recording)
-        value = hotwall_quadrature(link, PenetrationSpec.unbounded(0.7), ctl,
-                                   approximate_kappa=approximate_kappa)
-        assert kernels == [approximate_kappa]
-        assert value == radial_flux_integral(link, 0.7, ctl,
-                                             approximate_kappa=approximate_kappa)
-        # over the whole plane both kernels integrate to exp(-kappa d_in)
-        # times the lossless flux, the closed form
-        closed = diffuse_pathgain(link, PenetrationSpec.unbounded(0.7))
+        value = hotwall_quadrature(link, spec, ctl)
+        assert calls == [10.0]
+        assert value == radial_flux_integral(link, 0.7, ctl)
+        # over the whole plane both the exact and the frozen kernel integrate
+        # to exp(-kappa d_in) times the lossless flux, the closed form
+        closed = diffuse_pathgain(link, spec)
         assert value == pytest.approx(closed, rel=1e-10, abs=0.0)
+        assert frozen_hotwall_gain(link, spec, ctl) == pytest.approx(
+            closed, rel=1e-10, abs=0.0)
 
 
 class TestRoughnessIntegral:
@@ -483,7 +483,6 @@ class TestRoughnessIntegral:
         assert v2 == pytest.approx(4.0 * v1, rel=1e-9)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("general_bracket", [False, True])
     @pytest.mark.parametrize("theta, k, message", [
         (0.01, -1.0, "wavenumber must be positive"),
         (0.01, 0.0, "wavenumber must be positive"),
@@ -493,12 +492,10 @@ class TestRoughnessIntegral:
         (-0.5, 587.0, "grazing angle"),
         (2.0, 587.0, "grazing angle"),
     ])
-    def test_rejects_angle_or_wavenumber_out_of_range(self, theta, k, message,
-                                                      general_bracket):
+    def test_rejects_angle_or_wavenumber_out_of_range(self, theta, k, message):
         # as the closed form does: theta in [0, pi/2], k finite and positive
         with pytest.raises(ValueError, match=message):
-            roughness_loss_integral(theta, CORRIDOR_WALL.roughness, k,
-                                    general_bracket=general_bracket)
+            roughness_loss_integral(theta, CORRIDOR_WALL.roughness, k)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_any_bad_element_of_an_array(self):
@@ -514,6 +511,6 @@ class TestRoughnessIntegral:
         rough = CORRIDOR_WALL.roughness
         k = wavenumber_rad_m(28e9)
         simplified = roughness_loss_integral(0.01, rough, k)
-        general = roughness_loss_integral(0.01, rough, k, general_bracket=True)
+        general = general_bracket_loss(0.01, rough, k)
         assert 0.0 < general < simplified
         assert general / simplified == pytest.approx(0.5, abs=0.1)

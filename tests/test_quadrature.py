@@ -23,18 +23,20 @@ from pathgain.oracles import (
 from pathgain.surface import TelegraphRoughness, roughness_spectrum
 from pathgain.units import wavelength_m, wavenumber_rad_m
 
-from conftest import CORRIDOR_WALL, QUADRATURE_CACHES, URBAN_WALL, load_gapmap
+from conftest import (CORRIDOR_WALL, QUADRATURE_CACHES, URBAN_WALL, frozen_hotwall_gain,
+                      general_bracket_loss, load_gapmap)
 
 DEFAULT = QuadratureControl()
 STRICT = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
 
 
 # scipy references: the integrals as scalar Python integrands, with the
-# tolerances the oracles use
+# tolerances the oracles use; frozen and general_bracket give the twins of
+# conftest.frozen_hotwall_gain and conftest.general_bracket_loss
 
 
-def _kernel(r_in, kappa, depth, approximate_kappa):
-    if approximate_kappa:
+def _kernel(r_in, kappa, depth, frozen):
+    if frozen:
         radial = math.exp(-kappa * depth) / (r_in * r_in)
     else:
         radial = math.exp(-kappa * r_in) * (1.0 + kappa * r_in) / (r_in * r_in)
@@ -46,13 +48,13 @@ def _prefactor(link, material_t2):
             / (4.0 * math.pi * link.range_m**4))
 
 
-def scipy_hotwall(link, spec, ctl=DEFAULT, approximate_kappa=False):
+def scipy_hotwall(link, spec, ctl=DEFAULT, frozen=False):
     d_in, kappa = link.depth_m, link.kappa_np_per_m
     if spec.variant == UNBOUNDED:
         # the whole plane, 2 pi times its radial integral over [0, inf)
         value, _ = integrate.quad(
             lambda rho: rho * _kernel(math.hypot(d_in, rho), kappa, d_in,
-                                      approximate_kappa),
+                                      frozen),
             0.0, np.inf, epsabs=ctl.abs_tol, epsrel=ctl.rel_tol,
             limit=ctl.max_subdivisions)
         value *= 2.0 * math.pi
@@ -60,7 +62,7 @@ def scipy_hotwall(link, spec, ctl=DEFAULT, approximate_kappa=False):
         w1, w2 = spec.width1_m, spec.width2_m
         value, _ = integrate.dblquad(
             lambda y, x: _kernel(math.sqrt(d_in * d_in + x * x + y * y), kappa,
-                                 d_in, approximate_kappa),
+                                 d_in, frozen),
             -w1 / 2.0, w1 / 2.0, -w2 / 2.0, w2 / 2.0,
             epsabs=ctl.abs_tol, epsrel=max(ctl.rel_tol, 1e-11))
     return _prefactor(link, spec.material_t2) * value
@@ -146,36 +148,32 @@ class TestAgainstScipy:
         (CORRIDOR_WALL, 28e9, 0.01), (URBAN_WALL, 3.5e9, 0.05)])
     def test_general_bracket(self, ctl, wall, f_hz, theta):
         k = wavenumber_rad_m(f_hz)
-        value = roughness_loss_integral(theta, wall.roughness, k, ctl,
-                                        general_bracket=True)
+        value = general_bracket_loss(theta, wall.roughness, k, ctl)
         assert value == pytest.approx(
             scipy_roughness(theta, wall.roughness, k, ctl, general_bracket=True),
             rel=1e-10)
 
     @pytest.mark.parametrize("ctl", [DEFAULT, STRICT], ids=["default", "strict"])
-    @pytest.mark.parametrize("approximate_kappa", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("kappa", [0.0, 0.18])
     @pytest.mark.parametrize("width", [1.6, 8.6, 32.0])
-    def test_gap_map_aperture(self, width, kappa, approximate_kappa, ctl):
+    def test_gap_map_aperture(self, width, kappa, frozen, ctl):
         # the aperture of bench/gapmap.py, w/4 by 1.5 m at d_in = 1 m, against
         # dblquad over the whole rectangle: the quadrant the oracle
         # integrates, times 4, must give the same integral
         link = DiffuseLink(width / 2.0, 100.0, 1.0, kappa, wavelength_m(28e9))
         spec = PenetrationSpec.aperture(width / 4.0, 1.5)
-        value = hotwall_quadrature(link, spec, ctl,
-                                   approximate_kappa=approximate_kappa)
-        assert value == pytest.approx(
-            scipy_hotwall(link, spec, ctl, approximate_kappa=approximate_kappa),
-            rel=1e-10, abs=0.0)
+        quadrature = frozen_hotwall_gain if frozen else hotwall_quadrature
+        assert quadrature(link, spec, ctl) == pytest.approx(
+            scipy_hotwall(link, spec, ctl, frozen), rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("approximate_kappa", [False, True])
-    def test_absorbing_aperture(self, approximate_kappa):
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_absorbing_aperture(self, frozen):
         link = DiffuseLink(20.0, 100.0, 1.0, 0.01, wavelength_m(28e9))
         spec = PenetrationSpec.aperture(5.0, 5.0)
-        value = hotwall_quadrature(link, spec, approximate_kappa=approximate_kappa)
-        assert value == pytest.approx(
-            scipy_hotwall(link, spec, approximate_kappa=approximate_kappa),
-            rel=1e-10, abs=0.0)
+        quadrature = frozen_hotwall_gain if frozen else hotwall_quadrature
+        assert quadrature(link, spec) == pytest.approx(
+            scipy_hotwall(link, spec, frozen=frozen), rel=1e-10, abs=0.0)
 
 
 class TestWorkBudget:
@@ -465,4 +463,4 @@ class TestConvergenceContract:
         # the simplified bracket: test_oracles.py::TestRoughnessIntegral
         flat = TelegraphRoughness(0.0, 0.25, 0.75, 1.0, 1.0 / 3.0)
         k = wavenumber_rad_m(28e9)
-        assert roughness_loss_integral(0.01, flat, k, general_bracket=True) == 0.0
+        assert general_bracket_loss(0.01, flat, k) == 0.0
