@@ -262,8 +262,7 @@ MORPHOLOGIES = {
     "canyon_total": (_STREET + ("wall", "macro"),
                      lambda cfg, r: morphology.canyon_total_gain(
                          cfg.street, cfg.macro, Link(r, cfg.frequency_hz))),
-    "friis": ((), lambda cfg, r: GainResult(
-        friis_gain(wavelength_m(cfg.frequency_hz), r), r)),
+    "friis": ((), lambda cfg, r: friis_gain(wavelength_m(cfg.frequency_hz), r)),
 }
 
 

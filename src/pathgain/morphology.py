@@ -5,10 +5,12 @@ Each law is one power law: a spreading term constant / r^n times named
 factors, which the result keeps in its factors dict.  The wall-guided laws
 (n = 2.5) are one power_law call; the quartic ones (n = 4) are
 diffuse.quartic_law, the body `verify diffuse` checks, whose last factor
-"absorption" is the foliage or clutter loss.  Ground and back-wall bounces
-enter as incoherent power factors (1 + |Gamma|^2): the ground coefficient
-comes from the scene geometry and the back wall bounce is its maximum,
-WALL_BOUNCE.  For a slope analysis, divide a factor out of the gain, e.g.
+"absorption" is the foliage or clutter loss, as it is of the direct term
+of the rural and canyon total laws, the Friis law (n = 2)
+reference.friis_gain.  Ground and back-wall bounces enter as incoherent
+power factors (1 + |Gamma|^2): the ground coefficient comes from the
+scene geometry and the back wall bounce is its maximum, WALL_BOUNCE.
+For a slope analysis, divide a factor out of the gain, e.g.
 result.gain / result.factors["ground_bounce"].  The composite laws (rural,
 tree-lined sidewalk, canyon total) sum or compare power laws and return
 their terms as components, built from the unchecked laws (`__wrapped__`):
@@ -25,7 +27,7 @@ from .diffuse import DiffuseLink, PenetrationSpec, quartic_law, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
-from .units import checked_gain, positive_ranges, require, wavelength_m
+from .units import checked_gain, derived_length, positive_ranges, require, wavelength_m
 
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
@@ -189,7 +191,8 @@ def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResu
     difference and standoff."""
     g = scene.canyon
     ds, foliage = scene.standoff_m, scene.foliage
-    r = np.hypot(np.hypot(link.range_m, g.tx_height_m - g.rx_height_m), ds)
+    r = derived_length(np.hypot(np.hypot(link.range_m, g.tx_height_m - g.rx_height_m),
+                                ds))
     gamma = g.ground_bounce(np.hypot(link.range_m, ds))
     return quartic_law(DiffuseLink(ds, r, foliage.depth_m, foliage.kappa_np_per_m * rho,
                                    link.wavelength_m),
@@ -224,7 +227,7 @@ def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectri
     ds = macro.base_height_m - macro.clutter_height_m
     gamma = ground_bounce(macro.base_height_m - macro.mobile_height_m,
                           link.range_m, ground)
-    link_in = DiffuseLink(ds, np.hypot(link.range_m, ds),
+    link_in = DiffuseLink(ds, derived_length(np.hypot(link.range_m, ds)),
                           macro.clutter_height_m - macro.mobile_height_m, kappa_v,
                           link.wavelength_m)
     return quartic_law(link_in, **factors, ground_bounce=1.0 + gamma**2)
@@ -233,21 +236,22 @@ def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectri
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
                  veg_path_m: float | None = None, cover: float = 1.0,
                  veg_start_m: float = 0.0,
-                 kappa_extra: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Friis term of the slant base-terminal path r, attenuated in clutter.
+                 kappa_extra: float = 0.0) -> GainResult:
+    """Friis law (reference.friis_gain) over the slant base-terminal path r,
+    with the clutter loss as its factor "absorption".
 
-    Returns (gain, r).  kappa_v acts over the vegetated length: veg_path_m
-    when given, otherwise cover (r - veg_start) (z_c - z_m) / (z_BS - z_m),
-    the below-clutter fraction of the path beyond any vegetation-free
+    kappa_v acts over the vegetated length: veg_path_m when given,
+    otherwise cover (r - veg_start) (z_c - z_m) / (z_BS - z_m), the
+    below-clutter fraction of the path beyond any vegetation-free
     stretch.  kappa_extra acts over the whole below-clutter segment.
     """
     drop = macro.base_height_m - macro.mobile_height_m
-    r = np.hypot(link.range_m, drop)
+    r = derived_length(np.hypot(link.range_m, drop))
     below_frac = (macro.clutter_height_m - macro.mobile_height_m) / drop
     if veg_path_m is None:
         veg_path_m = cover * np.maximum(r - veg_start_m, 0.0) * below_frac
     attenuation = kappa_v * veg_path_m + kappa_extra * r * below_frac
-    return friis_gain.__wrapped__(link.wavelength_m, r) * np.exp(-attenuation), r
+    return friis_gain.__wrapped__(link.wavelength_m, r, absorption=np.exp(-attenuation))
 
 
 @checked_gain
@@ -297,10 +301,10 @@ def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainR
     over-top quartic term of a wide street (no T_eff) takes over.
     """
     kv = foliage.kappa_np_per_m
-    direct, r_direct = _direct_gain(macro, link, kv)
+    direct = _direct_gain(macro, link, kv)
     over = _overtop(macro, kv, link, DEFAULT_GROUND)
-    return GainResult(direct + over.gain, r_direct,
-                      components={"direct": direct, "over_top": over.gain})
+    return GainResult(direct.gain + over.gain, direct.range_m,
+                      components={"direct": direct.gain, "over_top": over.gain})
 
 
 @checked_gain
@@ -384,12 +388,12 @@ def canyon_total_gain(scene: StreetScene, macro: MacroGeometry,
     trees = canyon_with_trees_gain.__wrapped__(scene, link)
     over = _overtop(macro, scene.foliage.kappa_np_per_m, link, scene.canyon.ground)
     f = scene.foliage
-    direct, r_direct = _direct_gain(
+    direct = _direct_gain(
         macro, link, f.kappa_np_per_m, scene.direct_veg_path_m,
         min(1.0, f.n_tree_per_m * f.tree_width_m), f.veg_start_m,
         scene.kappa_extra_np_per_m)
-    total = trees.gain + over.gain + direct
+    total = trees.gain + over.gain + direct.gain
     components = dict(trees.components)
     components.update({"canyon_trees": trees.gain, "over_top": over.gain,
-                       "direct": direct})
-    return GainResult(total, r_direct, trees.flags, components)
+                       "direct": direct.gain})
+    return GainResult(total, direct.range_m, trees.flags, components)

@@ -1,11 +1,12 @@
 """The reference path loss models `pathgain evaluate` runs: Friis free
 space and the 3GPP baselines (TR 38.901 UMa, UMi and InH, LOS and NLOS;
-TR 36.814 UMa NLOS).
+TR 36.814 UMa NLOS).  Friis returns a gain result, the power law of
+exponent 2; the 3GPP models return path loss in dB.
 
 The 3GPP coefficients are transcribed from the public standards as data
 (TR 38.901 V16.1.0 Table 7.4.1-1; TR 36.814 V9.0.0 Table B.1.2.1-1) with
-the source section recorded next to each block.  Path loss is returned in
-dB (positive); path gain is its negative.
+the source section recorded next to each block.  Path loss is positive;
+path gain is its negative.
 """
 
 import math
@@ -15,15 +16,19 @@ from .units import SPEED_OF_LIGHT_M_S, checked_gain, require
 
 
 @checked_gain
-def friis_gain(wavelength_m: float, range_m):
-    """Free-space path gain (lambda / 4 pi r)^2 as a linear power ratio, at
-    one range or an array of ranges."""
+def friis_gain(wavelength_m: float, range_m, **factors):
+    """Free-space path gain lambda^2 / (16 pi^2 r^2), the power law of
+    exponent 2, times the given factors, at one range or an array of
+    ranges: a gain result whose factors are "spreading" and the given
+    ones."""
     require(wavelength_m > 0.0 and range_m > 0.0,
             "wavelength and range must be positive", wavelength_m, range_m)
-    # squared by a product, which a float and an array both take to inf
-    # where float ** 2 would raise OverflowError
-    ratio = wavelength_m / (4.0 * math.pi * range_m)
-    return ratio * ratio
+    import numpy as np
+    from .result import power_law  # loads numpy, which `pathgain fit` never needs
+    # one range as a numpy float, as units.positive_ranges gives it: divided
+    # by an r ** 2 that underflowed to 0 it gives an inf gain; a float raises
+    return power_law(2.0, wavelength_m**2 / (16.0 * math.pi**2),
+                     np.asarray(range_m, dtype=float)[()], **factors)
 
 
 def uma_nlos_36814(street_width_m: float, building_height_m: float,

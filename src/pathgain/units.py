@@ -103,6 +103,19 @@ def positive_ranges(range_m, message: str):
     return ranges
 
 
+def derived_length(length):
+    """A length a law derives from its checked scene values (a slant range,
+    say), one or an array of them, after checking that it did not overflow:
+    where it is inf, OverflowError, which checked_gain reports as a scene
+    value out of float range."""
+    import numpy as np
+    # a numpy float is a float: one length needs no array call
+    if not (math.isfinite(length) if isinstance(length, float)
+            else np.isfinite(length).all()):
+        raise OverflowError("a derived length overflows")
+    return length
+
+
 def wavelength_m(frequency_hz):
     """Free-space wavelength (m) for a carrier frequency (Hz), or an array
     of them: the one check of a carrier.  Raises ValueError for one that is

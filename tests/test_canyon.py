@@ -48,7 +48,7 @@ class TestWaveguideLaw:
         walls = walls_only_gain(link)
         assert FLAG_FREE_SPACE_FLOOR in res.flags
         assert walls == pytest.approx(
-            friis_gain(link.wavelength_m, link.slant_range_m), rel=1e-14, abs=0.0)
+            friis_gain(link.wavelength_m, link.slant_range_m).gain, rel=1e-14, abs=0.0)
         unfloored = res.factors["spreading"]
         assert unfloored < walls
         assert res.gain == pytest.approx(

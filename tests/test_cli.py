@@ -288,6 +288,25 @@ class TestPredict:
         assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
                        "scene value is out of float range\n")
 
+    @pytest.mark.parametrize("config, section, key, morphology", [
+        ("configs/suburban_street_28ghz.ini", "street", "standoff_m",
+         "suburban_street"),
+        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "over_top"),
+        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "rural"),
+    ])
+    def test_overflowing_slant_length_is_one_line_error(self, capsys, tmp_path,
+                                                        config, section, key,
+                                                        morphology):
+        # 1.7e308 fits a float, but the slant length from it to a
+        # terminal 1e308 m away does not
+        path = tmp_path / "huge.ini"
+        write_edited_config(config, path, [(section, key, "1.7e308")])
+        code, out, err = run_cli(capsys, "predict", str(path), morphology,
+                                 "1:1e308:3")
+        assert (code, out) == (1, "")
+        assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
+                       "scene value is out of float range\n")
+
     def test_missing_blocks_named(self, capsys):
         code, _, err = run_cli(capsys, "predict", "configs/corridor_2ghz.ini",
                                "canyon_total", "5:70:10")

@@ -61,13 +61,13 @@ def test_factors_sum_to_the_gain_in_db(config, morphology):
                                   np.maximum(parts["guided"], parts["unguided"]))
             total = parts["canyon_trees"] + parts["over_top"] + parts["direct"]
         np.testing.assert_allclose(total, result.gain, rtol=1e-15, atol=0)
-    elif morphology == "friis":
-        assert result.factors == {}
     else:
         assert next(iter(result.factors)) == "spreading"
-        # the exponents of the guided LOS, guided and quartic bodies
+        # the exponents of the Friis, guided LOS, guided and quartic bodies
         # (tests/test_power_laws.py)
-        assert result.exponent in {1.5, 2.5, 4.0}
+        assert result.exponent in {1.5, 2.0, 2.5, 4.0}
+        if morphology == "friis":
+            assert list(result.factors) == ["spreading"] and result.exponent == 2.0
         summed = sum(db(value) for value in result.factors.values())
         np.testing.assert_allclose(summed, result.gain_db, rtol=0, atol=1e-9)
 
@@ -87,6 +87,7 @@ MACRO = MacroGeometry(14.0, 10.0, 1.5, 30.0)
 
 # law over a range array -> (GainResult, exponent it must carry)
 LAWS = {
+    "friis_gain": (lambda r: friis_gain(wavelength_m(28e9), r), 2.0),
     "los_gain_incoherent": (lambda r: los_gain_incoherent(LosLink(CORRIDOR, r, 2e9)), 1.5),
     "los_gain_incoherent_28ghz": (lambda r: los_gain_incoherent(LosLink(CORRIDOR, r, 28e9)),
                                   1.5),
@@ -154,7 +155,7 @@ def test_free_space_floor_is_friis_over_spreading():
     # w L / pi; the factor is exactly the ratio that does so
     result = los_gain_incoherent(LosLink(CORRIDOR, RANGES, 28e9))
     floor = result.factors["free_space_floor"]
-    friis = friis_gain(wavelength_m(28e9), result.range_m)
+    friis = friis_gain(wavelength_m(28e9), result.range_m).gain
     np.testing.assert_allclose(floor, np.maximum(1.0, friis / result.factors["spreading"]),
                                rtol=1e-13)
     assert np.array_equal(result.flags["free_space_floor"], floor > 1.0)

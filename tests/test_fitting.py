@@ -28,7 +28,7 @@ def make_dataset(ranges, gains_db, f_hz=28e9):
 def friis_dataset(f_hz=28e9, n=50, lo=10.0, hi=1000.0):
     lam = wavelength_m(f_hz)
     ranges = np.geomspace(lo, hi, n)
-    return make_dataset(ranges, [db(friis_gain(lam, r)) for r in ranges], f_hz)
+    return make_dataset(ranges, [db(friis_gain(lam, r).gain) for r in ranges], f_hz)
 
 
 class TestFit:
@@ -38,12 +38,12 @@ class TestFit:
         assert fit.rmse_db < 1e-10
         lam = wavelength_m(28e9)
         assert fit.intercept_db_1m == pytest.approx(
-            db(friis_gain(lam, 1.0)), abs=1e-9)
+            db(friis_gain(lam, 1.0).gain), abs=1e-9)
 
     def test_seeded_noise_recovery(self):
         rng = np.random.default_rng(20260810)
         lam = wavelength_m(28e9)
-        base = (db(friis_gain(lam, 1.0)) + 3.0, 1.5)
+        base = (db(friis_gain(lam, 1.0).gain) + 3.0, 1.5)
         ranges = 10.0 ** rng.uniform(1.0, 3.0, 500)
         gains = [line_db(*base, r) + rng.normal(0.0, 3.0)
                  for r in ranges]
@@ -128,14 +128,14 @@ class TestRmseAgainstModel:
     def test_zero_for_generator(self):
         ds = friis_dataset()
         lam = wavelength_m(28e9)
-        assert rmse_against_model(ds, lambda r: to_db(friis_gain(lam, r))) == \
+        assert rmse_against_model(ds, lambda r: to_db(friis_gain(lam, r).gain)) == \
             pytest.approx(0.0, abs=1e-12)
 
     @given(offset=st.floats(min_value=-30.0, max_value=30.0))
     def test_constant_offset_reported_in_full(self, offset):
         ds = friis_dataset(n=20)
         lam = wavelength_m(28e9)
-        rmse = rmse_against_model(ds, lambda r: to_db(friis_gain(lam, r)) + offset)
+        rmse = rmse_against_model(ds, lambda r: to_db(friis_gain(lam, r).gain) + offset)
         assert rmse == pytest.approx(abs(offset), abs=1e-9)
 
     def test_reorder_invariance(self):
@@ -145,7 +145,7 @@ class TestRmseAgainstModel:
         shuffled = MeasurementDataset(ds.ranges_m[perm], ds.gains_db[perm],
                                       ds.frequency_hz)
         lam = wavelength_m(28e9)
-        predict = lambda r: to_db(friis_gain(lam, r)) - 2.5
+        predict = lambda r: to_db(friis_gain(lam, r).gain) - 2.5
         assert rmse_against_model(ds, predict) == pytest.approx(
             rmse_against_model(shuffled, predict), rel=1e-12)
 
@@ -172,7 +172,7 @@ class TestRmseAgainstModel:
         ds = make_dataset(ranges, gains)
         theory = lambda r: to_db(canyon_total_gain(scene, macro, Link(r, 28e9)).gain)
         lam = wavelength_m(28e9)
-        friis = lambda r: to_db(friis_gain(lam, r))
+        friis = lambda r: to_db(friis_gain(lam, r).gain)
         rmse_theory = rmse_against_model(ds, theory)
         rmse_friis = rmse_against_model(ds, friis)
         assert 2.5 <= rmse_theory <= 3.5

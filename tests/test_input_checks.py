@@ -67,7 +67,7 @@ REJECTED = {
 
 ACCEPTED = {
     "grazing_bounds": lambda: fresnel_low_grazing(np.array([0.0, math.pi / 2.0]), GLASS),
-    "friis_range_array": lambda: friis_gain(0.1, np.array([1.0, 10.0])),
+    "friis_range_array": lambda: friis_gain(0.1, np.array([1.0, 10.0])).gain,
     "uma_distance_array": lambda: uma_nlos_36814(*UMA, np.array([50.0, 500.0])),
     "diffuse_link_range_array": lambda: DiffuseLink(20.0, np.array([20.0, 100.0]),
                                                     1.0, 0.0, 0.01).range_m,

@@ -212,7 +212,7 @@ class TestRural:
     def test_no_vegetated_length_gives_friis_direct_term(self):
         macro = MacroGeometry(14.0, 10.0, 9.999999999, 30.0)
         res = rural_gain(macro, FoliageLayer(0.0, 0.38), Link(200.0, 28e9))
-        friis = friis_gain(wavelength_m(28e9), res.range_m)
+        friis = friis_gain(wavelength_m(28e9), res.range_m).gain
         assert res.components["direct"] == pytest.approx(friis, rel=1e-6, abs=0.0)
 
     def _term_gap(self, kappa_v):
@@ -388,10 +388,10 @@ class TestCanyonTotal:
         macro = MacroGeometry(20.0, 10.0, 1.5, 20.0)
         near = canyon_total_gain(scene, macro, Link(150.0, 28e9))
         assert near.components["direct"] == pytest.approx(
-            friis_gain(wavelength_m(28e9), near.range_m), rel=1e-14, abs=0.0)
+            friis_gain(wavelength_m(28e9), near.range_m).gain, rel=1e-14, abs=0.0)
         far = canyon_total_gain(scene, macro, Link(400.0, 28e9))
         assert far.components["direct"] < friis_gain(wavelength_m(28e9),
-                                                     far.range_m)
+                                                     far.range_m).gain
 
     def test_2ghz_sparse_street_tracks_free_space(self):
         # low foliage absorption at 2 GHz keeps the total near Friis
@@ -401,7 +401,7 @@ class TestCanyonTotal:
         scene = StreetScene(geometry, foliage, standoff_m=8.0)
         for r in np.geomspace(50.0, 500.0, 15):
             res = canyon_total_gain(scene, self.MACRO_SPARSE, Link(float(r), 2e9))
-            friis_db = db(friis_gain(wavelength_m(2e9), res.range_m))
+            friis_db = db(friis_gain(wavelength_m(2e9), res.range_m).gain)
             assert abs(db(res.gain) - friis_db) <= 5.0
 
     def test_pedestrian_absorption_reduces_direct_term(self):

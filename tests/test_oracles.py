@@ -49,7 +49,7 @@ class TestImageSum:
         link = corridor_link(30.0)
         value = image_sum_power(link, wall_loss_override=1e9)
         assert value == pytest.approx(
-            friis_gain(link.wavelength_m, link.slant_range_m), rel=1e-12, abs=0.0)
+            friis_gain(link.wavelength_m, link.slant_range_m).gain, rel=1e-12, abs=0.0)
 
     def test_corridor_close_to_waveguide_law(self):
         link = corridor_link(30.0)
@@ -79,7 +79,7 @@ class TestImageSum:
                     for n in (4, 16, 64, 256)]
         assert all(b > a for a, b in zip(partials, partials[1:]))
         assert partials[-1] > 5.0 * friis_gain(link.wavelength_m,
-                                               link.slant_range_m)
+                                               link.slant_range_m).gain
 
     def test_metallic_walls_converge_eventually(self):
         # 1/dist^2 spreading alone makes the lossless sum converge, slowly

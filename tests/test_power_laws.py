@@ -10,6 +10,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pathgain").glob
 
 # exponent -> (module, function) of its one call
 BODIES = {1.5: ("canyon.py", "_waveguide"),
+          2.0: ("reference.py", "friis_gain"),
           2.5: ("morphology.py", "_guided"),
           4.0: ("diffuse.py", "quartic_law")}
 

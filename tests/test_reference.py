@@ -19,19 +19,19 @@ from conftest import db
 class TestFriis:
     def test_28ghz_100m_against_standard_fspl(self):
         # free-space path loss 32.45 + 20 log10(f_MHz) + 20 log10(d_km)
-        loss_db = -db(friis_gain(wavelength_m(28e9), 100.0))
+        loss_db = -db(friis_gain(wavelength_m(28e9), 100.0).gain)
         fspl = 32.45 + 20.0 * math.log10(28000.0) + 20.0 * math.log10(0.1)
         assert loss_db == pytest.approx(fspl, abs=0.01)
         assert loss_db == pytest.approx(101.4, abs=0.05)
 
     def test_doubling_range_costs_6db(self):
         lam = wavelength_m(28e9)
-        delta = db(friis_gain(lam, 100.0)) - db(friis_gain(lam, 200.0))
+        delta = db(friis_gain(lam, 100.0).gain) - db(friis_gain(lam, 200.0).gain)
         assert delta == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
 
     def test_unity_point(self):
         lam = wavelength_m(2e9)
-        assert friis_gain(lam, lam / (4.0 * math.pi)) == pytest.approx(1.0, rel=1e-14)
+        assert friis_gain(lam, lam / (4.0 * math.pi)).gain == pytest.approx(1.0, rel=1e-14)
 
 
 class TestSlopeIntercept:
@@ -108,7 +108,7 @@ class TestTr38901:
         # indoor NLOS at 28 GHz / 70 m sits tens of dB above free space
         scenario = ThreeGppScenario("InH", "NLOS", 28.0)
         excess = tr38901_pathloss(scenario, 70.0) \
-            - (-db(friis_gain(wavelength_m(28e9), 70.0)))
+            - (-db(friis_gain(wavelength_m(28e9), 70.0).gain))
         assert 14.0 < excess < 30.0
 
     def test_unsupported_scenario_rejected(self):
