@@ -5,12 +5,12 @@ Each law is one power law: a spreading term constant / r^n times named
 factors, which the result keeps in its factors dict.  The wall-guided laws
 (n = 2.5) are one power_law call; the quartic ones (n = 4) are
 diffuse.quartic_law, the body `verify diffuse` checks, whose last factor
-"absorption" is the foliage or clutter loss, as it is of the direct term
-of the rural and canyon total laws, the Friis law (n = 2)
-reference.friis_gain.  Ground and back-wall bounces enter as incoherent
-power factors (1 + |Gamma|^2): the ground coefficient comes from the
-scene geometry and the back wall bounce is its maximum, WALL_BOUNCE.
-For a slope analysis, divide a factor out of the gain, e.g.
+"absorption" is the foliage or clutter loss; the direct term of the rural
+and canyon total laws is the Friis law (n = 2) reference.friis_gain times
+its clutter loss.  Ground and back-wall bounces enter as incoherent power
+factors (1 + |Gamma|^2): the ground coefficient comes from the scene
+geometry and the back wall bounce is its maximum, WALL_BOUNCE.  For a
+slope analysis, divide a factor out of the gain, e.g.
 result.gain / result.factors["ground_bounce"].  The composite laws (rural,
 tree-lined sidewalk, canyon total) sum or compare power laws and return
 their terms as components, built from the unchecked laws (`__wrapped__`):
@@ -236,13 +236,13 @@ def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectri
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
                  veg_path_m: float | None = None, cover: float = 1.0,
                  veg_start_m: float = 0.0,
-                 kappa_extra: float = 0.0) -> GainResult:
+                 kappa_extra: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Friis law (reference.friis_gain) over the slant base-terminal path r,
-    with the clutter loss as its factor "absorption".
+    attenuated in clutter.
 
-    kappa_v acts over the vegetated length: veg_path_m when given,
-    otherwise cover (r - veg_start) (z_c - z_m) / (z_BS - z_m), the
-    below-clutter fraction of the path beyond any vegetation-free
+    Returns (gain, r).  kappa_v acts over the vegetated length: veg_path_m
+    when given, otherwise cover (r - veg_start) (z_c - z_m) / (z_BS - z_m),
+    the below-clutter fraction of the path beyond any vegetation-free
     stretch.  kappa_extra acts over the whole below-clutter segment.
     """
     drop = macro.base_height_m - macro.mobile_height_m
@@ -251,7 +251,7 @@ def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
     if veg_path_m is None:
         veg_path_m = cover * np.maximum(r - veg_start_m, 0.0) * below_frac
     attenuation = kappa_v * veg_path_m + kappa_extra * r * below_frac
-    return friis_gain.__wrapped__(link.wavelength_m, r, absorption=np.exp(-attenuation))
+    return friis_gain.__wrapped__(link.wavelength_m, r).gain * np.exp(-attenuation), r
 
 
 @checked_gain
@@ -301,10 +301,10 @@ def rural_gain(macro: MacroGeometry, foliage: FoliageLayer, link: Link) -> GainR
     over-top quartic term of a wide street (no T_eff) takes over.
     """
     kv = foliage.kappa_np_per_m
-    direct = _direct_gain(macro, link, kv)
+    direct, r_direct = _direct_gain(macro, link, kv)
     over = _overtop(macro, kv, link, DEFAULT_GROUND)
-    return GainResult(direct.gain + over.gain, direct.range_m,
-                      components={"direct": direct.gain, "over_top": over.gain})
+    return GainResult(direct + over.gain, r_direct,
+                      components={"direct": direct, "over_top": over.gain})
 
 
 @checked_gain
@@ -388,12 +388,12 @@ def canyon_total_gain(scene: StreetScene, macro: MacroGeometry,
     trees = canyon_with_trees_gain.__wrapped__(scene, link)
     over = _overtop(macro, scene.foliage.kappa_np_per_m, link, scene.canyon.ground)
     f = scene.foliage
-    direct = _direct_gain(
+    direct, r_direct = _direct_gain(
         macro, link, f.kappa_np_per_m, scene.direct_veg_path_m,
         min(1.0, f.n_tree_per_m * f.tree_width_m), f.veg_start_m,
         scene.kappa_extra_np_per_m)
-    total = trees.gain + over.gain + direct.gain
+    total = trees.gain + over.gain + direct
     components = dict(trees.components)
     components.update({"canyon_trees": trees.gain, "over_top": over.gain,
-                       "direct": direct.gain})
-    return GainResult(total, direct.range_m, trees.flags, components)
+                       "direct": direct})
+    return GainResult(total, r_direct, trees.flags, components)

@@ -12,23 +12,19 @@ path gain is its negative.
 import math
 from dataclasses import dataclass
 
-from .units import SPEED_OF_LIGHT_M_S, checked_gain, require
+from .units import SPEED_OF_LIGHT_M_S, checked_gain, positive_ranges, require
 
 
 @checked_gain
-def friis_gain(wavelength_m: float, range_m, **factors):
+def friis_gain(wavelength_m: float, range_m):
     """Free-space path gain lambda^2 / (16 pi^2 r^2), the power law of
-    exponent 2, times the given factors, at one range or an array of
-    ranges: a gain result whose factors are "spreading" and the given
-    ones."""
-    require(wavelength_m > 0.0 and range_m > 0.0,
-            "wavelength and range must be positive", wavelength_m, range_m)
-    import numpy as np
+    exponent 2, at one range or an array of ranges: a gain result whose
+    one factor is "spreading"."""
+    message = "wavelength and range must be positive"
+    require(wavelength_m > 0.0, message, wavelength_m)
     from .result import power_law  # loads numpy, which `pathgain fit` never needs
-    # one range as a numpy float, as units.positive_ranges gives it: divided
-    # by an r ** 2 that underflowed to 0 it gives an inf gain; a float raises
     return power_law(2.0, wavelength_m**2 / (16.0 * math.pi**2),
-                     np.asarray(range_m, dtype=float)[()], **factors)
+                     positive_ranges(range_m, message))
 
 
 def uma_nlos_36814(street_width_m: float, building_height_m: float,

@@ -223,24 +223,33 @@ class TestPredict:
             ("3343.7", True), ("5000", True)]
         assert all(row[1] and row[3] for row in rows[1:])
 
-    @pytest.mark.parametrize("config, section, key, morphology", [
-        ("configs/corridor_28ghz.ini", "link", "frequency_hz", "los_corridor"),
-        ("configs/suburban_street_28ghz.ini", "street", "standoff_m",
-         "suburban_street"),
-    ])
+    @pytest.mark.parametrize("config, section, key, value, sweep, morphology", [
+        # a float power of 1e308 overflows inside the law
+        ("configs/corridor_28ghz.ini", "link", "frequency_hz", "1e308", "1:1000:3",
+         "los_corridor"),
+        ("configs/suburban_street_28ghz.ini", "street", "standoff_m", "1e308",
+         "1:1000:3", "suburban_street"),
+        # 1.7e308 fits a float, but the slant length from it to a
+        # terminal 1e308 m away does not
+        ("configs/suburban_street_28ghz.ini", "street", "standoff_m", "1.7e308",
+         "1:1e308:3", "suburban_street"),
+        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "1.7e308",
+         "1:1e308:3", "over_top"),
+        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "1.7e308",
+         "1:1e308:3", "rural"),
+    ], ids=["configs/corridor_28ghz.ini-link-frequency_hz-los_corridor",
+            "configs/suburban_street_28ghz.ini-street-standoff_m-suburban_street",
+            "suburban_street-slant_length", "over_top-slant_length",
+            "rural-slant_length"])
     def test_overflowing_scene_value_is_one_line_error(self, capsys, tmp_path,
                                                        config, section, key,
-                                                       morphology):
-        # a float power of 1e308 overflows inside the law
+                                                       value, sweep, morphology):
         path = tmp_path / "huge.ini"
-        write_edited_config(config, path, [(section, key, "1e308")])
-        code, out, err = run_cli(capsys, "predict", str(path), morphology,
-                                 "1:1000:3")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("pathgain: error: ")
-        assert err.count("\n") == 1
-        assert morphology in err and "overflows" in err
+        write_edited_config(config, path, [(section, key, value)])
+        code, out, err = run_cli(capsys, "predict", str(path), morphology, sweep)
+        assert (code, out) == (1, "")
+        assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
+                       "scene value is out of float range\n")
 
     @pytest.mark.parametrize("config, morphology, a_m", [
         ("configs/corridor_28ghz.ini", "los_corridor", "1e152"),
@@ -284,25 +293,6 @@ class TestPredict:
         path.write_text(self.UNDERFLOWING_WALL, encoding="utf-8")
         code, out, err = run_cli(capsys, "predict", str(path), morphology,
                                  "10:1000:3")
-        assert (code, out) == (1, "")
-        assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
-                       "scene value is out of float range\n")
-
-    @pytest.mark.parametrize("config, section, key, morphology", [
-        ("configs/suburban_street_28ghz.ini", "street", "standoff_m",
-         "suburban_street"),
-        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "over_top"),
-        ("configs/vegetated_macro_28ghz.ini", "macro", "z_bs_m", "rural"),
-    ])
-    def test_overflowing_slant_length_is_one_line_error(self, capsys, tmp_path,
-                                                        config, section, key,
-                                                        morphology):
-        # 1.7e308 fits a float, but the slant length from it to a
-        # terminal 1e308 m away does not
-        path = tmp_path / "huge.ini"
-        write_edited_config(config, path, [(section, key, "1.7e308")])
-        code, out, err = run_cli(capsys, "predict", str(path), morphology,
-                                 "1:1e308:3")
         assert (code, out) == (1, "")
         assert err == (f"pathgain: error: {path}: {morphology} gain overflows: a "
                        "scene value is out of float range\n")
@@ -824,12 +814,16 @@ class TestConfigValidation:
         path.write_text("[link]\nfrequency_hz = 1e-299\n", encoding="utf-8")
         assert load_config(path).frequency_hz == 1e-299
 
-    def test_carrier_that_overflows_a_law_names_the_file(self, capsys, tmp_path):
+    # at this carrier lambda^2 overflows before any range enters the law
+    @pytest.mark.parametrize("morphology, sweep", [
+        ("los_corridor", "1:1000:5"), ("friis", "1e290:1e300:3")])
+    def test_carrier_that_overflows_a_law_names_the_file(self, capsys, tmp_path,
+                                                         morphology, sweep):
         path = tmp_path / "link.ini"
         path.write_text("[link]\nfrequency_hz = 1e-299\n[wall]\nn_eff = 2.2\n" + _CANYON,
                         encoding="utf-8")
-        code, out, err = run_cli(capsys, "predict", str(path), "los_corridor", "1:1000:5")
-        assert (code, out, err) == (1, "", f"pathgain: error: {path}: los_corridor gain "
+        code, out, err = run_cli(capsys, "predict", str(path), morphology, sweep)
+        assert (code, out, err) == (1, "", f"pathgain: error: {path}: {morphology} gain "
                                            "overflows: a scene value is out of float range\n")
 
     @pytest.mark.parametrize("text, where", [
