@@ -93,23 +93,14 @@ _BOUNCE_OFFSETS = np.array([[0], [1]])
 
 
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
-                    include_ground: bool = False, coherent: bool = False,
-                    wall_loss_override: float | None = None,
-                    fixed_order: int | None = None):
+                    include_ground: bool = False):
     """Brute-force image-sum path gain for a LOS canyon link, at its one
     range (a float) or its array of ranges (an array of that shape).
 
-    Sums wall-reflection images with exact image distances
+    Sums the powers of wall-reflection images with exact image distances
     sqrt(x^2 + dy^2 + dz^2) and exact per-bounce grazing angles
     asin(|dy|/dist); per-bounce reflection magnitude is exp(-L/2 * theta).
-    include_ground adds the ground-image copy of every wall image; coherent
-    sums fields with phase instead of powers.  wall_loss_override replaces L
-    (0 forces unit reflection); fixed_order evaluates the truncated sum at
-    that order without a convergence check.
-
-    Only tests set wall_loss_override and fixed_order, as independent
-    paths: a huge L leaves Friis in test_reflection_free_sum_is_friis, and
-    fixed_order is the reference of test_shell_sum_equals_fixed_order_sum.
+    include_ground adds the ground-image copy of every wall image.
 
     Order k holds the images 2kw + y_s and 2kw - y_s, with |2k| and
     |2k - 1| wall bounces, so orders -n..n truncate the sum at 2n bounces.
@@ -124,7 +115,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     w = g.width_m
     # one row per range, before the (ground row, sign, order) axes of its images
     x_all = np.asarray(link.range_x_m).reshape(-1, 1, 1, 1)
-    wall_l = link.wall_loss if wall_loss_override is None else wall_loss_override
+    wall_l = link.wall_loss
     # shift so the walls sit at y = 0 and y = w
     y_s = g.tx_offset_m + w / 2.0
     y_r = g.rx_offset_m + w / 2.0
@@ -142,34 +133,16 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
         dist = np.sqrt(x * x + dy * dy + dz * dz)
         theta_wall = np.arcsin(np.abs(dy) / dist)
         amp = np.exp(-0.5 * wall_l * theta_wall * refl)
-        if coherent:
-            terms = (-1.0) ** refl * amp * np.exp(1j * link.wavenumber_rad_m * dist) / dist
-        else:
-            terms = amp * amp / (dist * dist)
+        terms = amp * amp / (dist * dist)
         if include_ground:
             gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[:, 1]))
-            terms[:, 1] = (terms[:, 1] * gamma_g if coherent
-                           else terms[:, 1] * gamma_g * gamma_g)
+            terms[:, 1] = terms[:, 1] * gamma_g * gamma_g
         return terms
 
     def summed(terms):
         # each row over its images, both signs in one line, then the rows
         return terms.reshape(*terms.shape[:2], -1).sum(axis=2).sum(axis=1)
 
-    lam = link.wavelength_m
-    scale = lam * lam / (4.0 * math.pi) ** 2
-
-    def finish(total):
-        if coherent:
-            total = total.real * total.real + total.imag * total.imag
-        power = scale * total
-        if np.ndim(link.range_x_m):
-            return power.reshape(np.shape(link.range_x_m))
-        return float(power[0])
-
-    if fixed_order is not None:
-        n = max(fixed_order, 1)
-        return finish(summed(image_terms(np.arange(-n, n + 1), x_all)))
     # the ranges still short of the tolerance, as indices into x_all
     active = np.arange(len(x_all))
     n = 64
@@ -187,9 +160,13 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
                                        x_all[active]))
         n *= 2
         total[active] += shell
-        active = active[~(np.abs(shell) <= ctl.rel_tail_tol * np.abs(total[active]))]
+        active = active[~(shell <= ctl.rel_tail_tol * total[active])]
         if not len(active):
-            return finish(total)
+            lam = link.wavelength_m
+            power = lam * lam / (4.0 * math.pi) ** 2 * total
+            if np.ndim(link.range_x_m):
+                return power.reshape(np.shape(link.range_x_m))
+            return float(power[0])
     raise OracleConvergenceError(
         f"image sum did not converge within max_order={ctl.max_order}"
     )
@@ -239,60 +216,47 @@ def _standoff_series(r, width: float, wall_l: float, d: float,
 
 @checked_gain
 def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
-                         ctl: SummationControl, gamma_g2: float | None,
-                         path_factor=None):
+                         ctl: SummationControl, path_factor=None):
     """The body of both series oracles: lambda^2 (1 + |Gamma_g|^2) 2 /
     (8 pi^2 r^4) * scene_factor * the reflection-order series of canyon g at
     standoff_m over slant range r, at the link's one range or array of
-    ranges.  The back wall reflects fully, a bounce of WALL_BOUNCE as in
-    the closed forms; path_factor(r, d_m), if given, multiplies each image
-    term.  Checked as a law is (units.checked_gain)."""
+    ranges.  Gamma_g is the ground bounce of g; the back wall reflects
+    fully, a bounce of WALL_BOUNCE as in the closed forms.
+    path_factor(r, d_m), if given, multiplies each image term.  Checked as
+    a law is (units.checked_gain)."""
     lam = wavelength_m(link.frequency_hz)
     wall_l = g.wall_loss(link.frequency_hz)
     r = g.slant_range_m(link.range_m)
-    if gamma_g2 is None:
-        gamma = g.ground_bounce(link.range_m)
-        gamma_g2 = gamma * gamma
+    gamma = g.ground_bounce(link.range_m)
     series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, path_factor)
-    bounces = (1.0 + gamma_g2) * WALL_BOUNCE
+    bounces = (1.0 + gamma * gamma) * WALL_BOUNCE
     r2 = r * r
     return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * (r2 * r2)) * series
 
 
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
-                          link: Link, ctl: SummationControl = SummationControl(),
-                          standoff_m: float | None = None,
-                          gamma_g2: float | None = None):
+                          link: Link, ctl: SummationControl = SummationControl()):
     """Outdoor-indoor canyon power by direct summation over reflection order,
     at the link's one range or array of ranges.
 
     Each image at standoff d_m from the building face contributes
-    d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  The scene
+    d_m^2 |Gamma|^{2m}; no continuum or large-m approximation.  The source
+    stands mid-street, at half the width from that face, and the scene
     factor is T_eff times the indoor absorption.
-
-    standoff_m is the source distance to that face (default mid-street);
-    gamma_g2 replaces the ground bounce.  Only tests set them, as
-    independent paths: test_direct_illumination_limit (the m = 0 term at
-    gamma_g2 = 1) and test_reduces_to_oi_series_without_trees.
     """
-    d = geometry.width_m / 2.0 if standoff_m is None else standoff_m
     scene_factor = t_eff(pen, indoor.depth_m) * indoor.absorption
-    return _guided_series_power(geometry, link, d, scene_factor, ctl, gamma_g2)
+    return _guided_series_power(geometry, link, geometry.width_m / 2.0,
+                                scene_factor, ctl)
 
 
 def guided_trees_series_power(scene: StreetScene, link: Link,
-                              ctl: SummationControl = SummationControl(),
-                              gamma_g2: float | None = None):
+                              ctl: SummationControl = SummationControl()):
     """Tree-lined sidewalk guided power by direct summation, at the link's
     one range or array of ranges.
 
-    The outdoor-indoor series with the foliage absorption as scene factor
-    and every image path attenuated over its exact length:
-    exp(-kappa_v rho_v sqrt(r^2 + d_m^2)).
-
-    gamma_g2 replaces the ground bounce.  Only tests set it, as an
-    independent path: test_absorption_leaves_first_image_terms (the first
-    four image terms at gamma_g2 = 1).
+    The outdoor-indoor series at the scene's standoff, with the foliage
+    absorption as scene factor and every image path attenuated over its
+    exact length: exp(-kappa_v rho_v sqrt(r^2 + d_m^2)).
     """
     k_rho = scene.foliage.kappa_np_per_m * scene.rho
 
@@ -301,7 +265,7 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
 
     return _guided_series_power(scene.canyon, link, scene.standoff_m,
                                 math.exp(-k_rho * scene.foliage.depth_m), ctl,
-                                gamma_g2, vegetation)
+                                vegetation)
 
 
 # Kronrod 15-point nodes on [-1, 1] and their Kronrod and Gauss 7-point

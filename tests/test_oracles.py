@@ -29,7 +29,8 @@ from pathgain.oracles import (
     roughness_loss_integral,
 )
 from pathgain.reference import friis_gain
-from pathgain.surface import Dielectric, TelegraphRoughness, roughness_loss_rate, wall_loss
+from pathgain.surface import (PARALLEL, Dielectric, TelegraphRoughness, WallSurface,
+                              low_grazing_rate, roughness_loss_rate, wall_loss)
 from pathgain.units import GainError, wavelength_m, wavenumber_rad_m
 
 from conftest import (AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, frozen_hotwall_gain,
@@ -39,15 +40,47 @@ STRICT_SUM = SummationControl(rel_tail_tol=1e-13)
 STRICT_QUAD = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
 
 
-def corridor_link(x, f=2e9, **kwargs):
-    return LosLink(CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL, **kwargs), x, f)
+# walls whose loss L is 4/n: 0.03, and 4e-12, which reflects all but fully
+LOSSY_WALL = WallSurface(Dielectric(400 / 3))
+METALLIC_WALL = WallSurface(Dielectric(1e12))
+
+
+def corridor_link(x, f=2e9, wall=CORRIDOR_WALL, **kwargs):
+    return LosLink(CanyonGeometry(1.6, 2.2, 1.0, wall, **kwargs), x, f)
+
+
+def direct_image_sum(link, order, include_ground=False):
+    """The image sum of `image_sum_power` truncated at orders |k| <= order,
+    in one numpy sum: the images 2kw + y_s and 2kw - y_s with their |2k|
+    and |2k - 1| wall bounces, each at power exp(-L theta) per bounce, and
+    with include_ground their ground images at power Gamma_g^2 more."""
+    g = link.geometry
+    w = g.width_m
+    k = np.arange(-order, order + 1)
+    y_s, y_r = g.tx_offset_m + w / 2.0, g.rx_offset_m + w / 2.0
+    dy = np.concatenate([2 * k * w + y_s - y_r, 2 * k * w - y_s - y_r])
+    bounces = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
+    # (height offset, ground power loss per radian) of the direct images,
+    # then of their ground images
+    rows = [(g.tx_height_m - g.rx_height_m, 0.0)]
+    if include_ground:
+        rows.append((g.tx_height_m + g.rx_height_m,
+                     2.0 * low_grazing_rate(g.ground, PARALLEL)))
+    total = 0.0
+    for dz, ground_loss in rows:
+        dist = np.sqrt(link.range_x_m**2 + dy**2 + dz**2)
+        total += np.sum(np.exp(-link.wall_loss * np.arcsin(np.abs(dy) / dist) * bounces
+                               - ground_loss * np.arcsin(dz / dist)) / dist**2)
+    return link.wavelength_m**2 / (4.0 * math.pi) ** 2 * total
 
 
 class TestImageSum:
     def test_reflection_free_sum_is_friis(self):
-        # drive the wall loss up so only the direct image survives
-        link = corridor_link(30.0)
-        value = image_sum_power(link, wall_loss_override=1e9)
+        # a wall so rough (L ~ 3e9 at 2 GHz) that only the direct image survives
+        link = corridor_link(30.0, wall=WallSurface(
+            CORRIDOR_WALL.dielectric, TelegraphRoughness(1000.0, 0.5, 0.5, 1.0, 1.0)))
+        assert link.wall_loss > 1e9
+        value = image_sum_power(link)
         assert value == pytest.approx(
             friis_gain(link.wavelength_m, link.slant_range_m).gain, rel=1e-12, abs=0.0)
 
@@ -74,26 +107,23 @@ class TestImageSum:
     def test_metallic_walls_grow_with_truncation_order(self):
         # with unit reflection the sum keeps accumulating until spreading
         # loss takes over, exposing the wall-loss validity condition
-        link = corridor_link(30.0)
-        partials = [image_sum_power(link, wall_loss_override=0.0, fixed_order=n)
-                    for n in (4, 16, 64, 256)]
+        link = corridor_link(30.0, wall=METALLIC_WALL)
+        partials = [direct_image_sum(link, n) for n in (4, 16, 64, 256)]
         assert all(b > a for a, b in zip(partials, partials[1:]))
         assert partials[-1] > 5.0 * friis_gain(link.wavelength_m,
                                                link.slant_range_m).gain
 
     def test_metallic_walls_converge_eventually(self):
         # 1/dist^2 spreading alone makes the lossless sum converge, slowly
-        link = corridor_link(30.0)
-        value = image_sum_power(link, wall_loss_override=0.0,
-                                ctl=SummationControl(rel_tail_tol=1e-4))
-        dense = image_sum_power(link, wall_loss_override=0.0, fixed_order=200000)
+        link = corridor_link(30.0, wall=METALLIC_WALL)
+        value = image_sum_power(link, SummationControl(rel_tail_tol=1e-4))
+        dense = direct_image_sum(link, 200000)
         assert value == pytest.approx(dense, rel=1e-3)
 
     def test_convergence_error_when_capped(self):
-        link = corridor_link(30.0)
+        link = corridor_link(30.0, wall=METALLIC_WALL)
         with pytest.raises(OracleConvergenceError):
-            image_sum_power(link, wall_loss_override=0.0,
-                            ctl=SummationControl(max_order=128))
+            image_sum_power(link, SummationControl(max_order=128))
 
     def test_off_center_insensitivity(self):
         # the closed form assumes centered antennas; the exact sum with
@@ -106,53 +136,30 @@ class TestImageSum:
             assert abs(db(shifted) - db(centered)) < 2.0
             assert abs(db(shifted) - db(closed)) < 2.0
 
-    def test_coherent_single_image_equals_power_sum(self):
-        # with reflections absorbed, one field term remains and the
-        # coherent and power sums coincide exactly
-        link = corridor_link(24.0)
-        coherent = image_sum_power(link, coherent=True, wall_loss_override=1e9)
-        incoherent = image_sum_power(link, wall_loss_override=1e9)
-        assert coherent == pytest.approx(incoherent, rel=1e-12, abs=0.0)
-
-    def test_coherent_sum_near_power_sum_on_frequency_average(self):
-        # a 10% frequency comb only partially decorrelates the image
-        # phases; the coherent mean still lands near the power sum
-        link = corridor_link(24.0)
-        freqs = np.linspace(1.9e9, 2.1e9, 41)
-        coherent = [image_sum_power(corridor_link(24.0, f=float(f)),
-                                    coherent=True) for f in freqs]
-        incoherent = image_sum_power(link)
-        assert abs(db(np.mean(coherent)) - db(incoherent)) < 2.0
-
     def test_refinement_self_consistency(self):
         link = corridor_link(100.0)
         default = image_sum_power(link)
         strict = image_sum_power(link, ctl=STRICT_SUM)
         assert abs(strict - default) <= 1e-9 * default
 
-    # by coherent: a rel_tail_tol that the 64 < |k| <= 128 shell meets, and
-    # one that only the 128 < |k| <= 256 shell meets.  At a wall loss of
-    # 0.03 the first shells are 1e-4..1e-2 of the total, the second 1e-7..1e-4.
-    SHELL_TOLERANCES = {False: (1e-3, 1e-6), True: (5e-2, 1e-3)}
-
     @pytest.mark.parametrize("include_ground", [False, True],
                              ids=["walls", "ground"])
-    @pytest.mark.parametrize("coherent", [False, True],
-                             ids=["incoherent", "coherent"])
-    def test_shell_sum_equals_fixed_order_sum(self, coherent, include_ground):
+    def test_shell_sum_equals_fixed_order_sum(self, include_ground):
         # adding only the new shell at each doubling sums the same images
-        # as the truncated sum; max_order shows where each sum stopped
-        link = corridor_link(30.0)
-        kwargs = dict(include_ground=include_ground, coherent=coherent,
-                      wall_loss_override=0.03)
-        for n, tol in zip((128, 256), self.SHELL_TOLERANCES[coherent]):
+        # as the truncated sum; max_order shows where each sum stopped.  At
+        # a wall loss of 0.03 the 64 < |k| <= 128 shell is about 1e-4 of the
+        # total, which a rel_tail_tol of 1e-3 accepts, and the
+        # 128 < |k| <= 256 shell about 1e-7, which 1e-6 needs
+        link = corridor_link(30.0, wall=LOSSY_WALL)
+        assert link.wall_loss == 0.03
+        for n, tol in ((128, 1e-3), (256, 1e-6)):
             ctl = SummationControl(rel_tail_tol=tol, max_order=n)
             if n > 128:
                 with pytest.raises(OracleConvergenceError):
                     image_sum_power(link, replace(ctl, max_order=n // 2),
-                                    **kwargs)
-            assert image_sum_power(link, ctl, **kwargs) == pytest.approx(
-                image_sum_power(link, fixed_order=n, **kwargs), rel=1e-13, abs=0.0)
+                                    include_ground)
+            assert image_sum_power(link, ctl, include_ground) == pytest.approx(
+                direct_image_sum(link, n, include_ground), rel=1e-13, abs=0.0)
 
 
 class TestOiSeries:
@@ -161,19 +168,19 @@ class TestOiSeries:
     INDOOR = IndoorClutter(0.18, 2.0)
 
     def test_direct_illumination_limit(self):
-        # with reflections absorbed, only the m = 0 standoff term remains
+        # with reflections absorbed, only the m = 0 term at the mid-street
+        # standoff remains, with the scene's own ground bounce
         geometry = CanyonGeometry(
             8.6, 5.0, 1.5,
-            type(URBAN_WALL)(URBAN_WALL.dielectric,
-                             TelegraphRoughness(5.0, 0.85, 0.15, 3.0, 0.5)))
+            WallSurface(URBAN_WALL.dielectric,
+                        TelegraphRoughness(5.0, 0.85, 0.15, 3.0, 0.5)))
         link = Link(60.0, 3.5e9)
-        d = 2.7
-        value = oi_image_series_power(geometry, self.PEN, self.INDOOR, link,
-                                      standoff_m=d, gamma_g2=1.0)
+        value = oi_image_series_power(geometry, self.PEN, self.INDOOR, link)
         lam = wavelength_m(3.5e9)
         r = math.hypot(60.0, 3.5)
-        direct = (lam**2 * t_eff(self.PEN, 2.0) * 4.0 * math.exp(-0.18 * 2.0)
-                  * d * d / (8.0 * math.pi**2 * r**4))
+        d, gamma = 4.3, geometry.ground_bounce(60.0)
+        direct = (lam**2 * t_eff(self.PEN, 2.0) * 2.0 * (1.0 + gamma * gamma)
+                  * math.exp(-0.18 * 2.0) * d * d / (8.0 * math.pi**2 * r**4))
         assert value == pytest.approx(direct, rel=1e-9, abs=0.0)
 
     def test_continuum_law_close_beyond_10lw(self):
@@ -204,26 +211,29 @@ class TestOiSeries:
         k = wavenumber_rad_m(3.5e9)
         loss = wall_loss(URBAN_WALL, k)
         link = Link(20.0 * loss * 8.6, 3.5e9)
-        near_wall = oi_image_series_power(self.GEOMETRY, self.PEN, self.INDOOR,
-                                          link, standoff_m=0.0)
-        mid_street = oi_image_series_power(self.GEOMETRY, self.PEN, self.INDOOR,
-                                           link, standoff_m=4.3)
-        assert abs(db(near_wall) - db(mid_street)) < 2.0
+
+        def series(standoff):
+            # without trees, the series of the outdoor-indoor oracle at this
+            # standoff, up to its scene factor
+            return guided_trees_series_power(StreetScene(
+                self.GEOMETRY, FoliageLayer(3.0, 0.38), standoff, rho_v=0.0), link)
+
+        assert abs(db(series(1e-3)) - db(series(4.3))) < 2.0
 
 
 class TestGuidedTreesSeries:
-    def scene(self, rho):
+    def scene(self, rho, standoff_m=8.0):
         geometry = CanyonGeometry(32.0, 56.0, 1.5, AVENUE_WALL)
         foliage = FoliageLayer(3.0, 0.38)
-        return StreetScene(geometry, foliage, standoff_m=8.0, rho_v=rho)
+        return StreetScene(geometry, foliage, standoff_m=standoff_m, rho_v=rho)
 
     def test_reduces_to_oi_series_without_trees(self):
-        scene = self.scene(0.0)
+        # at the outdoor-indoor oracle's mid-street standoff
+        scene = self.scene(0.0, standoff_m=16.0)
         link = Link(500.0, 28e9)
-        value = guided_trees_series_power(scene, link, gamma_g2=0.8)
+        value = guided_trees_series_power(scene, link)
         reference = oi_image_series_power(
-            scene.canyon, PenetrationSpec.unbounded(), IndoorClutter(0.0, 0.0),
-            link, standoff_m=8.0, gamma_g2=0.8)
+            scene.canyon, PenetrationSpec.unbounded(), IndoorClutter(0.0, 0.0), link)
         assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_absorption_leaves_first_image_terms(self):
@@ -233,14 +243,15 @@ class TestGuidedTreesSeries:
         # a tail below 1e-11 of the total
         scene = self.scene(1.0)
         link = Link(300.0, 28e9)
-        value = guided_trees_series_power(scene, link, gamma_g2=1.0)
+        value = guided_trees_series_power(scene, link)
+        gamma = scene.canyon.ground_bounce(300.0)
         lam = wavelength_m(28e9)
         loss = wall_loss(AVENUE_WALL, wavenumber_rad_m(28e9))
         r = math.hypot(300.0, 54.5)
         series = sum(d_m**2 * math.exp(-loss * m * d_m / r)
                      * math.exp(-0.38 * math.hypot(r, d_m))
                      for m, d_m in enumerate((8.0, 56.0, 72.0, 120.0)))
-        expected = (lam**2 * 4.0 * math.exp(-0.38 * 3.0) * series
+        expected = (lam**2 * 2.0 * (1.0 + gamma * gamma) * math.exp(-0.38 * 3.0) * series
                     / (8.0 * math.pi**2 * r**4))
         assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
