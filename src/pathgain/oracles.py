@@ -92,15 +92,16 @@ _SIGNS = np.array([[1.0], [-1.0]])
 _BOUNCE_OFFSETS = np.array([[0], [1]])
 
 
-def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
-                    include_ground: bool = False):
+def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *,
+                    include_ground: bool = True):
     """Brute-force image-sum path gain for a LOS canyon link, at its one
     range (a float) or its array of ranges (an array of that shape).
 
-    Sums the powers of wall-reflection images with exact image distances
-    sqrt(x^2 + dy^2 + dz^2) and exact per-bounce grazing angles
-    asin(|dy|/dist); per-bounce reflection magnitude is exp(-L/2 * theta).
-    include_ground adds the ground-image copy of every wall image.
+    Sums the powers of wall-reflection images, and of the ground image of
+    each, with exact image distances sqrt(x^2 + dy^2 + dz^2) and exact
+    per-bounce grazing angles asin(|dy|/dist); per-bounce reflection
+    magnitude is exp(-L/2 * theta).  include_ground is accepted as True
+    only, as bench/gapmap.py passes it.
 
     Order k holds the images 2kw + y_s and 2kw - y_s, with |2k| and
     |2k - 1| wall bounces, so orders -n..n truncate the sum at 2n bounces.
@@ -111,6 +112,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     total stays as it is while the ranges still short of the tolerance
     take the next shell.
     """
+    require(include_ground is True, "the image sum always includes the ground image")
     g = link.geometry
     w = g.width_m
     # one row per range, before the (ground row, sign, order) axes of its images
@@ -121,9 +123,8 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
     y_r = g.rx_offset_m + w / 2.0
     # one row of images at the direct height offset, one at the ground image's
     dz = np.array([[[g.tx_height_m - g.rx_height_m]],
-                   [[g.tx_height_m + g.rx_height_m]]])[:1 + include_ground]
-    if include_ground:
-        g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
+                   [[g.tx_height_m + g.rx_height_m]]])
+    g_coef = surface.low_grazing_rate(g.ground, surface.PARALLEL)
 
     def image_terms(k, x):
         """The terms of orders k at ranges x, as (len(x), rows, 2, len(k)):
@@ -134,9 +135,9 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(),
         theta_wall = np.arcsin(np.abs(dy) / dist)
         amp = np.exp(-0.5 * wall_l * theta_wall * refl)
         terms = amp * amp / (dist * dist)
-        if include_ground:
-            gamma_g = -np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[:, 1]))
-            terms[:, 1] = terms[:, 1] * gamma_g * gamma_g
+        # |Gamma_g| times itself, as amp is, so verify's figures keep every bit
+        ground_amp = np.exp(-g_coef * np.arcsin(np.abs(dz[1]) / dist[:, 1]))
+        terms[:, 1] = terms[:, 1] * ground_amp * ground_amp
         return terms
 
     def summed(terms):

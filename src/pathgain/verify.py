@@ -110,7 +110,7 @@ def _canyon_scenes(sum_ctl, _):
             link = LosLink(geometry, x, f_hz)
             yield (f"canyon/{label}/{f_hz/1e9:g}GHz/r={{:g}}w", CANYON_R_OVER_W,
                    canyon.los_gain_incoherent(link),
-                   oracles.image_sum_power(link, sum_ctl, include_ground=True), 1.5)
+                   oracles.image_sum_power(link, sum_ctl), 1.5)
 
 
 def _outdoor_indoor_scenes(sum_ctl, _):

@@ -144,7 +144,7 @@ def test_criterion_03_los_canyon():
                 x = math.sqrt(max(r * r - (zs - z) ** 2, 1e-9))
                 link = LosLink(geometry, x, f_hz)
                 closed = los_gain_incoherent(link).gain
-                oracle = image_sum_power(link, include_ground=True)
+                oracle = image_sum_power(link)
                 worst = max(worst, abs(db(closed) - db(oracle)))
             # distance exponent of the closed form itself (no floor)
             sweep = np.geomspace(10.0 * width, 100.0 * width, 25)

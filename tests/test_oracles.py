@@ -34,7 +34,7 @@ from pathgain.surface import (PARALLEL, Dielectric, TelegraphRoughness, WallSurf
 from pathgain.units import GainError, wavelength_m, wavenumber_rad_m
 
 from conftest import (AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, frozen_hotwall_gain,
-                      general_bracket_loss, walls_only_gain)
+                      general_bracket_loss)
 
 STRICT_SUM = SummationControl(rel_tail_tol=1e-13)
 STRICT_QUAD = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
@@ -49,11 +49,11 @@ def corridor_link(x, f=2e9, wall=CORRIDOR_WALL, **kwargs):
     return LosLink(CanyonGeometry(1.6, 2.2, 1.0, wall, **kwargs), x, f)
 
 
-def direct_image_sum(link, order, include_ground=False):
+def direct_image_sum(link, order):
     """The image sum of `image_sum_power` truncated at orders |k| <= order,
     in one numpy sum: the images 2kw + y_s and 2kw - y_s with their |2k|
     and |2k - 1| wall bounces, each at power exp(-L theta) per bounce, and
-    with include_ground their ground images at power Gamma_g^2 more."""
+    their ground images at power Gamma_g^2 more."""
     g = link.geometry
     w = g.width_m
     k = np.arange(-order, order + 1)
@@ -62,10 +62,8 @@ def direct_image_sum(link, order, include_ground=False):
     bounces = np.concatenate([np.abs(2 * k), np.abs(2 * k - 1)])
     # (height offset, ground power loss per radian) of the direct images,
     # then of their ground images
-    rows = [(g.tx_height_m - g.rx_height_m, 0.0)]
-    if include_ground:
-        rows.append((g.tx_height_m + g.rx_height_m,
-                     2.0 * low_grazing_rate(g.ground, PARALLEL)))
+    rows = [(g.tx_height_m - g.rx_height_m, 0.0),
+            (g.tx_height_m + g.rx_height_m, 2.0 * low_grazing_rate(g.ground, PARALLEL))]
     total = 0.0
     for dz, ground_loss in rows:
         dist = np.sqrt(link.range_x_m**2 + dy**2 + dz**2)
@@ -76,33 +74,46 @@ def direct_image_sum(link, order, include_ground=False):
 
 class TestImageSum:
     def test_reflection_free_sum_is_friis(self):
-        # a wall so rough (L ~ 3e9 at 2 GHz) that only the direct image survives
+        # a wall so rough (L ~ 3e9 at 2 GHz) that only the direct image and
+        # its ground image survive, each at its Friis power, the ground one
+        # times Gamma_g^2
         link = corridor_link(30.0, wall=WallSurface(
             CORRIDOR_WALL.dielectric, TelegraphRoughness(1000.0, 0.5, 0.5, 1.0, 1.0)))
         assert link.wall_loss > 1e9
+        g, lam = link.geometry, link.wavelength_m
+        ground_r = math.hypot(30.0, g.tx_height_m + g.rx_height_m)
+        ground_power = math.exp(-2.0 * low_grazing_rate(g.ground, PARALLEL)
+                                * math.asin((g.tx_height_m + g.rx_height_m) / ground_r))
         value = image_sum_power(link)
         assert value == pytest.approx(
-            friis_gain(link.wavelength_m, link.slant_range_m).gain, rel=1e-12, abs=0.0)
+            friis_gain(lam, link.slant_range_m).gain
+            + ground_power * friis_gain(lam, ground_r).gain, rel=1e-12, abs=0.0)
 
     def test_corridor_close_to_waveguide_law(self):
         link = corridor_link(30.0)
         oracle = image_sum_power(link)
-        closed = walls_only_gain(link)
+        closed = los_gain_incoherent(link).gain
         assert abs(db(closed) - db(oracle)) < 1.5
 
     def test_with_ground_close_to_incoherent_law(self):
         link = corridor_link(50.0, f=28e9)
-        oracle = image_sum_power(link, include_ground=True)
+        oracle = image_sum_power(link)
         closed = los_gain_incoherent(link).gain
         assert abs(db(closed) - db(oracle)) < 1.5
 
-    def test_walls_only_sum_ignores_the_ground(self):
-        # n = 1.3 has no parallel low-grazing rate; a sum without the
-        # ground image never needs it
-        link = corridor_link(30.0, ground=Dielectric(1.3))
-        assert image_sum_power(link) == image_sum_power(corridor_link(30.0))
+    def test_sum_always_holds_the_ground_image(self):
+        # n = 1.3 has no parallel low-grazing rate, which the ground image
+        # needs; there is no walls-only sum to fall back on
         with pytest.raises(ValueError, match="n=1.3"):
-            image_sum_power(link, include_ground=True)
+            image_sum_power(corridor_link(30.0, ground=Dielectric(1.3)))
+        with pytest.raises(ValueError, match="always includes the ground image"):
+            image_sum_power(corridor_link(30.0), include_ground=False)
+
+    def test_gap_map_call_is_the_default_sum(self):
+        # bench/gapmap.py passes include_ground=True
+        link = corridor_link(np.array([16.0, 64.0]), f=28e9)
+        assert (image_sum_power(link, include_ground=True).tolist()
+                == image_sum_power(link).tolist())
 
     def test_metallic_walls_grow_with_truncation_order(self):
         # with unit reflection the sum keeps accumulating until spreading
@@ -132,7 +143,7 @@ class TestImageSum:
             link = corridor_link(x, tx_offset_m=0.48, rx_offset_m=-0.3)
             shifted = image_sum_power(link)
             centered = image_sum_power(corridor_link(x))
-            closed = walls_only_gain(corridor_link(x))
+            closed = los_gain_incoherent(corridor_link(x)).gain
             assert abs(db(shifted) - db(centered)) < 2.0
             assert abs(db(shifted) - db(closed)) < 2.0
 
@@ -142,9 +153,7 @@ class TestImageSum:
         strict = image_sum_power(link, ctl=STRICT_SUM)
         assert abs(strict - default) <= 1e-9 * default
 
-    @pytest.mark.parametrize("include_ground", [False, True],
-                             ids=["walls", "ground"])
-    def test_shell_sum_equals_fixed_order_sum(self, include_ground):
+    def test_shell_sum_equals_fixed_order_sum(self):
         # adding only the new shell at each doubling sums the same images
         # as the truncated sum; max_order shows where each sum stopped.  At
         # a wall loss of 0.03 the 64 < |k| <= 128 shell is about 1e-4 of the
@@ -156,10 +165,9 @@ class TestImageSum:
             ctl = SummationControl(rel_tail_tol=tol, max_order=n)
             if n > 128:
                 with pytest.raises(OracleConvergenceError):
-                    image_sum_power(link, replace(ctl, max_order=n // 2),
-                                    include_ground)
-            assert image_sum_power(link, ctl, include_ground) == pytest.approx(
-                direct_image_sum(link, n, include_ground), rel=1e-13, abs=0.0)
+                    image_sum_power(link, replace(ctl, max_order=n // 2))
+            assert image_sum_power(link, ctl) == pytest.approx(
+                direct_image_sum(link, n), rel=1e-13, abs=0.0)
 
 
 class TestOiSeries:
