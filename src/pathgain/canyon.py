@@ -70,39 +70,42 @@ class CanyonGeometry:
 
 
 @dataclass(frozen=True)
-class LosLink:
-    """Transmitter-receiver placements in a canyon at a given frequency.
+class Link:
+    """Horizontal range, or an array of ranges, and carrier: the one check
+    of both for every law.
 
-    range_x_m is one horizontal range or an array of them, stored as a
-    float or a float array; every range-dependent quantity follows it.
+    range_m is stored as a float or a float array; every law evaluates
+    over its shape.
     """
 
-    geometry: CanyonGeometry
-    range_x_m: float | np.ndarray
+    range_m: float | np.ndarray
     frequency_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "range_x_m", positive_ranges(
-            self.range_x_m, "horizontal range must be positive"))
+        object.__setattr__(self, "range_m", positive_ranges(
+            self.range_m, "horizontal range must be positive"))
         wavelength_m(self.frequency_hz)
-
-    @property
-    def slant_range_m(self) -> np.ndarray:
-        """Direct source-receiver distance r."""
-        return self.geometry.slant_range_m(self.range_x_m)
 
     @property
     def wavelength_m(self) -> float:
         return wavelength_m(self.frequency_hz)
 
-    @property
-    def wavenumber_rad_m(self) -> float:
-        return wavenumber_rad_m(self.frequency_hz)
+
+@dataclass(frozen=True, init=False)
+class LosLink(Link):
+    """A Link between the antennas of a canyon geometry: range_m is their
+    horizontal range."""
+
+    geometry: CanyonGeometry
+
+    def __init__(self, geometry: CanyonGeometry, range_m, frequency_hz: float):
+        object.__setattr__(self, "geometry", geometry)
+        Link.__init__(self, range_m, frequency_hz)
 
     @property
-    def wall_loss(self) -> float:
-        """Per-radian wall-loss parameter L at this link's frequency."""
-        return self.geometry.wall_loss(self.frequency_hz)
+    def slant_range_m(self) -> np.ndarray:
+        """Direct source-receiver distance r."""
+        return self.geometry.slant_range_m(self.range_m)
 
 
 def ground_bounce(height_sum_m: float, horizontal_m, ground: Dielectric):
@@ -124,7 +127,7 @@ def _waveguide(link: LosLink, **factors) -> GainResult:
     g = link.geometry
     r = link.slant_range_m
     lam = link.wavelength_m
-    wall_l = link.wall_loss
+    wall_l = g.wall_loss(link.frequency_hz)
     floor = np.maximum(1.0, np.sqrt(g.width_m * wall_l / (math.pi * r)))
     half = g.width_m / 2.0
     flags = [(FLAG_SHORT_RANGE, r < 2.0 * g.width_m),
@@ -143,7 +146,7 @@ def los_gain_incoherent(link: LosLink) -> GainResult:
 
     This is the pre-breakpoint range average of the coherent form.
     """
-    gamma = link.geometry.ground_bounce(link.range_x_m)
+    gamma = link.geometry.ground_bounce(link.range_m)
     return _waveguide(link, ground_bounce=1.0 + gamma * gamma)
 
 
@@ -155,8 +158,8 @@ def los_gain_coherent(link: LosLink) -> GainResult:
     the breakpoint and averages to the incoherent form.
     """
     g = link.geometry
-    gamma = g.ground_bounce(link.range_x_m)
-    r_g = np.hypot(link.range_x_m, g.tx_height_m + g.rx_height_m)
-    k = link.wavenumber_rad_m
+    gamma = g.ground_bounce(link.range_m)
+    r_g = np.hypot(link.range_m, g.tx_height_m + g.rx_height_m)
+    k = wavenumber_rad_m(link.frequency_hz)
     phasor = np.exp(1j * k * link.slant_range_m) + gamma * np.exp(1j * k * r_g)
     return _waveguide(link, two_ray=np.abs(phasor) ** 2)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morphology
-from .canyon import CanyonGeometry, LosLink, los_gain_coherent, los_gain_incoherent
+from .canyon import CanyonGeometry, Link, LosLink, los_gain_coherent, los_gain_incoherent
 from .diffuse import PenetrationSpec
-from .morphology import FoliageLayer, IndoorClutter, Link, MacroGeometry, StreetScene
+from .morphology import FoliageLayer, IndoorClutter, MacroGeometry, StreetScene
 from .reference import friis_gain
 from .result import FLAG_KAPPA_EXTRAPOLATED, GainResult
 from .surface import (DEFAULT_GROUND, PARALLEL, Dielectric, TelegraphRoughness,

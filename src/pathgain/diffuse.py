@@ -131,12 +131,14 @@ def t_eff(spec: PenetrationSpec, depth_m: float | None = None) -> float:
     return spec.material_t2 * (2.0 / math.pi) * angle
 
 
-def quartic_law(link: DiffuseLink, **factors) -> GainResult:
+def quartic_law(standoff_m: float, range_m, depth_m: float, kappa_np_per_m: float,
+                wavelength_m: float, **factors) -> GainResult:
     """lambda^2 d_s^2 / (8 pi^2 r^4) times the given factors, then the
-    absorption exp(-kappa d_in): the one body of every quartic law."""
-    return power_law(4.0, link.wavelength_m**2 * link.standoff_m**2 / (8.0 * math.pi**2),
-                     link.range_m, **factors,
-                     absorption=math.exp(-link.kappa_np_per_m * link.depth_m))
+    absorption exp(-kappa d_in): the one body of every quartic law.  Its
+    arguments are the fields of a DiffuseLink, which the caller has
+    checked."""
+    return power_law(4.0, wavelength_m**2 * standoff_m**2 / (8.0 * math.pi**2),
+                     range_m, **factors, absorption=math.exp(-kappa_np_per_m * depth_m))
 
 
 @checked_gain
@@ -148,4 +150,5 @@ def diffuse_pathgain(link: DiffuseLink, spec: PenetrationSpec) -> float:
     integral by the oracles module (1-D radial for the unbounded boundary,
     2-D for the aperture).
     """
-    return quartic_law(link, t_eff=t_eff(spec, link.depth_m)).gain
+    return quartic_law(link.standoff_m, link.range_m, link.depth_m, link.kappa_np_per_m,
+                       link.wavelength_m, t_eff=t_eff(spec, link.depth_m)).gain

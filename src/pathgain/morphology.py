@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canyon import CanyonGeometry, ground_bounce
-from .diffuse import DiffuseLink, PenetrationSpec, quartic_law, t_eff
+from .canyon import CanyonGeometry, Link, ground_bounce
+from .diffuse import PenetrationSpec, quartic_law, t_eff
 from .reference import friis_gain
 from .result import FLAG_GUIDED_RANGE, GainResult, power_law, regime_flags
 from .surface import DEFAULT_GROUND, Dielectric
-from .units import checked_gain, derived_length, positive_ranges, require, wavelength_m
+from .units import checked_gain, derived_length, require
 
 # Foliage absorption anchors for linear interpolation in frequency.
 KAPPA_V_ANCHORS = ((2.0e9, 0.07), (35.0e9, 0.40))  # (Hz, Np/m)
@@ -163,27 +163,6 @@ class StreetScene:
         return min(math.ldexp(frac, min(sum(e_top) - sum(e_bottom), 8)), 1.0)
 
 
-@dataclass(frozen=True)
-class Link:
-    """Horizontal range, or an array of ranges, and carrier.
-
-    range_m is stored as a float or a float array; every law evaluates
-    over its shape.
-    """
-
-    range_m: float | np.ndarray
-    frequency_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "range_m", positive_ranges(
-            self.range_m, "range must be positive"))
-        wavelength_m(self.frequency_hz)
-
-    @property
-    def wavelength_m(self) -> float:
-        return wavelength_m(self.frequency_hz)
-
-
 def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResult:
     """Quartic law of the street scenes (diffuse.quartic_law): the given
     factors, the bounces and the foliage absorption exp(-kappa_v rho d_v),
@@ -194,9 +173,9 @@ def _unguided(scene: StreetScene, link: Link, rho: float, **factors) -> GainResu
     r = derived_length(np.hypot(np.hypot(link.range_m, g.tx_height_m - g.rx_height_m),
                                 ds))
     gamma = g.ground_bounce(np.hypot(link.range_m, ds))
-    return quartic_law(DiffuseLink(ds, r, foliage.depth_m, foliage.kappa_np_per_m * rho,
-                                   link.wavelength_m),
-                       **factors, ground_bounce=1.0 + gamma**2, wall_bounce=WALL_BOUNCE)
+    return quartic_law(ds, r, foliage.depth_m, foliage.kappa_np_per_m * rho,
+                       link.wavelength_m, **factors, ground_bounce=1.0 + gamma**2,
+                       wall_bounce=WALL_BOUNCE)
 
 
 def _guided(geometry: CanyonGeometry, link: Link, wall_l: float,
@@ -227,10 +206,9 @@ def _overtop(macro: MacroGeometry, kappa_v: float, link: Link, ground: Dielectri
     ds = macro.base_height_m - macro.clutter_height_m
     gamma = ground_bounce(macro.base_height_m - macro.mobile_height_m,
                           link.range_m, ground)
-    link_in = DiffuseLink(ds, derived_length(np.hypot(link.range_m, ds)),
-                          macro.clutter_height_m - macro.mobile_height_m, kappa_v,
-                          link.wavelength_m)
-    return quartic_law(link_in, **factors, ground_bounce=1.0 + gamma**2)
+    return quartic_law(ds, derived_length(np.hypot(link.range_m, ds)),
+                       macro.clutter_height_m - macro.mobile_height_m, kappa_v,
+                       link.wavelength_m, **factors, ground_bounce=1.0 + gamma**2)
 
 
 def _direct_gain(macro: MacroGeometry, link: Link, kappa_v: float,
@@ -286,6 +264,7 @@ def overtop_gain(macro: MacroGeometry, kappa_v: float, link: Link) -> GainResult
     (T_eff from the strip aperture).  kappa_v attenuates the descent through
     the clutter layer.
     """
+    require(kappa_v >= 0.0, "absorption must be nonnegative", kappa_v)
     depth = macro.clutter_height_m - macro.mobile_height_m
     return _overtop(macro, kappa_v, link, DEFAULT_GROUND,
                     t_eff=t_eff(PenetrationSpec.street(macro.street_width_m), depth))

@@ -47,9 +47,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import surface
-from .canyon import LosLink
+from .canyon import Link, LosLink
 from .diffuse import APERTURE, UNBOUNDED, DiffuseLink, PenetrationSpec, t_eff
-from .morphology import WALL_BOUNCE, IndoorClutter, Link, StreetScene
+from .morphology import WALL_BOUNCE, IndoorClutter, StreetScene
 from .units import checked_gain, require, wavelength_m
 
 
@@ -82,7 +82,7 @@ class QuadratureControl:
                 self.abs_tol, self.rel_tol, self.max_subdivisions)
 
 
-class OracleConvergenceError(RuntimeError):
+class OracleConvergenceError(ValueError):
     """A truncated sum or quadrature failed to meet its tolerance."""
 
 
@@ -116,8 +116,8 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
     g = link.geometry
     w = g.width_m
     # one row per range, before the (ground row, sign, order) axes of its images
-    x_all = np.asarray(link.range_x_m).reshape(-1, 1, 1, 1)
-    wall_l = link.wall_loss
+    x_all = np.asarray(link.range_m).reshape(-1, 1, 1, 1)
+    wall_l = g.wall_loss(link.frequency_hz)
     # shift so the walls sit at y = 0 and y = w
     y_s = g.tx_offset_m + w / 2.0
     y_r = g.rx_offset_m + w / 2.0
@@ -165,8 +165,8 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
         if not len(active):
             lam = link.wavelength_m
             power = lam * lam / (4.0 * math.pi) ** 2 * total
-            if np.ndim(link.range_x_m):
-                return power.reshape(np.shape(link.range_x_m))
+            if np.ndim(link.range_m):
+                return power.reshape(np.shape(link.range_m))
             return float(power[0])
     raise OracleConvergenceError(
         f"image sum did not converge within max_order={ctl.max_order}"

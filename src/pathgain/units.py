@@ -64,8 +64,8 @@ def checked_gain(law):
     """law with the one check of a gain: run with numpy's float warnings
     off, it returns a finite, positive gain (its result's `gain`, or the
     result) at every range, or raises GainError naming the first range of
-    its link (`range_m` or `range_x_m`, else its `range_m` or last
-    argument) or a scene value out of float range.  The unchecked law is
+    its link (`range_m`, else its `range_m` keyword or last argument) or
+    a scene value out of float range.  The unchecked law is
     `__wrapped__`."""
     @functools.wraps(law)
     def checked(*args, **kwargs):
@@ -81,8 +81,7 @@ def checked_gain(law):
         bad = _first_bad(gain)
         if bad is not None:
             inputs = (*args, *kwargs.values())
-            ranges = next((getattr(arg, name) for arg in inputs
-                           for name in ("range_m", "range_x_m") if hasattr(arg, name)),
+            ranges = next((arg.range_m for arg in inputs if hasattr(arg, "range_m")),
                           kwargs.get("range_m", inputs[-1]))
             where = np.ravel(np.broadcast_to(ranges, np.shape(gain)))[bad[0]]
             raise GainError(f"gain underflows to 0 at range {where:g} m" if bad[1] == 0.0

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canyon, diffuse, morphology, oracles, surface
-from .canyon import LosLink
-from .morphology import Link
+from .canyon import Link, LosLink
 from .result import GainResult
 from .units import to_db, wavelength_m, wavenumber_rad_m
 

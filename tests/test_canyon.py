@@ -14,6 +14,7 @@ from pathgain.canyon import (
 from pathgain.reference import friis_gain
 from pathgain.result import FLAG_FREE_SPACE_FLOOR, FLAG_NEAR_WALL, FLAG_SHORT_RANGE
 from pathgain.surface import Dielectric
+from pathgain.units import wavenumber_rad_m
 
 from conftest import CORRIDOR_WALL, db, walls_only_gain
 
@@ -76,8 +77,8 @@ class TestGroundReflection:
 
     def test_corridor_angle(self):
         link = corridor_link(20.0)
-        gamma = link.geometry.ground_bounce(link.range_x_m)
-        r_g = np.hypot(link.range_x_m, 2.2 + 1.0)
+        gamma = link.geometry.ground_bounce(link.range_m)
+        r_g = np.hypot(link.range_m, 2.2 + 1.0)
         assert r_g == pytest.approx(math.sqrt(400.0 + 3.2**2), rel=1e-14)
         theta = math.asin(3.2 / r_g)
         n2 = 5.0
@@ -130,7 +131,7 @@ class TestGroundBounceVariants:
         # find a range where the ground-bounce phase lag is exactly pi;
         # the bounce sign makes that the constructive condition
         link0 = corridor_link(10.0)
-        k = link0.wavenumber_rad_m
+        k = wavenumber_rad_m(link0.frequency_hz)
 
         def phase_minus_target(x, target):
             link = corridor_link(x)
@@ -148,7 +149,7 @@ class TestGroundBounceVariants:
         # averaging the coherent form over one full beat cycle recovers the
         # incoherent form (the pre-breakpoint range average)
         link0 = corridor_link(5.0)
-        k = link0.wavenumber_rad_m
+        k = wavenumber_rad_m(link0.frequency_hz)
         # two-ray breakpoint 4 z_s z / lambda
         bp = 4.0 * 2.2 * 1.0 / link0.wavelength_m
 

@@ -363,6 +363,17 @@ class TestVerify:
         assert row["gap_db"] == "0.00"
         assert "-0.00" not in out + out_csv.read_text(encoding="utf-8")
 
+    def test_non_converging_oracle_is_one_line_error(self, capsys, monkeypatch):
+        from pathgain.oracles import OracleConvergenceError
+
+        def stalls(profile):
+            raise OracleConvergenceError("hot-wall quadrature did not converge")
+
+        monkeypatch.setitem(verify.SUITES, "diffuse", stalls)
+        code, out, err = run_cli(capsys, "verify", "diffuse")
+        assert (code, out) == (1, "")
+        assert err == "pathgain: error: hot-wall quadrature did not converge\n"
+
     def test_strict_profile_consistent(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "roughness",
                              "--tolerance-profile", "strict")

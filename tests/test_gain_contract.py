@@ -114,6 +114,14 @@ def test_direct_call_gives_finite_positive_gain_or_value_error(law, data, values
         assert np.all(np.isfinite(gain) & (gain > 0.0)), (ranges, gain)
 
 
+@pytest.mark.parametrize("kappa_v", [-1.0, math.nan, math.inf])
+def test_overtop_rejects_absorption_out_of_range(kappa_v):
+    # overtop_gain is the one law whose absorption reaches the quartic body
+    # as a bare float, not through a checked scene object
+    with pytest.raises(ValueError, match="^absorption must be nonnegative$"):
+        overtop_gain(MacroGeometry(30.0, 10.0, 1.5, 20.0), kappa_v, Link(100.0, 28e9))
+
+
 def test_friis_overflow_is_a_value_error():
     with pytest.raises(GainError, match="^gain is inf at range 1e-300 m$"):
         friis_gain(0.01, 1e-300)

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pathgain import oracles
-from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
+from pathgain import oracles, verify
+from pathgain.canyon import CanyonGeometry, LosLink, los_gain_coherent, los_gain_incoherent
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, t_eff
 from pathgain.morphology import (
     FoliageLayer,
@@ -64,10 +64,10 @@ def direct_image_sum(link, order):
     # then of their ground images
     rows = [(g.tx_height_m - g.rx_height_m, 0.0),
             (g.tx_height_m + g.rx_height_m, 2.0 * low_grazing_rate(g.ground, PARALLEL))]
-    total = 0.0
+    wall_l, total = g.wall_loss(link.frequency_hz), 0.0
     for dz, ground_loss in rows:
-        dist = np.sqrt(link.range_x_m**2 + dy**2 + dz**2)
-        total += np.sum(np.exp(-link.wall_loss * np.arcsin(np.abs(dy) / dist) * bounces
+        dist = np.sqrt(link.range_m**2 + dy**2 + dz**2)
+        total += np.sum(np.exp(-wall_l * np.arcsin(np.abs(dy) / dist) * bounces
                                - ground_loss * np.arcsin(dz / dist)) / dist**2)
     return link.wavelength_m**2 / (4.0 * math.pi) ** 2 * total
 
@@ -79,7 +79,7 @@ class TestImageSum:
         # times Gamma_g^2
         link = corridor_link(30.0, wall=WallSurface(
             CORRIDOR_WALL.dielectric, TelegraphRoughness(1000.0, 0.5, 0.5, 1.0, 1.0)))
-        assert link.wall_loss > 1e9
+        assert link.geometry.wall_loss(link.frequency_hz) > 1e9
         g, lam = link.geometry, link.wavelength_m
         ground_r = math.hypot(30.0, g.tx_height_m + g.rx_height_m)
         ground_power = math.exp(-2.0 * low_grazing_rate(g.ground, PARALLEL)
@@ -160,7 +160,7 @@ class TestImageSum:
         # total, which a rel_tail_tol of 1e-3 accepts, and the
         # 128 < |k| <= 256 shell about 1e-7, which 1e-6 needs
         link = corridor_link(30.0, wall=LOSSY_WALL)
-        assert link.wall_loss == 0.03
+        assert link.geometry.wall_loss(link.frequency_hz) == 0.03
         for n, tol in ((128, 1e-3), (256, 1e-6)):
             ctl = SummationControl(rel_tail_tol=tol, max_order=n)
             if n > 128:
@@ -168,6 +168,27 @@ class TestImageSum:
                     image_sum_power(link, replace(ctl, max_order=n // 2))
             assert image_sum_power(link, ctl) == pytest.approx(
                 direct_image_sum(link, n), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.3, -0.2)])
+@pytest.mark.parametrize("f_hz", [2.0e9, 28.0e9])
+@pytest.mark.parametrize("scene", ["corridor", "urban"])
+def test_swapping_the_antennas_leaves_the_los_gain(scene, f_hz, offsets):
+    # reciprocity: the LOS laws and the image sum see the two antennas
+    # only through the sum and difference of their heights and the set of
+    # image offsets, so trading the tx and rx heights and offsets leaves
+    # each to round-off, on verify's canyons over its r/w values
+    geometry = replace(getattr(verify, f"{scene.upper()}_GEOMETRY"),
+                       tx_offset_m=offsets[0], rx_offset_m=offsets[1])
+    swapped = replace(geometry, tx_height_m=geometry.rx_height_m,
+                      rx_height_m=geometry.tx_height_m,
+                      tx_offset_m=geometry.rx_offset_m, rx_offset_m=geometry.tx_offset_m)
+    x = np.multiply(verify.CANYON_R_OVER_W, geometry.width_m)
+    for law in (los_gain_incoherent, los_gain_coherent):
+        assert law(LosLink(swapped, x, f_hz)).gain == pytest.approx(
+            law(LosLink(geometry, x, f_hz)).gain, rel=1e-14, abs=0.0)
+    assert image_sum_power(LosLink(swapped, x, f_hz)) == pytest.approx(
+        image_sum_power(LosLink(geometry, x, f_hz)), rel=1e-14, abs=0.0)
 
 
 class TestOiSeries:

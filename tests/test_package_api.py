@@ -19,12 +19,12 @@ from pathgain import cli
 from conftest import REPO_ROOT
 
 EXPORTS = {
-    "canyon": ("CanyonGeometry", "LosLink", "los_gain_coherent",
+    "canyon": ("CanyonGeometry", "Link", "LosLink", "los_gain_coherent",
                "los_gain_incoherent"),
     "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain", "t_eff"),
     "fitting": ("FitResult", "MeasurementDataset", "fit_slope_intercept",
                 "load_dataset", "rmse_against_model"),
-    "morphology": ("FoliageLayer", "IndoorClutter", "Link", "MacroGeometry",
+    "morphology": ("FoliageLayer", "IndoorClutter", "MacroGeometry",
                    "StreetScene", "canyon_total_gain", "canyon_with_trees_gain",
                    "kappa_v_at_frequency", "outdoor_indoor_canyon_gain",
                    "overtop_gain", "rural_gain", "sidewalk_guided_gain",

@@ -6,6 +6,8 @@ them all)."""
 import ast
 from pathlib import Path
 
+from pathgain import canyon, morphology
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pathgain").glob("*.py"))
 
 # exponent -> (module, function) of its one call
@@ -34,3 +36,16 @@ def test_each_exponent_has_one_body():
     assert all(isinstance(arg, ast.Constant) for arg, _ in calls), \
         "every power_law exponent is a literal"
     assert sorted((arg.value, where) for arg, where in calls) == sorted(BODIES.items())
+
+
+def test_one_link_record_per_input_path():
+    # canyon.Link is the one check of a range and a carrier: LosLink is a
+    # Link with a geometry, and the quartic laws of morphology pass their
+    # checked scene values straight to quartic_law, building no DiffuseLink
+    tree = ast.parse(Path(morphology.__file__).read_text(encoding="utf-8"))
+    built = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "DiffuseLink" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))]
+    assert built == []
+    assert issubclass(canyon.LosLink, canyon.Link)
+    assert morphology.Link is canyon.Link

@@ -11,12 +11,12 @@ from pathgain import canyon, diffuse, morphology, oracles, surface, verify
 PROFILES = ("default", "strict")
 
 # each suite's closed form, its calls per profile (one per scene) and, for a
-# range law, the tuple of swept values and the link field that takes them
+# range law, the tuple of swept values its link's range_m takes
 LAWS = {
-    "canyon": (canyon, "los_gain_incoherent", 4, ("CANYON_R_OVER_W", "range_x_m")),
+    "canyon": (canyon, "los_gain_incoherent", 4, "CANYON_R_OVER_W"),
     "outdoor_indoor": (morphology, "outdoor_indoor_canyon_gain", 3,
-                       ("OUTDOOR_INDOOR_R_OVER_LW", "range_m")),
-    "trees": (morphology, "sidewalk_guided_gain", 1, ("TREES_R_OVER_LW", "range_m")),
+                       "OUTDOOR_INDOOR_R_OVER_LW"),
+    "trees": (morphology, "sidewalk_guided_gain", 1, "TREES_R_OVER_LW"),
     "diffuse": (diffuse, "diffuse_pathgain", 5, None),
     "roughness": (surface, "roughness_loss_rate", 6, None),
 }
@@ -63,9 +63,8 @@ def test_each_law_runs_once_per_scene(suite, profile, monkeypatch):
     verify.SUITES[suite](profile)
     assert len(calls) == scenes
     if swept:
-        values, field = swept
-        shapes = [np.shape(getattr(args[-1], field)) for args in calls]
-        assert shapes == [(len(getattr(verify, values)),)] * scenes
+        shapes = [np.shape(args[-1].range_m) for args in calls]
+        assert shapes == [(len(getattr(verify, swept)),)] * scenes
 
 
 @pytest.mark.parametrize("profile", PROFILES)
