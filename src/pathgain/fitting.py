@@ -5,11 +5,13 @@ against a model keeps any mean bias (bias counts as error), and fit
 residuals are population RMS, so an ordinary least squares fit is optimal
 among slope-intercept models under exactly the metric reported here.
 
-The reader, the record rule and the fit are pure Python, so `pathgain fit`
-loads no numpy; `MeasurementDataset` imports it to hold its arrays.  The
-two record classes are a plain class and a `collections.namedtuple`, not
-dataclasses: `import dataclasses` loads `inspect`, `ast` and `dis`, which
-no line of `fit` uses.
+Measurements have one form: the (ranges, gains) lists of floats that
+`read_records` returns, checked once as it reads them.  The reader, the
+record rule and the fit are pure Python, so `pathgain fit` loads no numpy;
+`rmse_against_model` imports it to call its predictor on an array.  The
+fit's record is a `collections.namedtuple`, not a dataclass: `import
+dataclasses` loads `inspect`, `ast` and `dis`, which no line of `fit`
+uses.
 """
 
 import csv
@@ -41,35 +43,6 @@ def _first_invalid(ranges, gains) -> tuple[int, str] | None:
                 return i, f"range must be positive, got {range_m}"
             return i, f"path gain {gain_db} dB exceeds sanity bound"
     return None
-
-
-class MeasurementDataset:
-    """Measured path gain (dB) at ranges (m), as two read-only 1-D float
-    arrays of equal length, sharing one carrier frequency.  Its attributes
-    cannot be set, and two datasets are equal only if they are one."""
-
-    def __init__(self, ranges_m, gains_db, frequency_hz: float):
-        import numpy as np
-        ranges = np.array(ranges_m, dtype=float)
-        gains = np.array(gains_db, dtype=float)
-        if ranges.ndim != 1 or ranges.shape != gains.shape:
-            raise DatasetError("ranges and gains must be 1-D arrays of equal length")
-        invalid = _first_invalid(ranges.tolist(), gains.tolist())
-        if invalid:
-            raise DatasetError(invalid[1])
-        if not (frequency_hz > 0.0 and math.isfinite(frequency_hz)):
-            raise DatasetError("dataset frequency must be finite and positive")
-        ranges.flags.writeable = gains.flags.writeable = False
-        self.__dict__.update(ranges_m=ranges, gains_db=gains, frequency_hz=frequency_hz)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.ranges_m)
 
 
 FitResult = namedtuple("FitResult", "intercept_db_1m exponent_n rmse_db n_points")
@@ -133,10 +106,10 @@ def _check_records(path, ranges: list, gains: list, lines: list) -> None:
         raise DatasetError(f"{path}: line {lines[i]}: {message}")
 
 
-def load_dataset(path, frequency_hz: float) -> MeasurementDataset:
-    """The records `read_records` reads from a CSV file, as a dataset at
-    the carrier frequency_hz."""
-    return MeasurementDataset(*read_records(path), frequency_hz)
+def load_dataset(path, frequency_hz: float) -> tuple[list[float], list[float]]:
+    """`read_records(path)`.  frequency_hz is not read: the benchmark's
+    traced probe passes one."""
+    return read_records(path)
 
 
 def _fsum(values) -> float:
@@ -149,16 +122,14 @@ def _fsum(values) -> float:
 
 
 def fit_slope_intercept(records) -> FitResult:
-    """Ordinary least squares of path gain (dB) on log10(range), over a
-    MeasurementDataset or the (ranges, gains) lists `read_records` returns.
+    """Ordinary least squares of path gain (dB) on log10(range), over the
+    (ranges, gains) lists `read_records` returns.
 
     Returns the 1-m intercept, the distance exponent n = -slope/10 and the
     RMS residual, from exactly rounded sums of the centred values.  Needs
     at least two distinct ranges; raises DatasetError for a fit or RMS that
     is not finite, and for a fitted exponent that is not positive.
     """
-    if isinstance(records, MeasurementDataset):
-        records = records.ranges_m.tolist(), records.gains_db.tolist()
     ranges, gains = records
     n = len(ranges)
     if len(gains) != n:
@@ -195,15 +166,18 @@ def rms_db(residual_db: list[float]) -> float:
     return rms
 
 
-def rmse_against_model(dataset: MeasurementDataset, predict_db) -> float:
-    """RMS of (measured - predicted) path gain in dB over all records.
+def rmse_against_model(records, predict_db) -> float:
+    """RMS of (measured - predicted) path gain in dB over the (ranges, gains)
+    lists `read_records` returns.
 
     predict_db maps an array of ranges in meters to predicted path gains in
     dB; it is called once, with the ranges of all records, and an error it
     raises reaches the caller unchanged.  No mean-bias removal: a constant
-    model offset shows up in full.  An RMS that is not finite raises
-    DatasetError.
+    model offset shows up in full.  Lists of unequal length, no records,
+    or an RMS that is not finite raise DatasetError.
     """
-    if len(dataset) == 0:
-        raise DatasetError("dataset is empty")
-    return rms_db((dataset.gains_db - predict_db(dataset.ranges_m)).tolist())
+    import numpy as np
+    ranges, gains = records
+    if len(gains) != len(ranges):  # numpy would broadcast a single gain
+        raise DatasetError("ranges and gains must be of equal length")
+    return rms_db((np.array(gains) - predict_db(np.array(ranges))).tolist())

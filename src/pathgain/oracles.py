@@ -92,6 +92,7 @@ _SIGNS = np.array([[1.0], [-1.0]])
 _BOUNCE_OFFSETS = np.array([[0], [1]])
 
 
+@checked_gain
 def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *,
                     include_ground: bool = True):
     """Brute-force image-sum path gain for a LOS canyon link, at its one
@@ -110,7 +111,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
     total.  One evaluation of the orders |k| <= 128 gives the total at
     n = 64 and its first shell.  Each range stops at its own shell: its
     total stays as it is while the ranges still short of the tolerance
-    take the next shell.
+    take the next shell.  Checked as a law is (units.checked_gain).
     """
     require(include_ground is True, "the image sum always includes the ground image")
     g = link.geometry
@@ -324,7 +325,7 @@ def _box_rule(f, boxes):
     # bits, but over 8 alternating process pairs on a 2-core host (each the
     # median of 9 rounds) radial_flux_integral took 93 us here against 137
     # us there (slower in 7 pairs), roughness_loss_integral 84 against 123
-    # us (in 6).  The gap map runs both at every point.
+    # us (in 6).
     if boxes.shape[1] == 1:
         kronrod, error = _line_rule(f(center + half * _NODES))
         return kronrod * half[:, 0], error[:, None] * half
@@ -341,9 +342,6 @@ def _box_rule(f, boxes):
 def _initial_boxes(edges):
     """The products of the segments between each axis's breakpoints, as
     (count, dims, 2), the first axis outermost."""
-    if len(edges) == 1:  # the product below gives these boxes, slower
-        e = np.asarray(edges[0], dtype=float)
-        return np.array([e[:-1], e[1:]]).T[:, None]
     return np.array(list(itertools.product(
         *[list(zip(e[:-1], e[1:])) for e in edges])), dtype=float)
 
@@ -447,6 +445,7 @@ def _hotwall_gain(link: DiffuseLink, material_t2: float, flux: float) -> float:
     return link.wavelength_m**2 * prefactor * flux
 
 
+@checked_gain
 def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
                        ctl: QuadratureControl = QuadratureControl()) -> float:
     """Path gain into the diffuse half-space by boundary quadrature.
@@ -462,7 +461,7 @@ def hotwall_quadrature(link: DiffuseLink, spec: PenetrationSpec,
     the aperture-to-street limit.  The kernel is the exact exp(-kappa r')
     one; the closed-form aperture expression freezes it at exp(-kappa d_in).
     Raises ValueError for a terminal on the boundary (depth 0), where the
-    flux concentrates at one point.
+    flux concentrates at one point.  Checked as a law is (checked_gain).
     """
     if spec.variant == UNBOUNDED:
         return radial_flux_integral(link, spec.material_t2, ctl)
@@ -490,6 +489,7 @@ def _aperture_quadrant(d_in, kappa, width1_m, width2_m, ctl):
     return value
 
 
+@checked_gain
 def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
                          ctl: QuadratureControl = QuadratureControl()) -> float:
     """Path gain through the unbounded hot wall, by its radial flux integral.
@@ -498,7 +498,7 @@ def radial_flux_integral(link: DiffuseLink, material_t2: float = 1.0,
     the integral over the plane exactly into 2 pi times a 1-D integral over
     [d_in, inf), with no cut-off radius and ctl's tolerances as given.
     material_t2 must be in [0, 1], as a `PenetrationSpec`'s, and the depth
-    positive, as in `hotwall_quadrature`.
+    positive, as in `hotwall_quadrature`.  Checked as a law is (checked_gain).
     """
     require(0.0 <= material_t2 <= 1.0, "material power transmission must be in [0, 1]")
     require(link.depth_m > 0.0, "hot-wall quadrature needs a positive depth")

@@ -18,10 +18,7 @@ import pytest
 from pathgain import cli, verify
 from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain, t_eff
-from pathgain.fitting import (
-    MeasurementDataset,
-    fit_slope_intercept,
-)
+from pathgain.fitting import fit_slope_intercept
 from pathgain.morphology import (
     FoliageLayer,
     IndoorClutter,
@@ -354,27 +351,23 @@ def test_criterion_09_fitting():
     model = (-45.0, 1.5)
     ranges = np.geomspace(10.0, 1000.0, 80)
     line = np.array([line_db(*model, float(r)) for r in ranges])
-    noiseless = MeasurementDataset(ranges, line, 28e9)
-    fit = fit_slope_intercept(noiseless)
+    fit = fit_slope_intercept((ranges.tolist(), line.tolist()))
     assert fit.rmse_db < 1e-10
     assert fit.exponent_n == pytest.approx(1.5, abs=1e-12)
 
     rng = np.random.default_rng(20260810)
     noisy_r = 10.0 ** rng.uniform(1.0, 3.0, 500)
-    noisy = MeasurementDataset(
-        noisy_r, [line_db(*model, float(r)) + float(rng.normal(0.0, 3.0))
-                  for r in noisy_r], 28e9)
+    noisy = (noisy_r.tolist(), [line_db(*model, float(r)) + float(rng.normal(0.0, 3.0))
+                                for r in noisy_r])
     noisy_fit = fit_slope_intercept(noisy)
     assert 2.5 <= noisy_fit.rmse_db <= 3.5
     assert abs(noisy_fit.exponent_n - 1.5) <= 0.15
 
-    up = MeasurementDataset(ranges, line + 10.0, 28e9)
-    down = MeasurementDataset(ranges, line - 10.0, 28e9)
+    up = (ranges.tolist(), (line + 10.0).tolist())
+    down = (ranges.tolist(), (line - 10.0).tolist())
     assert fit_slope_intercept(up).rmse_db < 1e-9
     assert fit_slope_intercept(down).rmse_db < 1e-9
-    pooled = MeasurementDataset(np.concatenate([up.ranges_m, down.ranges_m]),
-                                np.concatenate([up.gains_db, down.gains_db]), 28e9)
-    pooled_fit = fit_slope_intercept(pooled)
+    pooled_fit = fit_slope_intercept((up[0] + down[0], up[1] + down[1]))
     assert pooled_fit.rmse_db > 3.0
     elapsed = time.perf_counter() - start
     report(9, "fitting", True,

@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from pathgain import cli, fitting, oracles
+from pathgain import cli, fitting, oracles, verify
 from pathgain.config import load_config
 
 from conftest import REPO_ROOT
@@ -37,15 +37,24 @@ def test_every_traced_oracle_exists(tracing):
     assert not missing
 
 
+def test_suites_give_their_rows_under_the_probe_wrappers(tracing):
+    # the probe swaps each traced oracle for a plain wrapper, so an oracle
+    # that reached another through an attribute of the function (its
+    # `__wrapped__`, say) would fail only in a traced run
+    rows = verify.run_suites(list(verify.SUITES))
+    with tracing.instrumented(tracing.Tracer()):
+        assert verify.run_suites(list(verify.SUITES)) == rows
+
+
 def test_probe_fitting_calls_exist(tmp_path):
     assert callable(fitting.rmse_against_model)
     assert list(inspect.signature(fitting.load_dataset).parameters) == [
         "path", "frequency_hz"]
     path = tmp_path / "sweep.csv"
     path.write_text("range_m,path_gain_db\n10,-60\n20,-70\n")
-    dataset = fitting.load_dataset(path, 28e9)
-    assert dataset.frequency_hz == 28e9
-    assert fitting.rmse_against_model(dataset, lambda r: -60.0) > 0.0
+    records = fitting.load_dataset(path, 28e9)
+    assert records == fitting.read_records(path)
+    assert fitting.rmse_against_model(records, lambda r: -60.0) > 0.0
 
 
 @pytest.mark.parametrize("name", ("over_top",) + cli.REFERENCE_MODELS)

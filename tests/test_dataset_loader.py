@@ -9,9 +9,8 @@ raise the same `DatasetError` message.  The one intended difference is the
 line number: the record loader counted non-blank rows from 2, so after a
 blank line it named the wrong line; `load_dataset` names the physical line.
 
-`load_dataset` wraps `read_records`, the reader `pathgain fit` calls without
-numpy, and `MeasurementDataset` checks the records again by the same rule:
-the two must give the same records and the same messages.
+`load_dataset` returns what `read_records`, the reader `pathgain fit` calls
+without numpy, returns, and checks each record once, as it reads it.
 """
 
 import csv
@@ -22,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathgain import fitting
 from pathgain.fitting import (CSV_REQUIRED, PATH_GAIN_SANITY_DB, DatasetError,
                               load_dataset, read_records)
 
@@ -65,8 +65,8 @@ def record_loader(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def columnar_loader(path) -> tuple[np.ndarray, np.ndarray]:
-    dataset = load_dataset(path, 2e9)
-    return dataset.ranges_m, dataset.gains_db
+    ranges, gains = load_dataset(path, 2e9)
+    return np.array(ranges), np.array(gains)
 
 
 def list_reader(path) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +156,23 @@ def test_blank_line_moves_the_line_number(tmp_path):
     with pytest.raises(DatasetError) as info:
         load_dataset(path, 2e9)
     assert str(info.value) == f"{path}: line 4: {message}"
+
+
+def test_load_dataset_checks_each_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("range_m,path_gain_db\n10,-60\n20,-66.5\n", encoding="utf-8")
+    calls = []
+
+    def counted(ranges, gains):
+        calls.append(len(ranges))
+        return first_invalid(ranges, gains)
+
+    first_invalid = fitting._first_invalid
+    monkeypatch.setattr(fitting, "_first_invalid", counted)
+    records = load_dataset(path, 28e9)
+    assert calls == [2]
+    assert records == read_records(path) == ([10.0, 20.0], [-60.0, -66.5])
+    assert calls == [2, 2]
 
 
 def test_byte_order_mark_before_the_header_is_read(tmp_path):

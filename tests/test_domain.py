@@ -17,7 +17,6 @@ from pathgain.canyon import CanyonGeometry, LosLink, los_gain_incoherent
 from pathgain.config import (MORPHOLOGIES, EnvironmentConfig, load_config,
                              make_evaluator)
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, t_eff
-from pathgain.fitting import MeasurementDataset
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene, canyon_total_gain, canyon_with_trees_gain,
                                  outdoor_indoor_canyon_gain, sidewalk_guided_gain)
@@ -76,10 +75,6 @@ CONSTRUCTORS = {
                                                            mobile_height_m=NAN),
     "scenario_inf_mobile_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
                                                            mobile_height_m=INF),
-    "dataset_inf_frequency": lambda: MeasurementDataset([1.0, 2.0],
-                                                        [-50.0, -60.0], INF),
-    "dataset_nan_frequency": lambda: MeasurementDataset([1.0, 2.0],
-                                                        [-50.0, -60.0], NAN),
     "summation_nan_tail_tol": lambda: SummationControl(rel_tail_tol=NAN),
     "summation_inf_tail_tol": lambda: SummationControl(rel_tail_tol=INF),
     "quadrature_nan_abs_tol": lambda: QuadratureControl(abs_tol=NAN),

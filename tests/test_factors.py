@@ -9,7 +9,7 @@ from pathgain.canyon import (CanyonGeometry, LosLink, los_gain_coherent,
                              los_gain_incoherent)
 from pathgain.config import MORPHOLOGIES, ConfigError, load_config, make_evaluator
 from pathgain.diffuse import PenetrationSpec
-from pathgain.fitting import MeasurementDataset, fit_slope_intercept
+from pathgain.fitting import fit_slope_intercept
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene, outdoor_indoor_canyon_gain, overtop_gain,
                                  sidewalk_guided_gain, sidewalk_unguided_gain,
@@ -114,7 +114,7 @@ def test_spreading_term_carries_the_exponent(law):
     spreading_db = db(result.factors["spreading"])
     local = np.diff(spreading_db) / np.diff(db(result.range_m))
     np.testing.assert_allclose(local, -exponent, rtol=0, atol=1e-9)
-    fitted = fit_slope_intercept(MeasurementDataset(result.range_m, spreading_db, 1.0))
+    fitted = fit_slope_intercept((result.range_m.tolist(), spreading_db.tolist()))
     assert fitted.exponent_n == pytest.approx(exponent, abs=1e-4)
 
 

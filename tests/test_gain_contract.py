@@ -4,6 +4,7 @@ ValueError, and never warns.  `make_evaluator` adds only the morphology
 name to the law's message (tests/test_domain.py checks the evaluator)."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -19,10 +20,12 @@ from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometr
                                  overtop_gain, rural_gain, sidewalk_guided_gain,
                                  sidewalk_unguided_gain, suburban_indoor_gain,
                                  suburban_street_gain)
-from pathgain.oracles import guided_trees_series_power
+from pathgain.oracles import (guided_trees_series_power, hotwall_quadrature,
+                              image_sum_power, radial_flux_integral)
 from pathgain.reference import friis_gain
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 from pathgain.units import GainError
+from pathgain.verify import URBAN_GEOMETRY
 
 from conftest import AVENUE_WALL, walls_only_gain
 
@@ -185,6 +188,34 @@ def test_guided_term_and_its_oracle_raise_where_it_underflows(power):
     with pytest.raises(GainError,
                        match=r"^gain underflows to 0 at range 1\.22074e\+06 m$"):
         power(_avenue_link(3000.0))
+
+
+def _unbounded_hotwall(d_in, kappa):
+    return hotwall_quadrature(DiffuseLink(20.0, 100.0, d_in, kappa, 0.01),
+                              PenetrationSpec.unbounded())
+
+
+# each returned 0.0 or inf unchecked, and the image sum at 1e155 m warned of
+# an overflow first
+@pytest.mark.parametrize("oracle, message", [
+    (lambda: _unbounded_hotwall(1e4, 0.38), "gain underflows to 0 at range 100 m"),
+    (lambda: _unbounded_hotwall(1.0, 1e4), "gain underflows to 0 at range 100 m"),
+    (lambda: _unbounded_hotwall(2000.0, 0.38), "gain underflows to 0 at range 100 m"),
+    (lambda: radial_flux_integral(DiffuseLink(20.0, 100.0, 1e4, 0.38, 0.01)),
+     "gain underflows to 0 at range 100 m"),
+    (lambda: image_sum_power(LosLink(URBAN_GEOMETRY, 1e155, 2e9)),
+     "gain underflows to 0 at range 1e+155 m"),
+    (lambda: image_sum_power(LosLink(URBAN_GEOMETRY, 100.0, 1e200)),
+     "gain underflows to 0 at range 100 m"),
+    (lambda: image_sum_power(LosLink(URBAN_GEOMETRY, 100.0, 1e-150)),
+     "gain is inf at range 100 m"),
+], ids=["hotwall_deep", "hotwall_opaque", "hotwall_2km", "radial_flux_deep",
+        "image_sum_far", "image_sum_high_carrier", "image_sum_low_carrier"])
+def test_oracle_out_of_float_range_is_a_gain_error(oracle, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GainError, match=f"^{re.escape(message)}$"):
+            oracle()
 
 
 def test_composite_total_stands_where_a_component_underflows():

@@ -26,8 +26,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pathgain import cli
-from pathgain.fitting import (PATH_GAIN_SANITY_DB, DatasetError, MeasurementDataset,
-                              fit_slope_intercept)
+from pathgain.fitting import PATH_GAIN_SANITY_DB, DatasetError, fit_slope_intercept
 
 TOLERANCE = 1e-9
 
@@ -96,12 +95,3 @@ def test_matches_lstsq(csv_path, drawn):
     if not any(near_rounding_boundary(value, spec) for value, spec in
                ((intercept, ".2f"), (exponent, ".4f"), (rmse, ".2f"))):
         assert stdout.getvalue() == fit_line(intercept, exponent, rmse, len(gains))
-
-
-def test_dataset_and_records_give_one_fit():
-    # the fit takes a MeasurementDataset, as bench/tracing.py passes it, or
-    # the lists the reader returns, with the same result
-    ranges = np.geomspace(3.0, 3000.0, 37).tolist()
-    gains = [-31.0 - 23.0 * math.log10(r) + (-1) ** i for i, r in enumerate(ranges)]
-    assert fit_slope_intercept(MeasurementDataset(ranges, gains, 1.0)) == \
-        fit_slope_intercept((ranges, gains))

@@ -22,8 +22,8 @@ EXPORTS = {
     "canyon": ("CanyonGeometry", "Link", "LosLink", "los_gain_coherent",
                "los_gain_incoherent"),
     "diffuse": ("DiffuseLink", "PenetrationSpec", "diffuse_pathgain", "t_eff"),
-    "fitting": ("FitResult", "MeasurementDataset", "fit_slope_intercept",
-                "load_dataset", "rmse_against_model"),
+    "fitting": ("FitResult", "fit_slope_intercept", "load_dataset",
+                "rmse_against_model"),
     "morphology": ("FoliageLayer", "IndoorClutter", "MacroGeometry",
                    "StreetScene", "canyon_total_gain", "canyon_with_trees_gain",
                    "kappa_v_at_frequency", "outdoor_indoor_canyon_gain",

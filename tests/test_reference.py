@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pathgain.fitting import MeasurementDataset, fit_slope_intercept
+from pathgain.fitting import fit_slope_intercept
 from pathgain.reference import (
     ThreeGppScenario,
     friis_gain,
@@ -42,10 +42,10 @@ class TestSlopeIntercept:
         geometry = CanyonGeometry(1.6, 2.2, 1.0, CORRIDOR_WALL)
         results = [los_gain_incoherent(LosLink(geometry, float(x), 2e9))
                    for x in np.geomspace(20.0, 150.0, 60)]
-        fit = fit_slope_intercept(MeasurementDataset(
+        fit = fit_slope_intercept((
             [res.range_m for res in results],
-            [db(res.factors["spreading"] * res.factors["free_space_floor"])
-             for res in results], 2e9))
+            [float(db(res.factors["spreading"] * res.factors["free_space_floor"]))
+             for res in results]))
         assert fit.exponent_n == pytest.approx(1.5, abs=1e-12)
         assert fit.rmse_db < 1e-10
 
