@@ -53,33 +53,23 @@ from .morphology import WALL_BOUNCE, IndoorClutter, StreetScene
 from .units import checked_gain, require, wavelength_m
 
 
-@dataclass(frozen=True)
-class SummationControl:
-    """Truncation policy for the image and reflection-order series."""
-
-    max_order: int = 500_000
-    rel_tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        require(self.max_order >= 1 and self.rel_tail_tol > 0.0,
-                "summation control parameters must be positive and finite",
-                self.max_order, self.rel_tail_tol)
+# the caps past which an oracle raises OracleConvergenceError: the orders of
+# a sum and the boxes (rectangles, in 2-D) of one quadrature
+MAX_ORDER = 500_000
+MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Tolerances for the adaptive quadratures; max_subdivisions caps the
-    intervals (rectangles, in 2-D) that one quadrature may hold."""
+    """Tolerances for the adaptive quadratures."""
 
     abs_tol: float = 1e-14
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
-        require(self.abs_tol > 0.0 and self.rel_tol > 0.0
-                and self.max_subdivisions >= 10,
+        require(self.abs_tol > 0.0 and self.rel_tol > 0.0,
                 "quadrature control parameters out of range",
-                self.abs_tol, self.rel_tol, self.max_subdivisions)
+                self.abs_tol, self.rel_tol)
 
 
 class OracleConvergenceError(ValueError):
@@ -93,7 +83,7 @@ _BOUNCE_OFFSETS = np.array([[0], [1]])
 
 
 @checked_gain
-def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *,
+def image_sum_power(link: LosLink, rel_tail_tol: float = 1e-10, *,
                     include_ground: bool = True):
     """Brute-force image-sum path gain for a LOS canyon link, at its one
     range (a float) or its array of ranges (an array of that shape).
@@ -114,6 +104,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
     take the next shell.  Checked as a law is (units.checked_gain).
     """
     require(include_ground is True, "the image sum always includes the ground image")
+    require(rel_tail_tol > 0.0, "rel_tail_tol must be positive and finite", rel_tail_tol)
     g = link.geometry
     w = g.width_m
     # one row per range, before the (ground row, sign, order) axes of its images
@@ -148,7 +139,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
     # the ranges still short of the tolerance, as indices into x_all
     active = np.arange(len(x_all))
     n = 64
-    while 2 * n <= ctl.max_order:
+    while 2 * n <= MAX_ORDER:
         if n == 64:
             # the first pass: one evaluation of the orders |k| <= 2n, split
             # into the total of |k| <= n and the first shell
@@ -162,7 +153,7 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
                                        x_all[active]))
         n *= 2
         total[active] += shell
-        active = active[~(shell <= ctl.rel_tail_tol * total[active])]
+        active = active[~(shell <= rel_tail_tol * total[active])]
         if not len(active):
             lam = link.wavelength_m
             power = lam * lam / (4.0 * math.pi) ** 2 * total
@@ -170,12 +161,12 @@ def image_sum_power(link: LosLink, ctl: SummationControl = SummationControl(), *
                 return power.reshape(np.shape(link.range_m))
             return float(power[0])
     raise OracleConvergenceError(
-        f"image sum did not converge within max_order={ctl.max_order}"
+        f"image sum did not converge within max_order={MAX_ORDER}"
     )
 
 
 def _standoff_series(r, width: float, wall_l: float, d: float,
-                     ctl: SummationControl, path_factor=None):
+                     rel_tail_tol: float, path_factor=None):
     """Sum over reflection order m of d_m^2 exp(-L m d_m / r)
     [* path_factor(r, d_m)], at one slant range r (a numpy float for a
     float) or an array of them (an array of that shape).
@@ -192,7 +183,7 @@ def _standoff_series(r, width: float, wall_l: float, d: float,
 
     def block_terms(start, size, r):
         """The terms of orders start.. at the ranges r, as (len(r), size)."""
-        m = np.arange(start, min(start + size, ctl.max_order + 1))
+        m = np.arange(start, min(start + size, MAX_ORDER + 1))
         d_m = np.where(m % 2 == 0, m * width + d, m * width + width - d)
         terms = d_m**2 * np.exp(-wall_l * m * d_m / r)
         return terms if path_factor is None else terms * path_factor(r, d_m)
@@ -202,23 +193,23 @@ def _standoff_series(r, width: float, wall_l: float, d: float,
     # the ranges still short of the tolerance, as indices into r_all
     active = np.arange(len(r_all))
     m_start, size, block = 64, 128, first[:, 64:]
-    while m_start <= ctl.max_order:
+    while m_start <= MAX_ORDER:
         block_sum = block.sum(axis=1)
         total[active] += block_sum
-        active = active[~(block_sum <= ctl.rel_tail_tol * total[active])]
+        active = active[~(block_sum <= rel_tail_tol * total[active])]
         if not len(active):
             return total.reshape(np.shape(r))[()]
         m_start += size
         size *= 2
         block = block_terms(m_start, size, r_all[active])
     raise OracleConvergenceError(
-        f"reflection-order series did not converge within max_order={ctl.max_order}"
+        f"reflection-order series did not converge within max_order={MAX_ORDER}"
     )
 
 
 @checked_gain
 def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
-                         ctl: SummationControl, path_factor=None):
+                         rel_tail_tol: float, path_factor=None):
     """The body of both series oracles: lambda^2 (1 + |Gamma_g|^2) 2 /
     (8 pi^2 r^4) * scene_factor * the reflection-order series of canyon g at
     standoff_m over slant range r, at the link's one range or array of
@@ -226,18 +217,19 @@ def _guided_series_power(g, link: Link, standoff_m: float, scene_factor: float,
     fully, a bounce of WALL_BOUNCE as in the closed forms.
     path_factor(r, d_m), if given, multiplies each image term.  Checked as
     a law is (units.checked_gain)."""
+    require(rel_tail_tol > 0.0, "rel_tail_tol must be positive and finite", rel_tail_tol)
     lam = wavelength_m(link.frequency_hz)
     wall_l = g.wall_loss(link.frequency_hz)
     r = g.slant_range_m(link.range_m)
     gamma = g.ground_bounce(link.range_m)
-    series = _standoff_series(r, g.width_m, wall_l, standoff_m, ctl, path_factor)
+    series = _standoff_series(r, g.width_m, wall_l, standoff_m, rel_tail_tol, path_factor)
     bounces = (1.0 + gamma * gamma) * WALL_BOUNCE
     r2 = r * r
     return lam**2 * scene_factor * bounces / (8.0 * math.pi**2 * (r2 * r2)) * series
 
 
 def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
-                          link: Link, ctl: SummationControl = SummationControl()):
+                          link: Link, rel_tail_tol: float = 1e-10):
     """Outdoor-indoor canyon power by direct summation over reflection order,
     at the link's one range or array of ranges.
 
@@ -248,11 +240,11 @@ def oi_image_series_power(geometry, pen: PenetrationSpec, indoor: IndoorClutter,
     """
     scene_factor = t_eff(pen, indoor.depth_m) * indoor.absorption
     return _guided_series_power(geometry, link, geometry.width_m / 2.0,
-                                scene_factor, ctl)
+                                scene_factor, rel_tail_tol)
 
 
 def guided_trees_series_power(scene: StreetScene, link: Link,
-                              ctl: SummationControl = SummationControl()):
+                              rel_tail_tol: float = 1e-10):
     """Tree-lined sidewalk guided power by direct summation, at the link's
     one range or array of ranges.
 
@@ -266,7 +258,7 @@ def guided_trees_series_power(scene: StreetScene, link: Link,
         return np.exp(-k_rho * np.sqrt(r * r + d_m * d_m))
 
     return _guided_series_power(scene.canyon, link, scene.standoff_m,
-                                math.exp(-k_rho * scene.foliage.depth_m), ctl,
+                                math.exp(-k_rho * scene.foliage.depth_m), rel_tail_tol,
                                 vegetation)
 
 
@@ -363,15 +355,15 @@ def gauss_kronrod(f, edges, ctl: QuadratureControl):
     summed error estimate meets max(abs_tol, rel_tol * |value|) of ctl.
     Returns (value, abs_error, evaluations).
     Raises OracleConvergenceError when that takes more than
-    ctl.max_subdivisions boxes, checked before the first pass against the
+    MAX_SUBDIVISIONS boxes, checked before the first pass against the
     initial boxes, or when an error estimate is not finite.
     """
     if edges[0][-1] == math.inf:
         f, edges = _to_infinity(f, edges[0][0]), (_UNIT_EDGES,)
     initial = math.prod(len(e) - 1 for e in edges)
-    if initial > ctl.max_subdivisions:
+    if initial > MAX_SUBDIVISIONS:
         raise OracleConvergenceError(
-            f"{initial} initial boxes exceed max_subdivisions={ctl.max_subdivisions}")
+            f"{initial} initial boxes exceed max_subdivisions={MAX_SUBDIVISIONS}")
     boxes = _initial_boxes(edges)
     values, errors = _box_rule(f, boxes)
     evaluations = len(boxes) * 15 ** len(edges)
@@ -384,15 +376,16 @@ def gauss_kronrod(f, edges, ctl: QuadratureControl):
         tolerance = max(ctl.abs_tol, ctl.rel_tol * abs(value))
         if error <= tolerance:
             return value, error, evaluations
-        # bisect the fewest worst boxes that leave the rest within tolerance/2
+        # bisect the fewest worst boxes that leave the rest within tolerance/2;
+        # all of them where rounding leaves a rest above a tolerance near 0
         order = np.argsort(-box_errors)
         rest = error - np.cumsum(box_errors[order])
-        count = min(int(np.count_nonzero(rest > tolerance / 2.0)) + 1,
-                    ctl.max_subdivisions - len(boxes))
+        count = min(int(np.count_nonzero(rest > tolerance / 2.0)) + 1, len(boxes),
+                    MAX_SUBDIVISIONS - len(boxes))
         if count <= 0:
             raise OracleConvergenceError(
                 f"quadrature error {error:.3g} above tolerance {tolerance:.3g} "
-                f"with max_subdivisions={ctl.max_subdivisions}")
+                f"with max_subdivisions={MAX_SUBDIVISIONS}")
         split, keep = order[:count], order[count:]
         # children in pairs: the low half of a box, then its high half
         children = np.repeat(boxes[split], 2, axis=0)
@@ -528,13 +521,16 @@ def roughness_loss_integral(theta_rad, roughness: surface.TelegraphRoughness,
     broadcast shape (a float for two floats).  Returns the loss term; the
     closed-form counterpart is surface.roughness_loss_rate(...) * theta.
     theta_rad must be in [0, pi/2] and wavenumber finite and positive, as
-    in the closed form.
+    in the closed form.  A loss term out of float range, nan included,
+    raises ValueError; numpy's float warnings are off meanwhile.
     """
     k = wavenumber
     surface._check_grazing(theta_rad)
     require(k > 0.0, "wavenumber must be positive", k)
-    loss = (2.0 * k * k * theta_rad * np.sqrt(2.0 / k)
-            * (2.0 * _roughness_integral(roughness, ctl)))
+    with np.errstate(all="ignore"):
+        loss = (2.0 * k * k * theta_rad * np.sqrt(2.0 / k)
+                * (2.0 * _roughness_integral(roughness, ctl)))
+    require(loss >= 0.0, "roughness loss term is out of float range", loss)
     return loss if np.ndim(loss) else float(loss)
 
 

@@ -12,6 +12,9 @@ path gain is its negative.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .result import power_law
 from .units import SPEED_OF_LIGHT_M_S, checked_gain, positive_ranges, require
 
 
@@ -22,7 +25,6 @@ def friis_gain(wavelength_m: float, range_m):
     one factor is "spreading"."""
     message = "wavelength and range must be positive"
     require(wavelength_m > 0.0, message, wavelength_m)
-    from .result import power_law  # loads numpy, which `pathgain fit` never needs
     return power_law(2.0, wavelength_m**2 / (16.0 * math.pi**2),
                      positive_ranges(range_m, message))
 
@@ -42,7 +44,6 @@ def uma_nlos_36814(street_width_m: float, building_height_m: float,
                         ("mobile_height_m", mobile_height_m),
                         ("f_ghz", f_ghz), ("d3d_m", d3d_m)):
         require(value > 0.0, lambda: f"{name} must be positive, got {value}", value)
-    import numpy as np
     w, z_b, z_bs, z_m = street_width_m, building_height_m, base_height_m, mobile_height_m
     return (161.04
             - 7.1 * math.log10(w)
@@ -112,7 +113,6 @@ def tr38901_pathloss(scenario: ThreeGppScenario, distance_m):
     NLOS returns max(LOS, NLOS') per the standard's convention, so NLOS is
     never below LOS at equal geometry.
     """
-    import numpy as np
     require(distance_m > 0.0, "distance must be positive", distance_m)
     los, nlos = TR38901[scenario.family]["los"], TR38901[scenario.family]["nlos"]
     f_ghz, h_bs, h_ut = scenario.f_ghz, scenario.h_bs, scenario.mobile_height_m

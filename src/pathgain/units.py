@@ -3,14 +3,13 @@
 All internal quantities are SI: lengths in meters, frequency in hertz,
 absorption in nepers per meter, gains as linear power ratios.  Decibels
 appear only at presentation boundaries (CLI output, fitting, reports).
-
-numpy is imported only by the functions that compute on arrays, so a
-caller that checks floats alone (`pathgain fit`) never loads it.
 """
 
 import functools
 import math
 import sys
+
+import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 _MIN_FREQUENCY_HZ = SPEED_OF_LIGHT_M_S / sys.float_info.max  # c/DBL_MAX
@@ -29,15 +28,11 @@ def require(condition, message, *finite) -> None:
     message is a string, or a function that returns one: a message that
     prints an array is then formatted only when the check fails.
     """
-    # no array exists unless numpy is loaded, so a check of floats needs
-    # no numpy (isinstance of an empty tuple is False)
-    numpy = sys.modules.get("numpy")
-    ndarray = numpy.ndarray if numpy else ()
-    if isinstance(condition, ndarray):
+    if isinstance(condition, np.ndarray):
         condition = condition.all()
     if condition:
         for value in finite:
-            if not (numpy.isfinite(value).all() if isinstance(value, ndarray)
+            if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
                     else math.isfinite(value)):
                 break
         else:
@@ -54,7 +49,6 @@ def _first_bad(values):
     not finite and positive; None when every one is."""
     if isinstance(values, float):  # one value: no arrays
         return None if 0.0 < values < math.inf else (0, values)
-    import numpy as np
     flat = np.ravel(values)
     bad = ~(flat > 0.0) | ~np.isfinite(flat)
     return (bad.argmax(), flat[bad.argmax()]) if bad.any() else None
@@ -69,7 +63,6 @@ def checked_gain(law):
     `__wrapped__`."""
     @functools.wraps(law)
     def checked(*args, **kwargs):
-        import numpy as np
         try:
             with np.errstate(all="ignore"):
                 result = law(*args, **kwargs)
@@ -94,7 +87,6 @@ def checked_gain(law):
 def positive_ranges(range_m, message: str):
     """One range as a float, or an array of ranges as a float array, after
     checking that every element is finite and positive."""
-    import numpy as np
     ranges = np.asarray(range_m, dtype=float)
     if ranges.ndim == 0:
         ranges = ranges[()]  # a numpy float: cheaper arithmetic than a 0-d array
@@ -107,7 +99,6 @@ def derived_length(length):
     say), one or an array of them, after checking that it did not overflow:
     where it is inf, OverflowError, which checked_gain reports as a scene
     value out of float range."""
-    import numpy as np
     # a numpy float is a float: one length needs no array call
     if not (math.isfinite(length) if isinstance(length, float)
             else np.isfinite(length).all()):
@@ -136,5 +127,4 @@ def to_db(power_ratio):
     bad = _first_bad(power_ratio)
     if bad is not None:
         raise ValueError(f"power ratio must be finite and positive, got {bad[1]}")
-    import numpy as np
     return 10.0 * np.log10(power_ratio)

@@ -72,16 +72,14 @@ class Comparison:
 
 def _controls(profile: str):
     if profile == "strict":
-        return (oracles.SummationControl(rel_tail_tol=1e-13),
-                oracles.QuadratureControl(abs_tol=1e-15, rel_tol=1e-12,
-                                          max_subdivisions=400))
+        return 1e-13, oracles.QuadratureControl(abs_tol=1e-15, rel_tol=1e-12)
     if profile == "default":
-        return oracles.SummationControl(), oracles.QuadratureControl()
+        return 1e-10, oracles.QuadratureControl()
     raise ValueError(f"unknown tolerance profile {profile!r}")
 
 
 def _suite(scenes):
-    """The suite of scenes(summation control, quadrature control), which yields
+    """The suite of scenes(rel_tail_tol, quadrature control), which yields
     per scene a name pattern, the swept values, the closed form over their
     array (a gain, or a GainResult whose flag masks flag each comparison),
     the oracle at the swept values (an array over them, or a list of one
@@ -99,7 +97,7 @@ def _suite(scenes):
     return suite
 
 
-def _canyon_scenes(sum_ctl, _):
+def _canyon_scenes(tail_tol, _):
     """LOS canyon closed form vs the exact image sum, with ground bounce."""
     for label, geometry in (("corridor", CORRIDOR_GEOMETRY), ("urban", URBAN_GEOMETRY)):
         dz = geometry.tx_height_m - geometry.rx_height_m
@@ -109,10 +107,10 @@ def _canyon_scenes(sum_ctl, _):
             link = LosLink(geometry, x, f_hz)
             yield (f"canyon/{label}/{f_hz/1e9:g}GHz/r={{:g}}w", CANYON_R_OVER_W,
                    canyon.los_gain_incoherent(link),
-                   oracles.image_sum_power(link, sum_ctl), 1.5)
+                   oracles.image_sum_power(link, tail_tol), 1.5)
 
 
-def _outdoor_indoor_scenes(sum_ctl, _):
+def _outdoor_indoor_scenes(tail_tol, _):
     """Outdoor-indoor canyon continuum law vs the reflection-order series."""
     pen = diffuse.PenetrationSpec.facade_mixture(0.3, 1.0, 0.05)
     indoor = morphology.IndoorClutter(0.18, 2.0)
@@ -124,10 +122,10 @@ def _outdoor_indoor_scenes(sum_ctl, _):
         link = Link([mult * wall_l * geometry.width_m for mult in r_lw], f_hz)
         yield (f"outdoor_indoor/{label}/{f_hz/1e9:g}GHz/r={{:g}}Lw", r_lw,
                morphology.outdoor_indoor_canyon_gain(geometry, pen, indoor, link),
-               oracles.oi_image_series_power(geometry, pen, indoor, link, sum_ctl), 1.5)
+               oracles.oi_image_series_power(geometry, pen, indoor, link, tail_tol), 1.5)
 
 
-def _trees_scenes(sum_ctl, _):
+def _trees_scenes(tail_tol, _):
     """Guided sidewalk law vs the vegetated reflection-order series."""
     geometry = canyon.CanyonGeometry(32.0, 56.0, 1.5, AVENUE_WALL)
     foliage = morphology.FoliageLayer(3.0, 0.38, n_tree_per_m=0.05,
@@ -138,7 +136,7 @@ def _trees_scenes(sum_ctl, _):
                 f_hz)
     yield ("trees/sparse/28GHz/r={:g}Lw", r_lw,
            morphology.sidewalk_guided_gain(scene, link),
-           oracles.guided_trees_series_power(scene, link, sum_ctl), 2.0)
+           oracles.guided_trees_series_power(scene, link, tail_tol), 2.0)
 
 
 def _diffuse_scenes(_, quad_ctl):

@@ -53,10 +53,10 @@ def test_reference_model_array_call_matches_float_calls(model):
                                predict_db(RANGES), rtol=RTOL, atol=0)
 
 
-# the first pass of each series: the image sum's orders |k| <= 128 and the
-# reflection-order series' orders 0..191
-FIRST_PASS_ONLY = oracles.SummationControl(max_order=191)
-STRICT_SUM = oracles.SummationControl(rel_tail_tol=1e-13)
+# a MAX_ORDER that leaves each series its first pass only: the image sum's
+# orders |k| <= 128 and the reflection-order series' orders 0..191
+FIRST_PASS_ONLY = 191
+STRICT_SUM = 1e-13
 CORRIDOR = verify.CORRIDOR_GEOMETRY
 FACADE = diffuse.PenetrationSpec.facade_mixture(0.3, 1.0, 0.05)
 ROOM = morphology.IndoorClutter(0.18, 2.0)
@@ -77,42 +77,44 @@ def _assert_float_calls(oracle, link, values):
     assert swept.tolist() == [float(p) for p in points]
 
 
-@pytest.mark.parametrize("ctl", [oracles.SummationControl(), STRICT_SUM],
-                         ids=["default", "strict"])
-def test_image_sum_array_call_matches_float_calls(ctl):
+@pytest.mark.parametrize("tol", [1e-10, STRICT_SUM], ids=["default", "strict"])
+def test_image_sum_array_call_matches_float_calls(tol):
     # the corridor at 2 GHz: 10 w stops at the first pass, 10,000 w later,
     # so the near total must stay as it was while the far one goes on
     near, far = 10.0 * CORRIDOR.width_m, 1.0e4 * CORRIDOR.width_m
-    oracles.image_sum_power(LosLink(CORRIDOR, near, 2.0e9), FIRST_PASS_ONLY)
-    with pytest.raises(oracles.OracleConvergenceError):
-        oracles.image_sum_power(LosLink(CORRIDOR, far, 2.0e9), FIRST_PASS_ONLY)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "MAX_ORDER", FIRST_PASS_ONLY)
+        oracles.image_sum_power(LosLink(CORRIDOR, near, 2.0e9))
+        with pytest.raises(oracles.OracleConvergenceError):
+            oracles.image_sum_power(LosLink(CORRIDOR, far, 2.0e9))
     for f_hz in (2.0e9, 28.0e9):
-        _assert_float_calls(lambda link: oracles.image_sum_power(link, ctl),
+        _assert_float_calls(lambda link: oracles.image_sum_power(link, tol),
                             lambda x: LosLink(CORRIDOR, x, f_hz),
                             np.array([near, far, 32.0 * CORRIDOR.width_m, 1.0]))
 
 
 SERIES = {
-    "oi_image_series_power": (CORRIDOR, lambda link, ctl: oracles.oi_image_series_power(
-        CORRIDOR, FACADE, ROOM, link, ctl)),
-    "guided_trees_series_power": (TREES.canyon, lambda link, ctl: (
-        oracles.guided_trees_series_power(TREES, link, ctl))),
+    "oi_image_series_power": (CORRIDOR, lambda link, tol=1e-10: (
+        oracles.oi_image_series_power(CORRIDOR, FACADE, ROOM, link, tol))),
+    "guided_trees_series_power": (TREES.canyon, lambda link, tol=1e-10: (
+        oracles.guided_trees_series_power(TREES, link, tol))),
 }
 
 
-@pytest.mark.parametrize("ctl", [oracles.SummationControl(), STRICT_SUM],
-                         ids=["default", "strict"])
+@pytest.mark.parametrize("tol", [1e-10, STRICT_SUM], ids=["default", "strict"])
 @pytest.mark.parametrize("series", sorted(SERIES))
-def test_series_array_call_matches_float_calls(series, ctl):
+def test_series_array_call_matches_float_calls(series, tol):
     # 10 L w stops at the first two blocks, 1,000 L w at a later one
     geometry, oracle = SERIES[series]
     f_hz = 28.0e9
     lw = geometry.wall_loss(f_hz) * geometry.width_m
     near, far = 10.0 * lw, 1.0e3 * lw
-    oracle(Link(near, f_hz), FIRST_PASS_ONLY)
-    with pytest.raises(oracles.OracleConvergenceError):
-        oracle(Link(far, f_hz), FIRST_PASS_ONLY)
-    _assert_float_calls(lambda link: oracle(link, ctl), lambda r: Link(r, f_hz),
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "MAX_ORDER", FIRST_PASS_ONLY)
+        oracle(Link(near, f_hz))
+        with pytest.raises(oracles.OracleConvergenceError):
+            oracle(Link(far, f_hz))
+    _assert_float_calls(lambda link: oracle(link, tol), lambda r: Link(r, f_hz),
                         np.array([near, far, 0.5 * lw, 2.5 * lw]))
 
 
@@ -129,8 +131,7 @@ def test_converged_range_takes_no_further_block():
 
     near, far = 10.0 * lw, 1.0e3 * lw
     oracles._standoff_series(np.array([near, far]), CORRIDOR.width_m, wall_l,
-                             CORRIDOR.width_m / 2.0, oracles.SummationControl(),
-                             recording)
+                             CORRIDOR.width_m / 2.0, 1e-10, recording)
     assert evaluated == [[near, far], [far]]
 
 

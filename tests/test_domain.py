@@ -20,8 +20,8 @@ from pathgain.diffuse import DiffuseLink, PenetrationSpec, t_eff
 from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometry,
                                  StreetScene, canyon_total_gain, canyon_with_trees_gain,
                                  outdoor_indoor_canyon_gain, sidewalk_guided_gain)
-from pathgain.oracles import (QuadratureControl, SummationControl,
-                              guided_trees_series_power, oi_image_series_power)
+from pathgain.oracles import (QuadratureControl, guided_trees_series_power,
+                              image_sum_power, oi_image_series_power)
 from pathgain.reference import ThreeGppScenario
 from pathgain.surface import (PARALLEL, PERPENDICULAR, Dielectric, TelegraphRoughness,
                               low_grazing_rate)
@@ -75,8 +75,6 @@ CONSTRUCTORS = {
                                                            mobile_height_m=NAN),
     "scenario_inf_mobile_height": lambda: ThreeGppScenario("UMa", "LOS", 28.0,
                                                            mobile_height_m=INF),
-    "summation_nan_tail_tol": lambda: SummationControl(rel_tail_tol=NAN),
-    "summation_inf_tail_tol": lambda: SummationControl(rel_tail_tol=INF),
     "quadrature_nan_abs_tol": lambda: QuadratureControl(abs_tol=NAN),
     "quadrature_inf_abs_tol": lambda: QuadratureControl(abs_tol=INF),
     "quadrature_nan_rel_tol": lambda: QuadratureControl(rel_tol=NAN),
@@ -152,6 +150,23 @@ WALL_LAWS = {
 def test_law_without_wall_parameters_raises_value_error(law):
     with pytest.raises(ValueError, match="^canyon laws need wall parameters"):
         WALL_LAWS[law]()
+
+
+SUM_ORACLES = {
+    "image_sum_power": lambda tol: image_sum_power(LosLink(GEOMETRY, 100.0, 28e9), tol),
+    "oi_image_series_power": lambda tol: oi_image_series_power(
+        GEOMETRY, FACADE, ROOM, STREET_LINK, tol),
+    "guided_trees_series_power": lambda tol: guided_trees_series_power(
+        StreetScene(GEOMETRY, FOLIAGE, 8.0), STREET_LINK, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, 0.0], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("oracle", sorted(SUM_ORACLES))
+def test_sum_oracle_rejects_tail_tolerance_out_of_range(oracle, tol):
+    with pytest.raises(ValueError, match="^rel_tail_tol must be positive and finite$"):
+        SUM_ORACLES[oracle](tol)
+    assert SUM_ORACLES[oracle](1e-10) > 0.0
 
 
 def test_los_law_at_infinite_range_raises_instead_of_zero_gain():

@@ -1,7 +1,9 @@
 """The output contract of the public gain laws, called directly: each law
 returns a finite, positive gain of its range's shape or raises a
 ValueError, and never warns.  `make_evaluator` adds only the morphology
-name to the law's message (tests/test_domain.py checks the evaluator)."""
+name to the law's message (tests/test_domain.py checks the evaluator).
+The oracles keep the same contract; the roughness oracle, whose value is
+a loss term, returns a finite, nonnegative one."""
 
 import math
 import re
@@ -10,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathgain.canyon import CanyonGeometry, LosLink, los_gain_coherent, los_gain_incoherent
 from pathgain.diffuse import DiffuseLink, PenetrationSpec, diffuse_pathgain
@@ -20,8 +22,9 @@ from pathgain.morphology import (FoliageLayer, IndoorClutter, Link, MacroGeometr
                                  overtop_gain, rural_gain, sidewalk_guided_gain,
                                  sidewalk_unguided_gain, suburban_indoor_gain,
                                  suburban_street_gain)
-from pathgain.oracles import (guided_trees_series_power, hotwall_quadrature,
-                              image_sum_power, radial_flux_integral)
+from pathgain.oracles import (QuadratureControl, guided_trees_series_power,
+                              hotwall_quadrature, image_sum_power, oi_image_series_power,
+                              radial_flux_integral, roughness_loss_integral)
 from pathgain.reference import friis_gain
 from pathgain.surface import Dielectric, TelegraphRoughness, WallSurface
 from pathgain.units import GainError
@@ -223,3 +226,146 @@ def test_composite_total_stands_where_a_component_underflows():
     assert result.gain == pytest.approx(1.67e-28, rel=1e-3)
     assert result.components["guided"] == 0.0
 
+
+
+# The oracles under the same contract, as one property.  Each float of an
+# oracle's nominal scene below, its tolerances included, is independently
+# kept 3 times in 10, drawn from its domain 6 times in 10 and replaced by
+# any float (FLOATS, edges included) once in 10.  The domain draw is
+# nominal * 10**u with u uniform in [-6, 6]; for a refraction index
+# 1 + (n - 1) * 10**u; uniform in [0, 1] for a fraction or a power
+# transmission, and in [-4, 4] m for an antenna offset.  A value that a
+# constructor rejects is a ValueError, as any other.
+ROUGHNESS_SCENE = {"half_depth_m": 0.1, "fraction_p1": 0.85,
+                   "rate_mu1_per_m": 1.0 / 0.33, "rate_mu2_per_m": 0.5}
+CANYON_SCENE = {**ROUGHNESS_SCENE, "width_m": 8.6, "tx_height_m": 5.0,
+                "rx_height_m": 1.5, "wall_index": 2.2, "ground_index": 15.0,
+                "tx_offset_m": 0.0, "rx_offset_m": 0.0, "range_m": 100.0,
+                "frequency_hz": 2e9, "rel_tail_tol": 1e-10}
+# the standoff is a fraction of the range, which it may not exceed
+DIFFUSE_SCENE = {"standoff_fraction": 0.2, "range_m": 100.0, "depth_m": 1.0,
+                 "kappa_np_per_m": 0.38, "wavelength_m": 0.01, "material_t2": 1.0,
+                 "abs_tol": 1e-14, "rel_tol": 1e-10}
+
+
+def _decades(nominal):
+    return st.floats(-6.0, 6.0).map(lambda u: nominal * 10.0**u)
+
+
+def _unit(_):
+    return st.floats(0.0, 1.0)
+
+
+DOMAINS = {
+    "wall_index": lambda n: _decades(n - 1.0).map(lambda excess: 1.0 + excess),
+    "fraction_p1": _unit, "material_t2": _unit, "standoff_fraction": _unit,
+    "p_window": _unit, "t_wall2": _unit,
+    "tx_offset_m": lambda _: st.floats(-4.0, 4.0),
+}
+DOMAINS["ground_index"] = DOMAINS["wall_index"]
+DOMAINS["rx_offset_m"] = DOMAINS["tx_offset_m"]
+
+
+def _roughness(p):
+    return TelegraphRoughness(p["half_depth_m"], p["fraction_p1"], 1.0 - p["fraction_p1"],
+                              p["rate_mu1_per_m"], p["rate_mu2_per_m"])
+
+
+def _oracle_canyon(p):
+    return CanyonGeometry(p["width_m"], p["tx_height_m"], p["rx_height_m"],
+                          WallSurface(Dielectric(p["wall_index"]), _roughness(p)),
+                          Dielectric(p["ground_index"]), p["tx_offset_m"], p["rx_offset_m"])
+
+
+def _diffuse_link(p):
+    return DiffuseLink(p["standoff_fraction"] * p["range_m"], p["range_m"], p["depth_m"],
+                       p["kappa_np_per_m"], p["wavelength_m"])
+
+
+def _quadrature(p):
+    return QuadratureControl(p["abs_tol"], p["rel_tol"])
+
+
+# oracle -> (nominal scene, function of the scene that calls the oracle)
+ORACLES = {
+    "image_sum_power": (CANYON_SCENE, lambda p: image_sum_power(
+        LosLink(_oracle_canyon(p), p["range_m"], p["frequency_hz"]), p["rel_tail_tol"])),
+    "oi_image_series_power": (
+        {**CANYON_SCENE, "p_window": 0.3, "t_wall2": 0.05, "indoor_kappa": 0.18,
+         "indoor_depth_m": 2.0},
+        lambda p: oi_image_series_power(
+            _oracle_canyon(p), PenetrationSpec.facade_mixture(p["p_window"], 1.0,
+                                                              p["t_wall2"]),
+            IndoorClutter(p["indoor_kappa"], p["indoor_depth_m"]),
+            Link(p["range_m"], p["frequency_hz"]), p["rel_tail_tol"])),
+    "guided_trees_series_power": (
+        {**CANYON_SCENE, "foliage_depth_m": 3.0, "foliage_kappa": 0.38,
+         "n_tree_per_m": 0.05, "tree_width_m": 4.0, "tree_height_m": 10.0,
+         "standoff_m": 2.0},
+        lambda p: guided_trees_series_power(
+            StreetScene(_oracle_canyon(p), FoliageLayer(
+                p["foliage_depth_m"], p["foliage_kappa"], p["n_tree_per_m"],
+                p["tree_width_m"], p["tree_height_m"]), p["standoff_m"]),
+            Link(p["range_m"], p["frequency_hz"]), p["rel_tail_tol"])),
+    "hotwall_unbounded": (DIFFUSE_SCENE, lambda p: hotwall_quadrature(
+        _diffuse_link(p), PenetrationSpec.unbounded(p["material_t2"]), _quadrature(p))),
+    "hotwall_aperture": (
+        {**DIFFUSE_SCENE, "width1_m": 3.0, "width2_m": 10.0},
+        lambda p: hotwall_quadrature(_diffuse_link(p), PenetrationSpec.aperture(
+            p["width1_m"], p["width2_m"], p["material_t2"]), _quadrature(p))),
+    "radial_flux_integral": (DIFFUSE_SCENE, lambda p: radial_flux_integral(
+        _diffuse_link(p), p["material_t2"], _quadrature(p))),
+    "roughness_loss_integral": (
+        {**ROUGHNESS_SCENE, "theta_rad": 0.01, "wavenumber": 586.9, "abs_tol": 1e-14,
+         "rel_tol": 1e-10},
+        lambda p: roughness_loss_integral(p["theta_rad"], _roughness(p), p["wavenumber"],
+                                          _quadrature(p))),
+}
+
+
+def _scene_float(key, nominal):
+    return st.integers(0, 9).flatmap(
+        lambda kind: FLOATS if kind == 0 else st.just(nominal) if kind <= 3
+        else DOMAINS.get(key, _decades)(nominal))
+
+
+ORACLE_CASES = st.sampled_from(sorted(ORACLES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.fixed_dictionaries(
+        {key: _scene_float(key, value) for key, value in ORACLES[name][0].items()})))
+
+
+# examples: the scenes where the gain oracles returned 0 or inf before they
+# were checked as the laws are; the roughness oracle's overflows, which
+# returned nan at theta = 0 and k = 1e200 and warned in the quadrature at
+# A = DBL_MAX; and the least positive tolerances, where the quadrature's
+# bisection indexed past its boxes
+@settings(max_examples=300, deadline=None)
+@given(case=ORACLE_CASES)
+@example(case=("hotwall_unbounded", {"depth_m": 1e4}))
+@example(case=("hotwall_unbounded", {"kappa_np_per_m": 1e4}))
+@example(case=("hotwall_unbounded", {"depth_m": 2000.0}))
+@example(case=("radial_flux_integral", {"depth_m": 1e4}))
+@example(case=("image_sum_power", {"range_m": 1e155}))
+@example(case=("image_sum_power", {"frequency_hz": 1e200}))
+@example(case=("image_sum_power", {"frequency_hz": 1e-150}))
+@example(case=("roughness_loss_integral", {"theta_rad": 0.0, "wavenumber": 1e200}))
+@example(case=("roughness_loss_integral", {"half_depth_m": sys.float_info.max}))
+@example(case=("roughness_loss_integral", {"wavenumber": 1.0, "abs_tol": 5e-324,
+                                           "rel_tol": 5e-324}))
+def test_oracle_gives_finite_positive_value_or_value_error(case):
+    """Each gain oracle returns a finite, positive gain and the roughness
+    oracle a finite, nonnegative loss term, or each raises a ValueError
+    with a message; none warns.  A case names its oracle and the scene
+    floats that differ from the oracle's nominal scene."""
+    name, overrides = case
+    nominal, call = ORACLES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call({**nominal, **overrides})
+        except ValueError as exc:
+            assert str(exc), (name, overrides)
+            return
+    assert isinstance(value, float), (name, overrides, value)
+    assert math.isfinite(value) and (value >= 0.0 if name == "roughness_loss_integral"
+                                     else value > 0.0), (name, overrides, value)

@@ -3,9 +3,11 @@ function of `pathgain.oracles` is supplied, by position or by keyword, by
 at least one call in the package or in the benchmark (`verify` and the gap
 map are the oracles' users); a call through *args or **kwargs supplies
 none.  A parameter with a default is an option only if its callers vary
-it: one that every caller sets to the same literal is a fixed input.  A
-test that needs another input builds it as a scene, or checks against a
-reference of its own."""
+it: one that every caller sets to the same literal is a fixed input.  So
+too every field of a public control record of `pathgain.oracles`: some
+call of the record, or a `replace` of one, sets it to other than its
+default.  A test that needs another input builds it as a scene, checks
+against a reference of its own, or patches a module constant."""
 
 import ast
 import itertools
@@ -26,11 +28,15 @@ FIXED_BY_BENCH = {
 }
 
 
+def _oracle_module():
+    return ast.parse(ORACLES.read_text(encoding="utf-8"))
+
+
 def _public_functions():
     """name -> (positional parameter names in order, names of the parameters
     with a default, all parameter names) of each public top-level function."""
     functions = {}
-    for node in ast.parse(ORACLES.read_text(encoding="utf-8")).body:
+    for node in _oracle_module().body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             args = node.args
             positional = [a.arg for a in (*args.posonlyargs, *args.args)]
@@ -50,7 +56,17 @@ def _calls():
                 yield getattr(node.func, "id", None) or getattr(node.func, "attr", None), node
 
 
+def _control_records():
+    """name -> {field: default value node} of each public dataclass."""
+    return {node.name: {stmt.target.id: stmt.value for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)}
+            for node in _oracle_module().body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)}
+
+
 FUNCTIONS = _public_functions()
+RECORDS = _control_records()
 
 
 def _supplied(name, call):
@@ -106,3 +122,39 @@ def test_every_oracle_parameter_has_a_caller(name):
     unsupplied, fixed = _unsupplied_and_fixed(name, _calls())
     assert unsupplied == []
     assert [p for p in fixed if (name, p) not in FIXED_BY_BENCH] == []
+
+
+def _fields_set(record, calls):
+    """The fields of `record` that some call in `calls` sets to a value
+    other than the field's default literal: a call of the record, by
+    position or keyword, or a keyword of a `replace` call."""
+    fields, found = RECORDS[record], set()
+    for called, call in calls:
+        if called not in (record, "replace"):
+            continue
+        supplied = {} if called == "replace" else dict(zip(fields, itertools.takewhile(
+            lambda a: not isinstance(a, ast.Starred), call.args)))
+        supplied.update((k.arg, k.value) for k in call.keywords if k.arg in fields)
+        found.update(name for name, value in supplied.items()
+                     if not (isinstance(value, ast.Constant)
+                             and isinstance(fields[name], ast.Constant)
+                             and value.value == fields[name].value))
+    return found
+
+
+def test_guard_sees_the_control_records():
+    assert "QuadratureControl" in RECORDS
+    assert list(RECORDS["QuadratureControl"]) == ["abs_tol", "rel_tol"]
+
+
+def test_guard_sees_fields_set_and_defaults_passed():
+    calls = _parsed_calls("QuadratureControl(1e-14, rel_tol=1e-10)",
+                          "replace(ctl, rel_tol=1e-11)")
+    assert _fields_set("QuadratureControl", calls) == {"rel_tol"}
+    calls = _parsed_calls("QuadratureControl(tol)")
+    assert _fields_set("QuadratureControl", calls) == {"abs_tol"}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_every_control_field_is_set_by_a_caller(record):
+    assert sorted(set(RECORDS[record]) - _fields_set(record, _calls())) == []

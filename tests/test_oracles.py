@@ -20,7 +20,6 @@ from pathgain.morphology import (
 from pathgain.oracles import (
     OracleConvergenceError,
     QuadratureControl,
-    SummationControl,
     guided_trees_series_power,
     hotwall_quadrature,
     image_sum_power,
@@ -36,8 +35,8 @@ from pathgain.units import GainError, wavelength_m, wavenumber_rad_m
 from conftest import (AVENUE_WALL, CORRIDOR_WALL, URBAN_WALL, db, frozen_hotwall_gain,
                       general_bracket_loss)
 
-STRICT_SUM = SummationControl(rel_tail_tol=1e-13)
-STRICT_QUAD = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
+STRICT_SUM = 1e-13
+STRICT_QUAD = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12)
 
 
 # walls whose loss L is 4/n: 0.03, and 4e-12, which reflects all but fully
@@ -127,14 +126,15 @@ class TestImageSum:
     def test_metallic_walls_converge_eventually(self):
         # 1/dist^2 spreading alone makes the lossless sum converge, slowly
         link = corridor_link(30.0, wall=METALLIC_WALL)
-        value = image_sum_power(link, SummationControl(rel_tail_tol=1e-4))
+        value = image_sum_power(link, 1e-4)
         dense = direct_image_sum(link, 200000)
         assert value == pytest.approx(dense, rel=1e-3)
 
-    def test_convergence_error_when_capped(self):
+    def test_convergence_error_when_capped(self, monkeypatch):
         link = corridor_link(30.0, wall=METALLIC_WALL)
-        with pytest.raises(OracleConvergenceError):
-            image_sum_power(link, SummationControl(max_order=128))
+        monkeypatch.setattr(oracles, "MAX_ORDER", 128)
+        with pytest.raises(OracleConvergenceError, match="max_order=128$"):
+            image_sum_power(link)
 
     def test_off_center_insensitivity(self):
         # the closed form assumes centered antennas; the exact sum with
@@ -150,24 +150,39 @@ class TestImageSum:
     def test_refinement_self_consistency(self):
         link = corridor_link(100.0)
         default = image_sum_power(link)
-        strict = image_sum_power(link, ctl=STRICT_SUM)
+        strict = image_sum_power(link, rel_tail_tol=STRICT_SUM)
         assert abs(strict - default) <= 1e-9 * default
 
-    def test_shell_sum_equals_fixed_order_sum(self):
+    def test_shell_sum_equals_fixed_order_sum(self, monkeypatch):
         # adding only the new shell at each doubling sums the same images
-        # as the truncated sum; max_order shows where each sum stopped.  At
+        # as the truncated sum; MAX_ORDER shows where each sum stopped.  At
         # a wall loss of 0.03 the 64 < |k| <= 128 shell is about 1e-4 of the
         # total, which a rel_tail_tol of 1e-3 accepts, and the
         # 128 < |k| <= 256 shell about 1e-7, which 1e-6 needs
         link = corridor_link(30.0, wall=LOSSY_WALL)
         assert link.geometry.wall_loss(link.frequency_hz) == 0.03
         for n, tol in ((128, 1e-3), (256, 1e-6)):
-            ctl = SummationControl(rel_tail_tol=tol, max_order=n)
             if n > 128:
+                monkeypatch.setattr(oracles, "MAX_ORDER", n // 2)
                 with pytest.raises(OracleConvergenceError):
-                    image_sum_power(link, replace(ctl, max_order=n // 2))
-            assert image_sum_power(link, ctl) == pytest.approx(
+                    image_sum_power(link, tol)
+            monkeypatch.setattr(oracles, "MAX_ORDER", n)
+            assert image_sum_power(link, tol) == pytest.approx(
                 direct_image_sum(link, n), rel=1e-13, abs=0.0)
+
+
+def test_lossless_walls_reach_the_summation_cap():
+    # smooth walls of index 1e300 on verify's urban canyon lose 4e-300 per
+    # radian at 2 GHz, so neither sum meets its tolerance within MAX_ORDER
+    geometry = replace(verify.URBAN_GEOMETRY, wall=WallSurface(Dielectric(1e300)))
+    assert geometry.wall_loss(2e9) < 1e-299
+    with pytest.raises(OracleConvergenceError,
+                       match="^image sum did not converge within max_order=500000$"):
+        image_sum_power(LosLink(geometry, 86.0, 2e9))
+    with pytest.raises(OracleConvergenceError, match="^reflection-order series did not "
+                                                     "converge within max_order=500000$"):
+        oi_image_series_power(geometry, PenetrationSpec.facade_mixture(0.3, 1.0, 0.05),
+                              IndoorClutter(0.18, 2.0), Link(86.0, 2e9))
 
 
 @pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.3, -0.2)])
@@ -314,7 +329,7 @@ GAP_MAP_SCENES = {
 }
 
 
-def direct_series(r, width, wall_l, d, ctl, path_factor=None, terms=8192):
+def direct_series(r, width, wall_l, d, rel_tail_tol, path_factor=None, terms=8192):
     """The first `terms` reflection orders of the standoff series in one
     numpy sum; 8,192 is far past the orders any gap-map series needs."""
     m = np.arange(terms)

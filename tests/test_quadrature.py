@@ -3,6 +3,7 @@ oracles: closed-form integrals of the same shapes, its convergence contract,
 and agreement with scipy.integrate, kept here as a test-only reference.
 """
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -27,12 +28,26 @@ from conftest import (CORRIDOR_WALL, QUADRATURE_CACHES, URBAN_WALL, frozen_hotwa
                       general_bracket_loss, load_gapmap)
 
 DEFAULT = QuadratureControl()
-STRICT = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
+STRICT = QuadratureControl(abs_tol=1e-15, rel_tol=1e-12)
+
+
+@contextlib.contextmanager
+def subdivision_cap(cap):
+    """oracles.MAX_SUBDIVISIONS at cap, with the cached integrals cleared on
+    entry and on exit: the cap is not part of their keys."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "MAX_SUBDIVISIONS", cap)
+        for cache in QUADRATURE_CACHES:
+            cache.cache_clear()
+        yield
+    for cache in QUADRATURE_CACHES:
+        cache.cache_clear()
 
 
 # scipy references: the integrals as scalar Python integrands, with the
-# tolerances the oracles use; frozen and general_bracket give the twins of
-# conftest.frozen_hotwall_gain and conftest.general_bracket_loss
+# tolerances and the subdivision cap the oracles use; frozen and
+# general_bracket give the twins of conftest.frozen_hotwall_gain and
+# conftest.general_bracket_loss
 
 
 def _kernel(r_in, kappa, depth, frozen):
@@ -56,7 +71,7 @@ def scipy_hotwall(link, spec, ctl=DEFAULT, frozen=False):
             lambda rho: rho * _kernel(math.hypot(d_in, rho), kappa, d_in,
                                       frozen),
             0.0, np.inf, epsabs=ctl.abs_tol, epsrel=ctl.rel_tol,
-            limit=ctl.max_subdivisions)
+            limit=oracles.MAX_SUBDIVISIONS)
         value *= 2.0 * math.pi
     else:
         w1, w2 = spec.width1_m, spec.width2_m
@@ -72,7 +87,7 @@ def scipy_radial(link, ctl=DEFAULT):
     d_in, kappa = link.depth_m, link.kappa_np_per_m
     value, _ = integrate.quad(
         lambda r_in: r_in * _kernel(r_in, kappa, d_in, False), d_in, np.inf,
-        epsabs=ctl.abs_tol, epsrel=ctl.rel_tol, limit=ctl.max_subdivisions)
+        epsabs=ctl.abs_tol, epsrel=ctl.rel_tol, limit=oracles.MAX_SUBDIVISIONS)
     return _prefactor(link, 1.0) * 2.0 * math.pi * value
 
 
@@ -86,11 +101,11 @@ def scipy_roughness(theta, rough, k, ctl=DEFAULT, general_bracket=False):
         chi_max = k * (1.0 + math.cos(theta))
         value, _ = integrate.quad(f_general, -chi_max, chi_max, points=[0.0],
                                   epsabs=ctl.abs_tol, epsrel=ctl.rel_tol,
-                                  limit=ctl.max_subdivisions)
+                                  limit=oracles.MAX_SUBDIVISIONS)
         return 2.0 * k * k * math.sin(theta) * value
     value, _ = integrate.quad(
         lambda chi: roughness_spectrum(rough, chi) * math.sqrt(chi), 0.0, np.inf,
-        epsabs=ctl.abs_tol, epsrel=ctl.rel_tol, limit=ctl.max_subdivisions)
+        epsabs=ctl.abs_tol, epsrel=ctl.rel_tol, limit=oracles.MAX_SUBDIVISIONS)
     return 2.0 * k * k * theta * math.sqrt(2.0 / k) * (2.0 * value)
 
 
@@ -362,11 +377,11 @@ class TestQuadratureCache:
     def test_failed_quadrature_raises_again_and_is_not_kept(self):
         link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
         spec = PenetrationSpec.aperture(3000.0, 3000.0)
-        ctl = QuadratureControl(max_subdivisions=10)
-        for _ in range(2):
-            with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
-                hotwall_quadrature(link, spec, ctl)
-            assert oracles._aperture_quadrant.cache_info().currsize == 0
+        with subdivision_cap(10):
+            for _ in range(2):
+                with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
+                    hotwall_quadrature(link, spec)
+                assert oracles._aperture_quadrant.cache_info().currsize == 0
 
 
 class TestAnalytic:
@@ -414,9 +429,25 @@ class TestConvergenceContract:
     def test_too_few_subdivisions_raise(self):
         link = DiffuseLink(20.0, 100.0, 1.0, 0.0, wavelength_m(28e9))
         spec = PenetrationSpec.aperture(3000.0, 3000.0)
-        with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
-            hotwall_quadrature(link, spec, QuadratureControl(max_subdivisions=10))
+        with subdivision_cap(10), pytest.raises(OracleConvergenceError,
+                                                match="max_subdivisions=10"):
+            hotwall_quadrature(link, spec)
         assert hotwall_quadrature(link, spec) > 0.0
+
+    def test_wide_shallow_aperture_exceeds_the_cap(self):
+        # 100 m x 100 m at a depth of 1 mm: 18 geometric segments per
+        # half-width, 324 initial boxes in the quadrant
+        link = DiffuseLink(20.0, 100.0, 1e-3, 0.0, wavelength_m(28e9))
+        with pytest.raises(OracleConvergenceError,
+                           match="^324 initial boxes exceed max_subdivisions=200$"):
+            hotwall_quadrature(link, PenetrationSpec.aperture(100.0, 100.0))
+
+    def test_tolerances_near_zero_bisect_every_box_then_raise(self):
+        # rounding leaves a rest above a tolerance of 5e-324 with every box
+        # bisected, so a pass bisects them all until the cap stops it
+        ctl = QuadratureControl(abs_tol=5e-324, rel_tol=5e-324)
+        with pytest.raises(OracleConvergenceError, match="with max_subdivisions=200$"):
+            roughness_loss_integral(0.01, URBAN_WALL.roughness, 1.0, ctl)
 
     @pytest.mark.parametrize("edges", [(np.linspace(0.0, 1.0, 12),),
                                        ((0.0, math.inf),),
@@ -430,14 +461,15 @@ class TestConvergenceContract:
             evaluated.append(x)
             return 1.0 + 0.0 * sum(x)
 
-        with pytest.raises(OracleConvergenceError, match="max_subdivisions=10"):
-            gauss_kronrod(f, edges, QuadratureControl(max_subdivisions=10))
+        with subdivision_cap(10), pytest.raises(OracleConvergenceError,
+                                                match="max_subdivisions=10"):
+            gauss_kronrod(f, edges, DEFAULT)
         assert evaluated == []
 
     def test_initial_boxes_at_the_cap_are_evaluated(self):
-        value, _, evaluations = gauss_kronrod(
-            lambda x: x, (np.linspace(0.0, 1.0, 11),),
-            QuadratureControl(max_subdivisions=10))
+        with subdivision_cap(10):
+            value, _, evaluations = gauss_kronrod(
+                lambda x: x, (np.linspace(0.0, 1.0, 11),), DEFAULT)
         assert value == pytest.approx(0.5, rel=1e-14)
         assert evaluations == 150
 

@@ -7,9 +7,10 @@ commands that run them, and numpy only in the code that computes, so
 alone: its reader and least squares are pure Python and its result holds
 the fitted line itself, so it loads no numpy either.  Its record classes
 are no dataclasses, so beyond what `--help` loads, `fit` loads only
-`fitting`, the csv reader and its file's codec.  `fitting`,
-`reference` and `units` import numpy only in the functions that compute
-on arrays.  With bytecode not written, each
+`fitting`, the csv reader and its file's codec.  `cli` and `fitting`
+import numpy only in the functions that compute on arrays; every other
+module, loaded only by a command that computes, imports it at the top.
+With bytecode not written, each
 process compiles the source of every module it imports, so a module a
 command does not run costs it start-up time.  The quadrature oracles behind
 `verify` use the package's own Gauss-Kronrod rule, so importing
@@ -18,6 +19,7 @@ needed.  Each command runs in a fresh interpreter, so the checks see
 exactly the modules that command imports.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -158,10 +160,43 @@ def test_fit_loads_no_numpy(sweep):
 
 
 def test_importing_fit_modules_loads_no_numpy():
-    proc = _python("-c", "import sys, pathgain.fitting, pathgain.reference, "
-                         "pathgain.units\nprint('numpy' in sys.modules)")
+    proc = _python("-c", "import sys, pathgain.cli, pathgain.fitting\n"
+                         "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the modules that --help and fit load, the only ones that defer numpy
+DEFERS_NUMPY = {"cli.py", "fitting.py"}
+
+
+def _numpy_imports_in_functions(source):
+    """Line numbers of the numpy imports, `import` or `from`, inside a
+    function of source."""
+    lines = set()
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                           else [a.name for a in node.names]
+                           if isinstance(node, ast.Import) else [])
+                if any(m.split(".")[0] == "numpy" for m in modules):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_a_numpy_import_in_a_function():
+    assert _numpy_imports_in_functions(
+        "import numpy\ndef f():\n    import numpy as np\n"
+        "    def g():\n        from numpy.linalg import norm\n") == [3, 5]
+
+
+def test_only_the_fit_path_defers_numpy():
+    deferred = {path.name: _numpy_imports_in_functions(path.read_text(encoding="utf-8"))
+                for path in sorted((REPO_ROOT / "src" / "pathgain").glob("*.py"))}
+    assert all(deferred[name] for name in DEFERS_NUMPY)
+    assert {name: lines for name, lines in deferred.items()
+            if lines and name not in DEFERS_NUMPY} == {}
 
 
 def test_wrapper_sees_scipy_when_loaded():
